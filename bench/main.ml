@@ -25,15 +25,6 @@ let build_tests =
       let arena = Sla_tree.create_arena () in
       Staged.stage (fun () -> ignore (Sla_tree.build ~arena ~now buffer)))
 
-let boxed_build_tests =
-  (* The per-node boxed representation the flat layout replaced; kept
-     as the delta row next to sla_tree.build. *)
-  Test.make_indexed ~name:"sla_tree.build_boxed" ~fmt:"%s:%d" ~args:sizes
-    (fun n ->
-      let buffer = buffer_of n in
-      Staged.stage (fun () ->
-          ignore (Sla_tree.build ~impl:Sla_tree.Boxed ~now buffer)))
-
 let postpone_tests =
   Test.make_indexed ~name:"sla_tree.postpone" ~fmt:"%s:%d" ~args:sizes (fun n ->
       let buffer = buffer_of n in
@@ -81,7 +72,6 @@ let run_micro () =
     Test.make_grouped ~name:"slatree"
       [
         build_tests;
-        boxed_build_tests;
         postpone_tests;
         naive_postpone_tests;
         decision_tests;

@@ -3,7 +3,11 @@
     One tree instance serves either as the slack tree [S+] or the
     tardiness tree [S-]; the only difference is the comparison {!mode}
     used when querying. Building over [M] units costs [O(M log M)]
-    time and space; each prefix question costs [O(log M)]. *)
+    time and space; each prefix question costs [O(log M)].
+
+    Production code runs the same tree laid out flat
+    ({!Flat_sla_tree}); this boxed form is the bit-identity oracle the
+    tests compare it against. *)
 
 type t
 

@@ -28,18 +28,19 @@
              S+ gives  Lt(delay) - Lt(delay - tau)
 
    3. APPENDS ARE LOCAL. A query appended at the tail postpones nobody;
-      its units go to a small pending overflow on the same planned
-      timeline, scanned naively, and a full rebuild happens only when
-      the overflow outgrows a fraction of the live buffer — classic
+      it goes to a small pending overflow on the same planned timeline,
+      scanned naively, and a full rebuild happens only when the
+      overflow outgrows a fraction of the live buffer — classic
       lazy-rebuild amortization.
+
+   Each tree owns one flat arena: [create], [reset] and the amortized
+   [rebuild] all build through it, so a long-lived tree stops
+   allocating tree storage once the arena has grown to its working
+   set.
 
    Amortized costs: pop O(1); append O(K) amortized (rebuild cost
    spread over the appends that caused it); each question
    O(log NK + BK) where B is the bounded overflow size. *)
-
-type pending_unit = { p_slack : float; p_gain : float }
-(* Planned-timeline slack of one unit of a pending query; negative
-   means tardiness. True slack = p_slack - delay, like the trees. *)
 
 (* Observability handles, resolved once per [create] against the run's
    registry (absent on the noop sink, so the hot paths pay a single
@@ -54,17 +55,14 @@ type stats = {
 }
 
 type t = {
-  mutable slack_tree : Cascade_tree.t;
-  mutable tardy_tree : Cascade_tree.t;
+  arena : Flat_sla_tree.arena;
+  mutable tree : Flat_sla_tree.t;  (** over [base_entries] *)
   mutable base_entries : Schedule.entry array;  (** planned starts *)
   mutable head : int;  (** base entries [0 .. head-1] already executed *)
   mutable delay : float;  (** true time = planned time + delay *)
-  mutable pending : (Query.t * float * pending_unit list) list;
-      (** newest first; the [float] is the query's planned start *)
-  mutable pending_cache : (Query.t * float * pending_unit list) array option;
-      (** [pending] reversed into arrival order, memoized between
-          appends so questions do not re-allocate it *)
-  mutable pending_n : int;
+  pending : Schedule.entry Deque.t;
+      (** appended since the last build, in arrival order, with planned
+          starts *)
   mutable tail_time : float;  (** planned end of the current schedule *)
   mutable rebuilds : int;
   stats : stats option;
@@ -74,65 +72,48 @@ let bump stats f =
   match stats with None -> () | Some s -> Obs.Registry.incr (f s)
 
 let live_base t = Array.length t.base_entries - t.head
-let length t = live_base t + t.pending_n
+let length t = live_base t + Deque.length t.pending
 let rebuild_count t = t.rebuilds
-let pending_count t = t.pending_n
+let pending_count t = Deque.length t.pending
 let delay t = t.delay
-
-let units_of_query query ~start =
-  let entry = { Schedule.query; start } in
-  let comps, _ = Sla.decompose query.Query.sla in
-  List.map
-    (fun { Sla.comp_bound; comp_gain } ->
-      { p_slack = Schedule.slack entry ~bound:comp_bound; p_gain = comp_gain })
-    comps
 
 (* The current live schedule with true starts — also the oracle the
    test suite compares against. *)
 let to_entries t =
-  let base =
-    Array.sub t.base_entries t.head (live_base t)
-    |> Array.map (fun e -> { e with Schedule.start = e.Schedule.start +. t.delay })
-  in
-  (* Pending queries carry their own planned starts: [t.tail_time]
-     already includes them, so deriving their positions from it would
-     shift the block by its own total size once the base drains. *)
-  let pending =
-    List.rev_map
-      (fun (q, start, _) -> { Schedule.query = q; start = start +. t.delay })
-      t.pending
-  in
-  Array.append base (Array.of_list pending)
+  let lb = live_base t in
+  Array.init (length t) (fun i ->
+      let e =
+        if i < lb then t.base_entries.(t.head + i)
+        else Deque.get t.pending (i - lb)
+      in
+      { e with Schedule.start = e.Schedule.start +. t.delay })
 
-(* Rebuild both trees over the true-start live schedule; the planned
-   timeline is re-anchored to the true one (delay returns to 0). *)
-let rebuild t =
-  let entries = to_entries t in
-  let units = Slack_units.of_schedule entries in
-  let pos, neg = Slack_units.partition units in
-  (* Compute the new (true) tail before resetting [delay], which the
-     empty-buffer case still needs. *)
-  let tail_time =
-    if Array.length entries > 0 then
-      Schedule.completion entries.(Array.length entries - 1)
-    else t.tail_time +. t.delay
-  in
-  t.slack_tree <- Cascade_tree.build pos;
-  t.tardy_tree <- Cascade_tree.build neg;
+(* The one build routine: build the tree over [entries] (true starts)
+   through the arena and re-anchor the planned timeline on them, so
+   delay returns to 0 and the overflow empties. [empty_tail] is the
+   schedule end when [entries] is empty. *)
+let load t entries ~empty_tail =
+  let n = Array.length entries in
+  t.tail_time <-
+    (if n > 0 then Schedule.completion entries.(n - 1) else empty_tail);
+  t.tree <- Flat_sla_tree.build t.arena entries;
   t.base_entries <- entries;
   t.head <- 0;
   t.delay <- 0.0;
-  t.pending <- [];
-  t.pending_cache <- Some [||];
-  t.pending_n <- 0;
-  t.tail_time <- tail_time;
+  Deque.clear t.pending
+
+(* Fold the overflow in: rebuild over the true-start live schedule.
+   The empty-buffer tail still needs the old delay, so it is computed
+   before [load] resets it. *)
+let rebuild t =
+  load t (to_entries t) ~empty_tail:(t.tail_time +. t.delay);
   t.rebuilds <- t.rebuilds + 1;
   bump t.stats (fun s -> s.s_rebuilds)
 
+let reset t ~now queries =
+  load t (Schedule.of_queries ~now queries) ~empty_tail:now
+
 let create ?(obs = Obs.noop) ~now queries =
-  let entries = Schedule.of_queries ~now queries in
-  let units = Slack_units.of_schedule entries in
-  let pos, neg = Slack_units.partition units in
   let stats =
     if not (Obs.enabled obs) then None
     else begin
@@ -147,27 +128,27 @@ let create ?(obs = Obs.noop) ~now queries =
         }
     end
   in
-  {
-    slack_tree = Cascade_tree.build pos;
-    tardy_tree = Cascade_tree.build neg;
-    base_entries = entries;
-    head = 0;
-    delay = 0.0;
-    pending = [];
-    pending_cache = Some [||];
-    pending_n = 0;
-    tail_time =
-      (if Array.length entries > 0 then
-         Schedule.completion entries.(Array.length entries - 1)
-       else now);
-    rebuilds = 0;
-    stats;
-  }
+  let arena = Flat_sla_tree.create_arena () in
+  let t =
+    {
+      arena;
+      tree = Flat_sla_tree.build arena [||];
+      base_entries = [||];
+      head = 0;
+      delay = 0.0;
+      pending = Deque.create ();
+      tail_time = now;
+      rebuilds = 0;
+      stats;
+    }
+  in
+  reset t ~now queries;
+  t
 
 let maybe_rebuild t =
   let live = length t in
   if
-    t.pending_n > max 8 (live / 2)
+    pending_count t > max 8 (live / 2)
     || t.head > max 16 (Array.length t.base_entries / 2)
   then rebuild t
 
@@ -175,9 +156,7 @@ let maybe_rebuild t =
 let append t query =
   bump t.stats (fun s -> s.s_appends);
   let start = t.tail_time in
-  t.pending <- (query, start, units_of_query query ~start) :: t.pending;
-  t.pending_cache <- None;
-  t.pending_n <- t.pending_n + 1;
+  Deque.push_back t.pending { Schedule.query; start };
   t.tail_time <- start +. query.Query.est_size;
   maybe_rebuild t
 
@@ -212,12 +191,7 @@ let rec pop_head ?actual t =
    query when the base is exhausted. *)
 let peek t =
   if live_base t > 0 then Some t.base_entries.(t.head).Schedule.query
-  else
-    match t.pending with
-    | [] -> None
-    | (newest, _, _) :: rest ->
-      (* [pending] is newest-first; the oldest is the list's last. *)
-      Some (List.fold_left (fun _ (q, _, _) -> q) newest rest)
+  else Option.map (fun e -> e.Schedule.query) (Deque.peek_front t.pending)
 
 (* The server idled past the schedule's end (a gap in arrivals): the
    next query starts at [now] instead. Only meaningful when empty.
@@ -229,110 +203,84 @@ let reset_origin t ~now =
     invalid_arg "Incr_sla_tree.reset_origin: buffer must be empty";
   t.tail_time <- now
 
-let check_range t ~m ~n =
-  let len = length t in
-  if m < 0 || n >= len || m > n then
-    invalid_arg
-      (Printf.sprintf "Incr_sla_tree: bad range [%d, %d] for %d queries" m n len)
+type question = Postpone | Expedite
 
-(* Delay-shifted prefix questions over base ids <= [abs_id]. Popped
-   ids (< head) are excluded by subtracting their prefix. *)
-let base_prefix mode_sum t ~abs_id =
-  if abs_id < t.head then 0.0
-  else begin
-    let at id = if id < 0 then 0.0 else mode_sum id in
-    at abs_id -. at (t.head - 1)
-  end
-
-let base_prefix_postpone t ~abs_id ~tau =
+(* Delay-shifted prefix question over base ids <= [abs_id], per the
+   table in point 2 above. Popped ids (< head) are excluded by
+   subtracting their prefix. *)
+let base_prefix t q ~tau abs_id =
   let d = t.delay in
-  base_prefix
-    (fun id ->
-      let lt x = Cascade_tree.prefix_loss t.slack_tree Cascade_tree.Lt ~n:id ~tau:x in
-      let le x = Cascade_tree.prefix_loss t.tardy_tree Cascade_tree.Le ~n:id ~tau:x in
-      lt (tau +. d) -. lt d +. (le (-.d) -. le (-.d -. tau)))
-    t ~abs_id
+  let at id =
+    if id < 0 then 0.0
+    else begin
+      let lt x =
+        Flat_sla_tree.prefix_loss (Flat_sla_tree.slack t.tree) Cascade_tree.Lt
+          ~n:id ~tau:x
+      in
+      let le x =
+        Flat_sla_tree.prefix_loss (Flat_sla_tree.tardy t.tree) Cascade_tree.Le
+          ~n:id ~tau:x
+      in
+      match q with
+      | Postpone -> lt (tau +. d) -. lt d +. (le (-.d) -. le (-.d -. tau))
+      | Expedite -> le (tau -. d) -. le (-.d) +. (lt d -. lt (d -. tau))
+    end
+  in
+  if abs_id < t.head then 0.0 else at abs_id -. at (t.head - 1)
 
-let base_prefix_expedite t ~abs_id ~tau =
+(* Scan pending positions [lo .. hi] (arrival order) unit by unit, on
+   the true timeline. *)
+let pending_part t q ~tau ~lo ~hi =
   let d = t.delay in
-  base_prefix
-    (fun id ->
-      let lt x = Cascade_tree.prefix_loss t.slack_tree Cascade_tree.Lt ~n:id ~tau:x in
-      let le x = Cascade_tree.prefix_loss t.tardy_tree Cascade_tree.Le ~n:id ~tau:x in
-      le (tau -. d) -. le (-.d) +. (lt d -. lt (d -. tau)))
-    t ~abs_id
-
-(* Scan the pending overflow for pending positions [lo .. hi] (arrival
-   order). *)
-let pending_array t =
-  match t.pending_cache with
-  | Some a -> a
-  | None ->
-    let a = Array.of_list (List.rev t.pending) in
-    t.pending_cache <- Some a;
-    a
-
-let pending_scan t ~lo ~hi ~f =
-  let arr = pending_array t in
   let acc = ref 0.0 in
   for i = lo to hi do
-    let _, _, units = arr.(i) in
-    List.iter (fun u -> acc := !acc +. f u) units
+    let e = Deque.get t.pending i in
+    let comps = Sla.components e.Schedule.query.Query.sla in
+    for c = 0 to Array.length comps - 1 do
+      let s = Schedule.slack e ~bound:comps.(c).Sla.comp_bound -. d in
+      let hit =
+        match q with
+        | Postpone -> s >= 0.0 && s < tau
+        | Expedite -> s < 0.0 && -.s <= tau
+      in
+      acc := !acc +. (if hit then comps.(c).Sla.comp_gain else 0.0)
+    done
   done;
   !acc
 
-let postpone t ~m ~n ~tau =
-  bump t.stats (fun s -> s.s_postpones);
-  check_range t ~m ~n;
-  if tau < 0.0 then invalid_arg "Incr_sla_tree.postpone: negative tau";
+(* Live range [m..n]: the tree answers the base part, the overflow
+   scan the pending part. *)
+let range t q ~m ~n ~tau =
+  let len = length t in
+  if m < 0 || n >= len || m > n then
+    invalid_arg
+      (Printf.sprintf "Incr_sla_tree: bad range [%d, %d] for %d queries" m n
+         len);
+  if tau < 0.0 then
+    invalid_arg
+      (match q with
+      | Postpone -> "Incr_sla_tree.postpone: negative tau"
+      | Expedite -> "Incr_sla_tree.expedite: negative tau");
   if tau = 0.0 then 0.0
   else begin
     let lb = live_base t in
-    let d = t.delay in
     let base_part =
       if m >= lb then 0.0
-      else begin
-        let hi = min n (lb - 1) in
-        base_prefix_postpone t ~abs_id:(t.head + hi) ~tau
-        -.
-        (if m = 0 then 0.0
-         else base_prefix_postpone t ~abs_id:(t.head + m - 1) ~tau)
-      end
+      else
+        base_prefix t q ~tau (t.head + min n (lb - 1))
+        -. (if m = 0 then 0.0 else base_prefix t q ~tau (t.head + m - 1))
     in
     let pend_part =
       if n < lb then 0.0
-      else
-        pending_scan t ~lo:(max 0 (m - lb)) ~hi:(n - lb) ~f:(fun u ->
-            let s = u.p_slack -. d in
-            if s >= 0.0 && s < tau then u.p_gain else 0.0)
+      else pending_part t q ~tau ~lo:(max 0 (m - lb)) ~hi:(n - lb)
     in
     base_part +. pend_part
   end
 
+let postpone t ~m ~n ~tau =
+  bump t.stats (fun s -> s.s_postpones);
+  range t Postpone ~m ~n ~tau
+
 let expedite t ~m ~n ~tau =
   bump t.stats (fun s -> s.s_expedites);
-  check_range t ~m ~n;
-  if tau < 0.0 then invalid_arg "Incr_sla_tree.expedite: negative tau";
-  if tau = 0.0 then 0.0
-  else begin
-    let lb = live_base t in
-    let d = t.delay in
-    let base_part =
-      if m >= lb then 0.0
-      else begin
-        let hi = min n (lb - 1) in
-        base_prefix_expedite t ~abs_id:(t.head + hi) ~tau
-        -.
-        (if m = 0 then 0.0
-         else base_prefix_expedite t ~abs_id:(t.head + m - 1) ~tau)
-      end
-    in
-    let pend_part =
-      if n < lb then 0.0
-      else
-        pending_scan t ~lo:(max 0 (m - lb)) ~hi:(n - lb) ~f:(fun u ->
-            let s = u.p_slack -. d in
-            if s < 0.0 && -.s <= tau then u.p_gain else 0.0)
-    in
-    base_part +. pend_part
-  end
+  range t Expedite ~m ~n ~tau

@@ -7,23 +7,31 @@
     folded in by an amortized lazy rebuild.
 
     Questions use positions into the *current* live buffer (0 = next
-    to execute), not the original build order. Answers are identical
-    to a fresh {!Sla_tree} built over {!to_entries} — the test suite
-    checks this equivalence on random operation sequences. *)
+    to execute), not the original build order. Answers equal a fresh
+    {!Sla_tree} built over {!to_entries} and the naive unit scan over
+    it, up to float rounding — the test suite checks this equivalence
+    on random operation sequences. *)
 
 type t
 
 (** [create ~now queries] builds the structure over the initial buffer
-    (possibly empty), scheduled back-to-back from [now]. When [obs] is
-    an enabled sink, counts rebuilds/appends/pops and what-if probe
-    calls into it ([sla_tree.*], [whatif.*]). *)
+    (possibly empty), scheduled back-to-back from [now], in a flat
+    arena the structure owns. When [obs] is an enabled sink, counts
+    amortized rebuilds/appends/pops and what-if probe calls into it
+    ([sla_tree.*], [whatif.*]). *)
 val create : ?obs:Obs.t -> now:float -> Query.t array -> t
+
+(** [reset t ~now queries] makes [t] hold what [create ~now queries]
+    would, rebuilding in place through [t]'s arena; [t] keeps its [obs]
+    handles and rebuild count. Like [create], it does not count as a
+    rebuild. *)
+val reset : t -> now:float -> Query.t array -> unit
 
 (** Live queries currently buffered. *)
 val length : t -> int
 
 (** Next query to execute (the buffer head), without removing it.
-    O(1) unless only pending queries remain. *)
+    O(1). *)
 val peek : t -> Query.t option
 
 (** FCFS arrival: schedule the query at the current tail. Amortized

@@ -6,7 +6,8 @@
      at its shifted completion time, bypassing the decomposition
      entirely.
    The test suite checks tree == units == recompute; the experiments
-   never use this module. *)
+   never use this module, and the bench times [postpone_by_units] only
+   as the baseline the tree replaces. *)
 
 let check_range entries ~m ~n =
   let len = Array.length entries in
@@ -61,11 +62,3 @@ let postpone_by_recompute entries ~m ~n ~tau =
 let expedite_by_recompute entries ~m ~n ~tau =
   if tau < 0.0 then invalid_arg "expedite: tau must be non-negative";
   profit_delta entries ~m ~n ~shift:(-.tau)
-
-(* Total profit of the whole schedule as currently planned. *)
-let scheduled_profit entries =
-  Array.fold_left
-    (fun acc e ->
-      acc
-      +. Query.profit_at e.Schedule.query ~completion:(Schedule.completion e))
-    0.0 entries

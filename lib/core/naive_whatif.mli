@@ -20,6 +20,3 @@ val postpone_by_recompute :
 
 val expedite_by_recompute :
   Schedule.entry array -> m:int -> n:int -> tau:float -> float
-
-(** Total profit of the schedule if executed exactly as planned. *)
-val scheduled_profit : Schedule.entry array -> float

@@ -18,3 +18,6 @@ val completion : entry -> float
 val slack : entry -> bound:float -> float
 
 val total_estimated_work : Query.t array -> float
+
+(** Total profit of the schedule if executed exactly as planned. *)
+val scheduled_profit : entry array -> float

@@ -10,63 +10,39 @@
    Both use the additive property postpone(m,n,t) = postpone(0,n,t) -
    postpone(0,m-1,t) and cost O(log NK) after the O(NK log NK) build.
 
-   Two interchangeable representations sit behind the facade: the flat
-   arena-backed structure-of-arrays tree (the default) and the original
-   boxed node tree, kept as the bit-identical oracle the equivalence
-   suite compares against. *)
+   The tree is the flat arena-backed structure-of-arrays layout
+   ([Flat_sla_tree]); the boxed [Cascade_tree] it was derived from is
+   kept only as the bit-identical oracle the tests compare against. *)
 
-type impl = Flat | Boxed
-
-type repr =
-  | Flat_repr of Flat_sla_tree.t
-  | Boxed_repr of { slack_tree : Cascade_tree.t; tardy_tree : Cascade_tree.t }
-
-type t = { entries : Schedule.entry array; repr : repr; now : float }
+type t = { entries : Schedule.entry array; tree : Flat_sla_tree.t; now : float }
 
 type arena = Flat_sla_tree.arena
 
 let create_arena = Flat_sla_tree.create_arena
 
-let of_entries ?(impl = Flat) ?arena ~now entries =
-  let repr =
-    match impl with
-    | Flat ->
-      let arena =
-        match arena with Some a -> a | None -> Flat_sla_tree.create_arena ()
-      in
-      Flat_repr (Flat_sla_tree.build arena entries)
-    | Boxed ->
-      let units = Slack_units.of_schedule entries in
-      let slack_units, tardy_units = Slack_units.partition units in
-      Boxed_repr
-        {
-          slack_tree = Cascade_tree.build slack_units;
-          tardy_tree = Cascade_tree.build tardy_units;
-        }
+let of_entries ?arena ~now entries =
+  let arena =
+    match arena with Some a -> a | None -> Flat_sla_tree.create_arena ()
   in
-  { entries; repr; now }
+  { entries; tree = Flat_sla_tree.build arena entries; now }
 
-let build ?impl ?arena ~now queries =
-  of_entries ?impl ?arena ~now (Schedule.of_queries ~now queries)
+let build ?arena ~now queries =
+  of_entries ?arena ~now (Schedule.of_queries ~now queries)
 
 let length t = Array.length t.entries
 let now t = t.now
 let entries t = t.entries
-
-let impl t = match t.repr with Flat_repr _ -> Flat | Boxed_repr _ -> Boxed
 
 let entry t i =
   if i < 0 || i >= Array.length t.entries then
     invalid_arg "Sla_tree.entry: index out of bounds";
   t.entries.(i)
 
+let slack t = Flat_sla_tree.slack t.tree
+let tardy t = Flat_sla_tree.tardy t.tree
+
 let unit_counts t =
-  match t.repr with
-  | Flat_repr f ->
-    ( Flat_sla_tree.unit_count (Flat_sla_tree.slack f),
-      Flat_sla_tree.unit_count (Flat_sla_tree.tardy f) )
-  | Boxed_repr { slack_tree; tardy_tree } ->
-    (Cascade_tree.unit_count slack_tree, Cascade_tree.unit_count tardy_tree)
+  (Flat_sla_tree.unit_count (slack t), Flat_sla_tree.unit_count (tardy t))
 
 let check_range t ~m ~n =
   let len = Array.length t.entries in
@@ -78,23 +54,11 @@ let check_range t ~m ~n =
    denotes the empty prefix. *)
 let prefix_slack t ~n ~tau =
   if n < 0 then 0.0
-  else begin
-    match t.repr with
-    | Flat_repr f ->
-      Flat_sla_tree.prefix_loss (Flat_sla_tree.slack f) Cascade_tree.Lt ~n ~tau
-    | Boxed_repr { slack_tree; _ } ->
-      Cascade_tree.prefix_loss slack_tree Cascade_tree.Lt ~n ~tau
-  end
+  else Flat_sla_tree.prefix_loss (slack t) Cascade_tree.Lt ~n ~tau
 
 let prefix_tardy t ~n ~tau =
   if n < 0 then 0.0
-  else begin
-    match t.repr with
-    | Flat_repr f ->
-      Flat_sla_tree.prefix_loss (Flat_sla_tree.tardy f) Cascade_tree.Le ~n ~tau
-    | Boxed_repr { tardy_tree; _ } ->
-      Cascade_tree.prefix_loss tardy_tree Cascade_tree.Le ~n ~tau
-  end
+  else Flat_sla_tree.prefix_loss (tardy t) Cascade_tree.Le ~n ~tau
 
 (* Probes over an empty buffer are defined and answer 0.0: no queries,
    nothing to lose or recover. Ranges are only validated against a
@@ -121,29 +85,13 @@ let expedite t ~m ~n ~tau =
 (* Profit currently at stake (still earnable) among queries 0..n: the
    gains of all their on-time units. *)
 let profit_at_stake t ~n =
-  if n < 0 then 0.0
-  else begin
-    match t.repr with
-    | Flat_repr f -> Flat_sla_tree.prefix_total (Flat_sla_tree.slack f) ~n
-    | Boxed_repr { slack_tree; _ } -> Cascade_tree.prefix_total slack_tree ~n
-  end
+  if n < 0 then 0.0 else Flat_sla_tree.prefix_total (slack t) ~n
 
-let total_profit_at_stake t =
-  match t.repr with
-  | Flat_repr f -> Flat_sla_tree.total (Flat_sla_tree.slack f)
-  | Boxed_repr { slack_tree; _ } -> Cascade_tree.total slack_tree
+let total_profit_at_stake t = Flat_sla_tree.total (slack t)
 
 (* Profit already forfeited (late units) among queries 0..n that could
    in principle be recovered by expediting. *)
 let recoverable_profit t ~n =
-  if n < 0 then 0.0
-  else begin
-    match t.repr with
-    | Flat_repr f -> Flat_sla_tree.prefix_total (Flat_sla_tree.tardy f) ~n
-    | Boxed_repr { tardy_tree; _ } -> Cascade_tree.prefix_total tardy_tree ~n
-  end
+  if n < 0 then 0.0 else Flat_sla_tree.prefix_total (tardy t) ~n
 
-let total_recoverable_profit t =
-  match t.repr with
-  | Flat_repr f -> Flat_sla_tree.total (Flat_sla_tree.tardy f)
-  | Boxed_repr { tardy_tree; _ } -> Cascade_tree.total tardy_tree
+let total_recoverable_profit t = Flat_sla_tree.total (tardy t)

@@ -7,31 +7,20 @@
 
 type t
 
-(** Which representation backs the tree: [Flat] (default) is the
-    arena-backed structure-of-arrays layout; [Boxed] is the original
-    per-node representation, kept as the bit-identical oracle. *)
-type impl = Flat | Boxed
-
-(** Reusable backing store for [Flat] builds. An arena holds one live
-    tree: building into it again invalidates the previous tree. Do not
-    share across domains. *)
+(** Reusable backing store for builds. An arena holds one live tree:
+    building into it again invalidates the previous tree. Do not share
+    across domains. *)
 type arena = Flat_sla_tree.arena
 
 val create_arena : unit -> arena
 
 (** [build ~now queries] schedules [queries] back-to-back from [now]
     (the order of the array is the execution order) and builds both
-    trees. [?impl] selects the representation (default [Flat]);
-    [?arena] reuses backing storage for [Flat] builds (ignored for
-    [Boxed]). *)
-val build : ?impl:impl -> ?arena:arena -> now:float -> Query.t array -> t
+    trees; [?arena] reuses backing storage. *)
+val build : ?arena:arena -> now:float -> Query.t array -> t
 
 (** Build over custom scheduled starts. *)
-val of_entries :
-  ?impl:impl -> ?arena:arena -> now:float -> Schedule.entry array -> t
-
-(** The representation backing this tree. *)
-val impl : t -> impl
+val of_entries : ?arena:arena -> now:float -> Schedule.entry array -> t
 
 val length : t -> int
 val now : t -> float

@@ -5,9 +5,10 @@
    feed the slack tree S+; units with negative slack feed the tardiness
    tree S- (with the sign reversed).
 
-   This runs once per tree rebuild, i.e. per candidate probe on the
-   dispatch hot path, so both passes count first and fill pre-sized
-   arrays — no intermediate lists. *)
+   Production trees expand their units straight into the flat arena
+   ([Flat_sla_tree]); this expansion feeds the boxed [Cascade_tree] and
+   the naive scan, the oracles the tests compare against. Both passes
+   count first and fill pre-sized arrays — no intermediate lists. *)
 
 type t = {
   uid : int;  (** position of the owning query in the buffer order *)

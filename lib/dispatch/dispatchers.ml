@@ -137,7 +137,7 @@ let scale_query speed query =
       ~sla:query.Query.sla ~retries:query.Query.retries
       ~tenant:query.Query.tenant ()
 
-let insertion_profit ?impl ?arena planner sim sid q =
+let insertion_profit ?arena planner sim sid q =
   let srv = Sim.server sim sid in
   let speed = srv.Sim.speed in
   let free_at = Sim.est_free_at sim srv in
@@ -147,7 +147,7 @@ let insertion_profit ?impl ?arena planner sim sid q =
       (Planner.planned_queries planner ~now:(Sim.now sim) buffer)
   in
   let tree =
-    Sla_tree.of_entries ?impl ?arena ~now:free_at
+    Sla_tree.of_entries ?arena ~now:free_at
       (Schedule.of_queries ~now:free_at planned)
   in
   let q' = scale_query speed q in
@@ -178,7 +178,7 @@ type probe_cache = {
   arena : Sla_tree.arena;
 }
 
-let cached_insertion_profit ?impl planner =
+let cached_insertion_profit planner =
   let caches : probe_cache option array ref = ref [||] in
   let entry_of sid =
     let n = Array.length !caches in
@@ -195,7 +195,7 @@ let cached_insertion_profit ?impl planner =
           gen = -1;
           free_at = nan;
           planned = [||];
-          tree = Sla_tree.of_entries ?impl ~now:0.0 [||];
+          tree = Sla_tree.of_entries ~now:0.0 [||];
           arena = Sla_tree.create_arena ();
         }
       in
@@ -219,7 +219,7 @@ let cached_insertion_profit ?impl planner =
         in
         e.planned <- planned;
         e.tree <-
-          Sla_tree.of_entries ?impl ~arena:e.arena ~now:free_at
+          Sla_tree.of_entries ~arena:e.arena ~now:free_at
             (Schedule.of_queries ~now:free_at planned);
         e.gen <- srv.Sim.gen;
         e.free_at <- free_at
@@ -264,16 +264,16 @@ let sla_tree_with ~name profit_of ~admission =
    order cannot depend on the decision time; [?memo:false] forces the
    historical rebuild-per-candidate behavior (the test oracle), and
    CBS-style time-dependent planners fall back to it on their own. *)
-let sla_tree ?(admission = false) ?(memo = true) ?impl planner =
+let sla_tree ?(admission = false) ?(memo = true) planner =
   let name = if admission then "SLA-tree+AC" else "SLA-tree" in
   if memo && Planner.time_invariant planner then
     {
       name;
       make =
         (fun () ->
-          argmax_profit ~admission (cached_insertion_profit ?impl planner));
+          argmax_profit ~admission (cached_insertion_profit planner));
     }
-  else sla_tree_with ~name (insertion_profit ?impl planner) ~admission
+  else sla_tree_with ~name (insertion_profit planner) ~admission
 
 (* The incremental FCFS fast path. Under FCFS the newcomer always
    ranks last ([insertion_rank] = N), so [What_if.insertion_delta]

@@ -26,11 +26,9 @@ val round_robin : t
 val lwl : t
 
 (** Profit delta of inserting [q] into server [sid]'s buffer as planned
-    by [planner] (exposed for tests and capacity planning). [?impl]
-    picks the tree representation; [?arena] reuses flat-tree storage
-    across calls. *)
+    by [planner] (exposed for tests and capacity planning). [?arena]
+    reuses tree storage across calls. *)
 val insertion_profit :
-  ?impl:Sla_tree.impl ->
   ?arena:Sla_tree.arena ->
   Planner.t ->
   Sim.t ->
@@ -47,9 +45,8 @@ val insertion_profit :
     SLA-tree per server, keyed on the server's event generation and
     anchor time, rebuilding only when the server actually changed —
     identical decisions to the rebuild-per-candidate path.
-    [?memo:false] disables the cache (the equivalence oracle); [?impl]
-    selects the tree representation. *)
-val sla_tree : ?admission:bool -> ?memo:bool -> ?impl:Sla_tree.impl -> Planner.t -> t
+    [?memo:false] disables the cache (the equivalence oracle). *)
+val sla_tree : ?admission:bool -> ?memo:bool -> Planner.t -> t
 
 (** O(1)-per-server profit of appending [q] to server [sid]'s FCFS
     schedule: under FCFS the newcomer ranks last and postpones nobody,

@@ -37,11 +37,11 @@ let greedy_execute qs =
 let compute () =
   let qs = queries () in
   let original =
-    Naive_whatif.scheduled_profit (Schedule.of_queries ~now:0.0 qs)
+    Schedule.scheduled_profit (Schedule.of_queries ~now:0.0 qs)
   in
   let greedy_profit, greedy_keeps_head = greedy_execute qs in
   let optimal =
-    Naive_whatif.scheduled_profit
+    Schedule.scheduled_profit
       (Schedule.of_queries ~now:0.0 [| qs.(1); qs.(2); qs.(0) |])
   in
   {

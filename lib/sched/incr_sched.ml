@@ -17,24 +17,29 @@
    At a pick, the tree therefore equals Sla_tree.build ~now buffer of
    the rebuild-per-decision path, and What_if.best_rush_incr makes the
    identical decision. A rush (pick <> 0) reorders the buffer out of
-   FCFS, so the tree is reconstructed in post-rush order — exactly the
-   cost the static path pays on *every* decision. *)
+   FCFS, so the tree is reset in post-rush order — exactly the cost
+   the static path pays on *every* decision. Every reconstruction
+   resets the server's one tree in place, through its arena.
+
+   Until the hook has delivered an event, nothing maintains the trees
+   (the pick is driven without its hook), so every pick resets. *)
 
 type sstate = {
-  mutable tree : Incr_sla_tree.t;
+  tree : Incr_sla_tree.t;
   mutable dirty : bool;
 }
 
 type t = {
   mutable servers : sstate array;
   mutable deciding : int;  (* sid whose completion is being handled *)
+  mutable hooked : bool;  (* the hook has delivered an event *)
   mutable fast : int;
   mutable rebuilt : int;
   obs : Obs.t;
 }
 
 let create ?(obs = Obs.noop) () =
-  { servers = [||]; deciding = 0; fast = 0; rebuilt = 0; obs }
+  { servers = [||]; deciding = 0; hooked = false; fast = 0; rebuilt = 0; obs }
 
 let fast_decisions t = t.fast
 let rebuilt_decisions t = t.rebuilt
@@ -58,22 +63,22 @@ let head_is st q =
   | None -> false
 
 let hook t ~sid ~now ev =
+  t.hooked <- true;
   let st = state t sid ~now in
   match ev with
   | Sim.Started q ->
     if st.dirty then begin
-      st.tree <- Incr_sla_tree.create ~obs:t.obs ~now [| q |];
+      Incr_sla_tree.reset st.tree ~now [| q |];
       st.dirty <- false
     end
     else if Incr_sla_tree.length st.tree = 0 then begin
       Incr_sla_tree.reset_origin st.tree ~now;
       Incr_sla_tree.append st.tree q
     end
-    else if not (head_is st q) then begin
-      (* Defensive: events were not delivered in full — fall back. *)
-      st.tree <- Incr_sla_tree.create ~obs:t.obs ~now [| q |];
+    else if not (head_is st q) then
+      (* Defensive: events were not delivered in full — rebuild at the
+         next pick. *)
       st.dirty <- true
-    end
   | Sim.Enqueued q -> if not st.dirty then Incr_sla_tree.append st.tree q
   | Sim.Finished { query; actual } ->
     t.deciding <- sid;
@@ -96,8 +101,8 @@ let hook t ~sid ~now ev =
   | Sim.Crashed -> st.dirty <- true
   | Sim.Degraded _ | Sim.Restored -> ()
 
-(* Reconstruct the tree in the order [buffer.(i); buffer \ i]. *)
-let rush t st ~now buffer i =
+(* Reset the tree in the order [buffer.(i); buffer \ i]. *)
+let rush st ~now buffer i =
   let n = Array.length buffer in
   let arr = Array.make n buffer.(i) in
   let k = ref 1 in
@@ -108,12 +113,15 @@ let rush t st ~now buffer i =
         incr k
       end)
     buffer;
-  st.tree <- Incr_sla_tree.create ~obs:t.obs ~now arr
+  Incr_sla_tree.reset st.tree ~now arr
 
 let pick t ~now buffer =
   let st = state t t.deciding ~now in
-  if st.dirty || Incr_sla_tree.length st.tree <> Array.length buffer then begin
-    st.tree <- Incr_sla_tree.create ~obs:t.obs ~now buffer;
+  if
+    (not t.hooked) || st.dirty
+    || Incr_sla_tree.length st.tree <> Array.length buffer
+  then begin
+    Incr_sla_tree.reset st.tree ~now buffer;
     st.dirty <- false;
     t.rebuilt <- t.rebuilt + 1
   end
@@ -121,5 +129,5 @@ let pick t ~now buffer =
   match What_if.best_rush_incr st.tree with
   | None -> invalid_arg "Incr_sched.pick: empty buffer"
   | Some (i, _gain) ->
-    if i <> 0 then rush t st ~now buffer i;
+    if i <> 0 then rush st ~now buffer i;
     i

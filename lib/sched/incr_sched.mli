@@ -15,9 +15,10 @@
     over randomized workloads and assert pick equality.
 
     [hook] must be passed as [Sim.run]'s [on_server_event]; [pick] is
-    the matching [pick_next]. Driven without the hook, [pick] degrades
-    to rebuild-per-decision (every decision finds a stale tree and
-    reconstructs it). *)
+    the matching [pick_next]. Each server's tree is reset in place on a
+    rebuild. Driven without the hook, [pick] rebuilds on every decision
+    until the hook delivers its first event, i.e. it degrades to the
+    rebuild-per-decision path with the same picks. *)
 
 type t
 

@@ -46,13 +46,13 @@ let of_planner planner =
       let perm = Planner.plan planner ~now buffer in
       perm.(0))
 
-let with_sla_tree ?impl planner =
+let with_sla_tree planner =
   stateless
     (Planner.name planner ^ "+SLA-tree")
     (fun ~now buffer ->
       let perm = Planner.plan planner ~now buffer in
       let planned = Array.map (fun i -> buffer.(i)) perm in
-      let tree = Sla_tree.build ?impl ~now planned in
+      let tree = Sla_tree.build ~now planned in
       match What_if.best_rush tree with
       | None -> invalid_arg "Schedulers.with_sla_tree: empty buffer"
       | Some (i, _gain) -> perm.(i))

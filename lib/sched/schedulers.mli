@@ -34,9 +34,8 @@ val pick : t -> Sim.pick_next
 val of_planner : Planner.t -> t
 
 (** Rush [argmax_i (own_gain_i - postpone(0, i-1, est_size_i))] over
-    the planner's order. [?impl] picks the tree representation
-    (equivalence suites pit flat against boxed here). *)
-val with_sla_tree : ?impl:Sla_tree.impl -> Planner.t -> t
+    the planner's order. *)
+val with_sla_tree : Planner.t -> t
 
 (** [with_sla_tree Planner.fcfs] without the per-decision rebuild: one
     live [Incr_sla_tree] per server follows the buffer across

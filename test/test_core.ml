@@ -389,9 +389,9 @@ let prop_rush_net_gain_matches_brute_force =
       let n = Array.length qs in
       let i = raw_i mod n in
       let tree = Sla_tree.build ~now qs in
-      let before = Naive_whatif.scheduled_profit (Schedule.of_queries ~now qs) in
+      let before = Schedule.scheduled_profit (Schedule.of_queries ~now qs) in
       let after =
-        Naive_whatif.scheduled_profit (Schedule.of_queries ~now (reorder_rush qs i))
+        Schedule.scheduled_profit (Schedule.of_queries ~now (reorder_rush qs i))
       in
       close (What_if.rush_net_gain tree i) (after -. before))
 
@@ -407,8 +407,8 @@ let prop_insertion_delta_matches_brute_force =
         Array.init (n + 1) (fun k ->
             if k < pos then qs.(k) else if k = pos then newcomer else qs.(k - 1))
       in
-      let before = Naive_whatif.scheduled_profit (Schedule.of_queries ~now qs) in
-      let after = Naive_whatif.scheduled_profit (Schedule.of_queries ~now inserted) in
+      let before = Schedule.scheduled_profit (Schedule.of_queries ~now qs) in
+      let after = Schedule.scheduled_profit (Schedule.of_queries ~now inserted) in
       close (What_if.insertion_delta tree ~query:newcomer ~pos) (after -. before))
 
 let test_best_rush_prefers_earliest_on_ties () =
@@ -679,7 +679,7 @@ let test_table7_greedy_not_optimal () =
   check_float "greedy realizes 1.0" 1.0 greedy;
   (* The optimal order (q2, q3, q1) realizes 1.2. *)
   let optimal = [| qs.(1); qs.(2); qs.(0) |] in
-  let opt_profit = Naive_whatif.scheduled_profit (Schedule.of_queries ~now:0.0 optimal) in
+  let opt_profit = Schedule.scheduled_profit (Schedule.of_queries ~now:0.0 optimal) in
   check_float "optimal realizes 1.2" 1.2 opt_profit;
   check_bool "greedy is suboptimal here" true (greedy < opt_profit)
 
@@ -689,7 +689,7 @@ let prop_offline_greedy_never_worse =
      our generator guarantees. *)
   QCheck.Test.make ~name:"offline greedy >= original schedule" ~count:200 arb_buffer
     (fun qs ->
-      let original = Naive_whatif.scheduled_profit (Schedule.of_queries ~now qs) in
+      let original = Schedule.scheduled_profit (Schedule.of_queries ~now qs) in
       offline_greedy_profit qs ~now >= original -. 1e-6)
 
 let qtest = QCheck_alcotest.to_alcotest

@@ -116,6 +116,37 @@ let test_scheduler_end_to_end_metrics_equal () =
     "identical avg response" (Metrics.avg_response a) (Metrics.avg_response b);
   check_int "identical late count" (Metrics.late_count a) (Metrics.late_count b)
 
+let test_scheduler_equiv_no_hook () =
+  (* Driven without its hook (through [Schedulers.pick]), nothing
+     maintains the live trees, so every pick must rebuild rather than
+     trust a tree that merely holds as many queries as the buffer. *)
+  List.iter
+    (fun (servers, load, seed) ->
+      let queries =
+        trace ~kind:Workloads.Exp ~sigma2:0.0 ~load ~servers ~n_queries:3_000
+          ~seed
+      in
+      let no_hook = Schedulers.pick Schedulers.fcfs_sla_tree_incr in
+      let rebuild = Schedulers.pick Schedulers.fcfs_sla_tree in
+      let decisions = ref 0 and mismatches = ref 0 in
+      let pick ~now buffer =
+        let a = no_hook ~now buffer in
+        let b = rebuild ~now buffer in
+        incr decisions;
+        if a <> b then incr mismatches;
+        a
+      in
+      Sim.run ~queries ~n_servers:servers ~pick_next:pick
+        ~dispatch:(Dispatchers.instantiate Dispatchers.lwl)
+        ~metrics:(Metrics.create ~warmup_id:0 ())
+        ();
+      check_bool "made decisions" true (!decisions > 1_000);
+      check_int
+        (Printf.sprintf "no pick mismatches (%d servers, load %.1f)" servers
+           load)
+        0 !mismatches)
+    [ (1, 0.9, 1401); (2, 1.0, 1402); (3, 1.1, 1403); (4, 1.0, 1404) ]
+
 (* ------------------------------------------------------------------ *)
 (* Dispatcher: fcfs_sla_tree_incr vs sla_tree Planner.fcfs. *)
 
@@ -241,24 +272,26 @@ let prop_dispatcher_equiv_random_seeds =
       mismatches = 0)
 
 (* ------------------------------------------------------------------ *)
-(* Flat vs boxed representation, memoized vs rebuild-per-candidate:
-   the default dispatcher (memoized probes over the flat arena-backed
-   tree) against the historical oracle (no cache, boxed tree, rebuilt
-   for every candidate), decision by decision on identical state. *)
+(* Memoized vs rebuild-per-candidate dispatch: the default dispatcher
+   (memoized probes, one cached tree per server) against the historical
+   oracle (no cache, a tree rebuilt for every candidate), decision by
+   decision on identical state. The group keeps its old "flat-vs-boxed"
+   name; the boxed tree itself is now pinned against the flat one at
+   the cascade and facade level, bit for bit, in test_flat.ml. *)
 
-let run_dispatcher_flat_boxed ?speeds ?ticker ?timers ?(planner = Planner.fcfs)
-    ?(admission = false) ~queries ~servers () =
-  let d_flat =
+let run_dispatcher_memo_oracle ?speeds ?ticker ?timers
+    ?(planner = Planner.fcfs) ?(admission = false) ~queries ~servers () =
+  let d_memo =
     Dispatchers.instantiate (Dispatchers.sla_tree ~admission planner)
   in
-  let d_boxed =
+  let d_oracle =
     Dispatchers.instantiate
-      (Dispatchers.sla_tree ~admission ~memo:false ~impl:Sla_tree.Boxed planner)
+      (Dispatchers.sla_tree ~admission ~memo:false planner)
   in
   let decisions = ref 0 and mismatches = ref 0 in
   let dispatch sim q =
-    let a = d_flat sim q in
-    let b = d_boxed sim q in
+    let a = d_memo sim q in
+    let b = d_oracle sim q in
     incr decisions;
     if a.Sim.target <> b.Sim.target then incr mismatches;
     a
@@ -269,18 +302,18 @@ let run_dispatcher_flat_boxed ?speeds ?ticker ?timers ?(planner = Planner.fcfs)
     ~dispatch ~metrics ();
   (!decisions, !mismatches)
 
-let test_flat_boxed_dispatch_exp () =
+let test_memo_dispatch_exp () =
   let queries =
     trace ~kind:Workloads.Exp ~sigma2:0.2 ~load:0.95 ~servers:4
       ~n_queries:1_500 ~seed:1201
   in
   let decisions, mismatches =
-    run_dispatcher_flat_boxed ~queries ~servers:4 ()
+    run_dispatcher_memo_oracle ~queries ~servers:4 ()
   in
   check_int "every arrival through both" 1_500 decisions;
   check_int "no target mismatches" 0 mismatches
 
-let test_flat_boxed_dispatch_sorted_planners () =
+let test_memo_dispatch_sorted_planners () =
   (* Non-FCFS time-invariant planners exercise the O(log n) sorted
      insertion rank against the oracle's append-and-sort rank. *)
   let queries =
@@ -290,31 +323,31 @@ let test_flat_boxed_dispatch_sorted_planners () =
   List.iter
     (fun planner ->
       let _, mismatches =
-        run_dispatcher_flat_boxed ~planner ~queries ~servers:3 ()
+        run_dispatcher_memo_oracle ~planner ~queries ~servers:3 ()
       in
       check_int
         (Printf.sprintf "no mismatches under %s" (Planner.name planner))
         0 mismatches)
     [ Planner.sjf; Planner.edf; Planner.value_edf ]
 
-let test_flat_boxed_dispatch_heterogeneous_admission () =
+let test_memo_dispatch_heterogeneous_admission () =
   let queries =
     trace ~kind:Workloads.Pareto ~sigma2:1.0 ~load:1.4 ~servers:3
       ~n_queries:1_200 ~seed:1203
   in
   let _, mismatches =
-    run_dispatcher_flat_boxed ~speeds:[| 1.0; 0.5; 2.0 |] ~admission:true
+    run_dispatcher_memo_oracle ~speeds:[| 1.0; 0.5; 2.0 |] ~admission:true
       ~queries ~servers:3 ()
   in
   check_int "no accept/reject mismatches" 0 mismatches
 
-let test_flat_boxed_dispatch_elastic () =
+let test_memo_dispatch_elastic () =
   let queries =
     trace ~kind:Workloads.Exp ~sigma2:0.2 ~load:1.1 ~servers:3
       ~n_queries:1_500 ~seed:1204
   in
   let decisions, mismatches =
-    run_dispatcher_flat_boxed ~ticker:(400.0, scale_script ()) ~queries
+    run_dispatcher_memo_oracle ~ticker:(400.0, scale_script ()) ~queries
       ~servers:3 ()
   in
   check_bool "dispatched (arrivals + redistributions)" true (decisions >= 1_500);
@@ -335,19 +368,19 @@ let fault_timers () =
     (800.0, fun sim -> Sim.restore_server sim 1);
   |]
 
-let test_flat_boxed_dispatch_faults () =
+let test_memo_dispatch_faults () =
   let queries =
     trace ~kind:Workloads.Exp ~sigma2:0.2 ~load:1.0 ~servers:3
       ~n_queries:1_500 ~seed:1205
   in
   let decisions, mismatches =
-    run_dispatcher_flat_boxed ~timers:(fault_timers ()) ~queries ~servers:3 ()
+    run_dispatcher_memo_oracle ~timers:(fault_timers ()) ~queries ~servers:3 ()
   in
   check_bool "dispatched (arrivals + retries)" true (decisions >= 1_500);
   check_int "no mismatches across crash/brownout/repair" 0 mismatches
 
-let prop_flat_boxed_dispatch_random_seeds =
-  QCheck.Test.make ~name:"memoized flat == boxed oracle over random seeds"
+let prop_memo_dispatch_random_seeds =
+  QCheck.Test.make ~name:"memoized == rebuild, random seeds"
     ~count:8
     QCheck.(triple (int_bound 100_000) bool bool)
     (fun (seed, heavy, sorted) ->
@@ -357,14 +390,14 @@ let prop_flat_boxed_dispatch_random_seeds =
         trace ~kind ~sigma2:0.2 ~load:1.0 ~servers:3 ~n_queries:800 ~seed
       in
       let _, mismatches =
-        run_dispatcher_flat_boxed ~planner ~queries ~servers:3 ()
+        run_dispatcher_memo_oracle ~planner ~queries ~servers:3 ()
       in
       mismatches = 0)
 
-let test_flat_boxed_dispatch_metrics_equal () =
-  (* Whole-trajectory check through the public API: the memoized flat
-     default must reproduce the boxed no-cache oracle's end-to-end
-     metrics bit-for-bit. *)
+let test_memo_dispatch_metrics_equal () =
+  (* Whole-trajectory check through the public API: the memoized
+     default must reproduce the no-cache oracle's end-to-end metrics
+     bit-for-bit. *)
   let queries =
     trace ~kind:Workloads.Exp ~sigma2:0.2 ~load:1.0 ~servers:3
       ~n_queries:1_500 ~seed:1206
@@ -378,49 +411,12 @@ let test_flat_boxed_dispatch_metrics_equal () =
     metrics
   in
   let a = run (Dispatchers.sla_tree Planner.fcfs) in
-  let b = run (Dispatchers.sla_tree ~memo:false ~impl:Sla_tree.Boxed Planner.fcfs) in
+  let b = run (Dispatchers.sla_tree ~memo:false Planner.fcfs) in
   Alcotest.(check (float 0.0))
     "identical avg loss" (Metrics.avg_loss a) (Metrics.avg_loss b);
   Alcotest.(check (float 0.0))
     "identical avg response" (Metrics.avg_response a) (Metrics.avg_response b);
   check_int "identical late count" (Metrics.late_count a) (Metrics.late_count b)
-
-let run_scheduler_flat_boxed ~planner ~queries ~servers () =
-  let flat = Schedulers.pick (Schedulers.with_sla_tree planner) in
-  let boxed =
-    Schedulers.pick (Schedulers.with_sla_tree ~impl:Sla_tree.Boxed planner)
-  in
-  let decisions = ref 0 and mismatches = ref 0 in
-  let pick ~now buffer =
-    let a = flat ~now buffer in
-    let b = boxed ~now buffer in
-    incr decisions;
-    if a <> b then incr mismatches;
-    a
-  in
-  let metrics = Metrics.create ~warmup_id:0 () in
-  Sim.run ~queries ~n_servers:servers ~pick_next:pick
-    ~dispatch:(Dispatchers.instantiate Dispatchers.lwl)
-    ~metrics ();
-  (!decisions, !mismatches)
-
-let test_flat_boxed_scheduler () =
-  List.iter
-    (fun (planner, seed) ->
-      let queries =
-        trace ~kind:Workloads.Pareto ~sigma2:0.5 ~load:1.05 ~servers:2
-          ~n_queries:1_000 ~seed
-      in
-      let decisions, mismatches =
-        run_scheduler_flat_boxed ~planner ~queries ~servers:2 ()
-      in
-      check_bool
-        (Printf.sprintf "made decisions (%d)" decisions)
-        true (decisions > 100);
-      check_int
-        (Printf.sprintf "no pick mismatches under %s" (Planner.name planner))
-        0 mismatches)
-    [ (Planner.fcfs, 1301); (Planner.sjf, 1302); (Planner.value_edf, 1303) ]
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -437,6 +433,8 @@ let () =
           Alcotest.test_case "end-to-end metrics equal" `Quick
             test_scheduler_end_to_end_metrics_equal;
           Alcotest.test_case "elastic pool" `Quick test_scheduler_equiv_elastic;
+          Alcotest.test_case "without the hook" `Quick
+            test_scheduler_equiv_no_hook;
           qtest prop_scheduler_equiv_random_seeds;
         ] );
       ( "dispatcher",
@@ -451,18 +449,16 @@ let () =
         ] );
       ( "flat-vs-boxed",
         [
-          Alcotest.test_case "exp workload" `Quick test_flat_boxed_dispatch_exp;
+          Alcotest.test_case "exp workload" `Quick test_memo_dispatch_exp;
           Alcotest.test_case "sorted planners" `Quick
-            test_flat_boxed_dispatch_sorted_planners;
+            test_memo_dispatch_sorted_planners;
           Alcotest.test_case "heterogeneous + admission" `Quick
-            test_flat_boxed_dispatch_heterogeneous_admission;
-          Alcotest.test_case "elastic pool" `Quick test_flat_boxed_dispatch_elastic;
+            test_memo_dispatch_heterogeneous_admission;
+          Alcotest.test_case "elastic pool" `Quick test_memo_dispatch_elastic;
           Alcotest.test_case "faults (crash, brownout, repair)" `Quick
-            test_flat_boxed_dispatch_faults;
+            test_memo_dispatch_faults;
           Alcotest.test_case "end-to-end metrics equal" `Quick
-            test_flat_boxed_dispatch_metrics_equal;
-          Alcotest.test_case "scheduler picks equal" `Quick
-            test_flat_boxed_scheduler;
-          qtest prop_flat_boxed_dispatch_random_seeds;
+            test_memo_dispatch_metrics_equal;
+          qtest prop_memo_dispatch_random_seeds;
         ] );
     ]

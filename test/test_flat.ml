@@ -125,7 +125,53 @@ let test_flat_cascade_paper_example () =
 
 (* ------------------------------------------------------------------ *)
 (* Facade-level fuzz: whole SLA-trees (S+ and S-) over random buffers,
-   flat vs boxed, including arena reuse across rebuilds. *)
+   the flat facade vs a boxed one built here from [Cascade_tree],
+   including arena reuse across rebuilds. *)
+
+(* The questions the battery asks, answered by one facade. *)
+type probes = {
+  postpone : m:int -> n:int -> tau:float -> float;
+  expedite : m:int -> n:int -> tau:float -> float;
+  at_stake : n:int -> float;
+  recoverable : n:int -> float;
+  totals : float * float;
+  counts : int * int;
+}
+
+let flat_probes tree =
+  {
+    postpone = Sla_tree.postpone tree;
+    expedite = Sla_tree.expedite tree;
+    at_stake = Sla_tree.profit_at_stake tree;
+    recoverable = Sla_tree.recoverable_profit tree;
+    totals =
+      ( Sla_tree.total_profit_at_stake tree,
+        Sla_tree.total_recoverable_profit tree );
+    counts = Sla_tree.unit_counts tree;
+  }
+
+(* The boxed facade the flat layout replaced: the same expansion,
+   partition and range arithmetic over [Cascade_tree], kept here as the
+   oracle. *)
+let boxed_probes entries =
+  let pos, neg = Slack_units.partition (Slack_units.of_schedule entries) in
+  let slack = Cascade_tree.build pos and tardy = Cascade_tree.build neg in
+  let prefix c mode ~n ~tau =
+    if n < 0 then 0.0 else Cascade_tree.prefix_loss c mode ~n ~tau
+  in
+  let range c mode ~m ~n ~tau =
+    if tau = 0.0 then 0.0
+    else prefix c mode ~n ~tau -. prefix c mode ~n:(m - 1) ~tau
+  in
+  let total c ~n = if n < 0 then 0.0 else Cascade_tree.prefix_total c ~n in
+  {
+    postpone = range slack Cascade_tree.Lt;
+    expedite = range tardy Cascade_tree.Le;
+    at_stake = total slack;
+    recoverable = total tardy;
+    totals = (Cascade_tree.total slack, Cascade_tree.total tardy);
+    counts = (Cascade_tree.unit_count slack, Cascade_tree.unit_count tardy);
+  }
 
 let gen_sla =
   QCheck.Gen.(
@@ -162,24 +208,21 @@ let arb_buffer =
 
 let now = 100.0
 
-(* Probe a tree on a fixed battery of questions: full-range and
-   split-range postpones/expedites at taus including exact unit slacks
-   (tau drawn from the buffer's own schedule), plus the stake/recovery
-   accumulators. *)
-let probe_battery tree =
-  let n = Sla_tree.length tree in
-  let qs =
-    [
-      Sla_tree.total_profit_at_stake tree;
-      Sla_tree.total_recoverable_profit tree;
-    ]
-  in
+(* Probe a facade over [entries] on a fixed battery of questions:
+   full-range and split-range postpones/expedites at taus including
+   exact unit slacks (tau drawn from the buffer's own schedule), the
+   two shapes [What_if] asks (every rush prefix postpone(0, i-1, est_i)
+   and every insertion suffix postpone(pos, n-1, tau)), plus the
+   stake/recovery accumulators. *)
+let probe_battery entries p =
+  let n = Array.length entries in
+  let qs = [ fst p.totals; snd p.totals ] in
   if n = 0 then qs
   else begin
     let taus =
       (* exact slack values of the first entry's components land on the
          Lt/Le edges *)
-      let e = Sla_tree.entry tree 0 in
+      let e = entries.(0) in
       let comps = Sla.components e.Schedule.query.Query.sla in
       Array.to_list
         (Array.map
@@ -188,17 +231,26 @@ let probe_battery tree =
       @ [ 0.0; 1.0; 7.5; 133.25 ]
     in
     let mid = n / 2 in
+    let rush_prefixes =
+      List.init (n - 1) (fun i ->
+          let est = entries.(i + 1).Schedule.query.Query.est_size in
+          p.postpone ~m:0 ~n:i ~tau:est)
+    in
+    let insertion_suffixes tau =
+      List.init n (fun pos -> p.postpone ~m:pos ~n:(n - 1) ~tau)
+    in
     List.concat_map
       (fun tau ->
         [
-          Sla_tree.postpone tree ~m:0 ~n:(n - 1) ~tau;
-          Sla_tree.expedite tree ~m:0 ~n:(n - 1) ~tau;
-          Sla_tree.postpone tree ~m:mid ~n:(n - 1) ~tau;
-          Sla_tree.expedite tree ~m:0 ~n:mid ~tau;
-        ])
+          p.postpone ~m:0 ~n:(n - 1) ~tau;
+          p.expedite ~m:0 ~n:(n - 1) ~tau;
+          p.postpone ~m:mid ~n:(n - 1) ~tau;
+          p.expedite ~m:0 ~n:mid ~tau;
+        ]
+        @ insertion_suffixes tau)
       taus
-    @ [ Sla_tree.profit_at_stake tree ~n:mid;
-        Sla_tree.recoverable_profit tree ~n:mid ]
+    @ rush_prefixes
+    @ [ p.at_stake ~n:mid; p.recoverable ~n:mid ]
     @ qs
   end
 
@@ -209,10 +261,13 @@ let prop_facade_flat_matches_boxed =
   QCheck.Test.make ~name:"Sla_tree flat == boxed (bitwise)" ~count:500
     arb_buffer
     (fun qs ->
-      let boxed = Sla_tree.build ~impl:Sla_tree.Boxed ~now qs in
-      let flat = Sla_tree.build ~impl:Sla_tree.Flat ~now qs in
-      Sla_tree.unit_counts flat = Sla_tree.unit_counts boxed
-      && batteries_eq (probe_battery boxed) (probe_battery flat))
+      let entries = Schedule.of_queries ~now qs in
+      let boxed = boxed_probes entries in
+      let flat = flat_probes (Sla_tree.build ~now qs) in
+      flat.counts = boxed.counts
+      && batteries_eq
+           (probe_battery entries boxed)
+           (probe_battery entries flat))
 
 let prop_arena_reuse_matches_fresh =
   (* Rebuilding through ONE arena must answer exactly like fresh
@@ -227,9 +282,11 @@ let prop_arena_reuse_matches_fresh =
       let arena = Sla_tree.create_arena () in
       List.for_all
         (fun qs ->
-          let reused = Sla_tree.build ~arena ~now qs in
-          let fresh = Sla_tree.build ~impl:Sla_tree.Boxed ~now qs in
-          batteries_eq (probe_battery fresh) (probe_battery reused))
+          let entries = Schedule.of_queries ~now qs in
+          let reused = flat_probes (Sla_tree.build ~arena ~now qs) in
+          batteries_eq
+            (probe_battery entries (boxed_probes entries))
+            (probe_battery entries reused))
         bufs)
 
 let qtest = QCheck_alcotest.to_alcotest

@@ -16,28 +16,35 @@ let mk ?(sla = sla2) id arrival size = Query.make ~id ~arrival ~size ~sla ()
 
 let close a b = Float.abs (a -. b) <= 1e-6 *. (1.0 +. Float.abs a +. Float.abs b)
 
-(* Oracle: a fresh static tree over the incremental structure's live
-   schedule. *)
+(* Oracles: a fresh static tree over the incremental structure's live
+   schedule, and the naive unit scan over the same schedule, which
+   shares no code with the flat tree both structures run on. *)
 let static_of t = Sla_tree.of_entries ~now:0.0 (Incr_sla_tree.to_entries t)
 
 let agree t ~msg =
   let n = Incr_sla_tree.length t in
   if n > 0 then begin
+    let entries = Incr_sla_tree.to_entries t in
     let oracle = static_of t in
+    let check name a b =
+      if not (close a b) then
+        Alcotest.failf "%s: %s incr %.9f vs %.9f" msg name a b
+    in
     List.iter
       (fun tau ->
         for m = 0 to n - 1 do
           let hi = n - 1 in
+          let name q = Printf.sprintf "%s(%d,%d,%g)" q m hi tau in
           let a = Incr_sla_tree.postpone t ~m ~n:hi ~tau in
-          let b = Sla_tree.postpone oracle ~m ~n:hi ~tau in
-          if not (close a b) then
-            Alcotest.failf "%s: postpone(%d,%d,%g) incr %.9f vs static %.9f" msg m
-              hi tau a b;
+          check (name "postpone static") a
+            (Sla_tree.postpone oracle ~m ~n:hi ~tau);
+          check (name "postpone naive") a
+            (Naive_whatif.postpone_by_units entries ~m ~n:hi ~tau);
           let a = Incr_sla_tree.expedite t ~m ~n:hi ~tau in
-          let b = Sla_tree.expedite oracle ~m ~n:hi ~tau in
-          if not (close a b) then
-            Alcotest.failf "%s: expedite(%d,%d,%g) incr %.9f vs static %.9f" msg m
-              hi tau a b
+          check (name "expedite static") a
+            (Sla_tree.expedite oracle ~m ~n:hi ~tau);
+          check (name "expedite naive") a
+            (Naive_whatif.expedite_by_units entries ~m ~n:hi ~tau)
         done)
       [ 0.0; 1.0; 7.5; 25.0; 60.0; 200.0 ]
   end
