@@ -46,8 +46,7 @@ let decision_tests =
   Test.make_indexed ~name:"sched.decision" ~fmt:"%s:%d" ~args:sizes (fun n ->
       let buffer = buffer_of n in
       let arena = Sla_tree.create_arena () in
-      Staged.stage (fun () ->
-          ignore (What_if.best_rush (Sla_tree.build ~arena ~now buffer))))
+      Staged.stage (fun () -> Fig17.decision ~arena ~now buffer))
 
 let incr_question_tests =
   (* One postpone question against a live incremental tree. *)

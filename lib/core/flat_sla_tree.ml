@@ -44,6 +44,10 @@ type arena = {
   mutable u_key : float array;
   mutable u_uid : int array;
   mutable u_gain : float array;
+  (* Merge scratch for the unit sort, indexed from 0. *)
+  mutable s_key : float array;
+  mutable s_uid : int array;
+  mutable s_gain : float array;
   (* Node pool, shared by both cascades of one tree. *)
   mutable n_split : float array;
   mutable n_rchild : int array;
@@ -64,6 +68,9 @@ let create_arena () =
     u_key = [||];
     u_uid = [||];
     u_gain = [||];
+    s_key = [||];
+    s_uid = [||];
+    s_gain = [||];
     n_split = [||];
     n_rchild = [||];
     n_off = [||];
@@ -144,53 +151,98 @@ let ensure_list a extra =
   end
 
 (* ------------------------------------------------------------------ *)
-(* In-place heapsort of the unit region [base, base + m) by (key, uid).
-   The comparator is a strict total order, so the result equals what
-   any other comparison sort — in particular the boxed build's
-   [Array.sort] — produces. Heapsort keeps the build allocation-free. *)
+(* Sort of the unit region [base, base + m) by (key, uid): runs of
+   [run_length] units are insertion-sorted in place, then merged
+   bottom-up, back and forth between the region and the arena's
+   scratch. The comparator is a strict total order, so the result
+   equals what any other comparison sort — in particular the boxed
+   build's [Array.sort] — produces. *)
 
-let unit_less a i j =
-  let c = Float.compare a.u_key.(i) a.u_key.(j) in
-  if c <> 0 then c < 0 else a.u_uid.(i) < a.u_uid.(j)
+let run_length = 16
 
-let unit_swap a i j =
-  let k = a.u_key.(i) in
-  a.u_key.(i) <- a.u_key.(j);
-  a.u_key.(j) <- k;
-  let u = a.u_uid.(i) in
-  a.u_uid.(i) <- a.u_uid.(j);
-  a.u_uid.(j) <- u;
-  let g = a.u_gain.(i) in
-  a.u_gain.(i) <- a.u_gain.(j);
-  a.u_gain.(j) <- g
+let[@inline] less (k1 : float) (u1 : int) k2 u2 =
+  let c = Float.compare k1 k2 in
+  if c <> 0 then c < 0 else u1 < u2
+
+let insertion_sort a lo hi =
+  let key = a.u_key and uid = a.u_uid and gain = a.u_gain in
+  for i = lo + 1 to hi - 1 do
+    let k = key.(i) and u = uid.(i) and g = gain.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && less k u key.(!j) uid.(!j) do
+      key.(!j + 1) <- key.(!j);
+      uid.(!j + 1) <- uid.(!j);
+      gain.(!j + 1) <- gain.(!j);
+      decr j
+    done;
+    key.(!j + 1) <- k;
+    uid.(!j + 1) <- u;
+    gain.(!j + 1) <- g
+  done
+
+(* A unit region: key, uid and gain arrays, and the region's offset. *)
+type region = float array * int array * float array * int
+
+(* One bottom-up pass over [m] units: merge each pair of adjacent
+   sorted runs of [width] from the source region into the destination
+   region. *)
+let merge_pass ~m ~width ((sk, su, sg, so) : region)
+    ((dk, du, dg, d_o) : region) =
+  let lo = ref 0 in
+  while !lo < m do
+    let mid = min m (!lo + width) and hi = min m (!lo + (2 * width)) in
+    let i = ref !lo and j = ref mid in
+    for k = !lo to hi - 1 do
+      let from =
+        if
+          !j >= hi
+          || (!i < mid
+             && not (less sk.(so + !j) su.(so + !j) sk.(so + !i) su.(so + !i)))
+        then begin
+          incr i;
+          !i - 1
+        end
+        else begin
+          incr j;
+          !j - 1
+        end
+      in
+      dk.(d_o + k) <- sk.(so + from);
+      du.(d_o + k) <- su.(so + from);
+      dg.(d_o + k) <- sg.(so + from)
+    done;
+    lo := hi
+  done
 
 let sort_units a base m =
-  let sift root last =
-    let i = ref root in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 in
-      if l > last then continue := false
-      else begin
-        let c =
-          if l < last && unit_less a (base + l) (base + l + 1) then l + 1
-          else l
-        in
-        if unit_less a (base + !i) (base + c) then begin
-          unit_swap a (base + !i) (base + c);
-          i := c
-        end
-        else continue := false
-      end
-    done
-  in
-  for i = (m / 2) - 1 downto 0 do
-    sift i (m - 1)
+  let lo = ref 0 in
+  while !lo < m do
+    insertion_sort a (base + !lo) (base + min m (!lo + run_length));
+    lo := !lo + run_length
   done;
-  for last = m - 1 downto 1 do
-    unit_swap a base (base + last);
-    sift 0 (last - 1)
-  done
+  if m > run_length then begin
+    (* Only builds with more than one run touch the scratch, so small
+       builds — the one-shot arenas included — never grow it. *)
+    if Array.length a.s_key < m then begin
+      a.s_key <- grow_float a.s_key 0 m;
+      a.s_uid <- grow_int a.s_uid 0 m;
+      a.s_gain <- grow_float a.s_gain 0 m
+    end;
+    let units = (a.u_key, a.u_uid, a.u_gain, base)
+    and scratch = (a.s_key, a.s_uid, a.s_gain, 0) in
+    let width = ref run_length and in_units = ref true in
+    while !width < m do
+      if !in_units then merge_pass ~m ~width:!width units scratch
+      else merge_pass ~m ~width:!width scratch units;
+      in_units := not !in_units;
+      width := 2 * !width
+    done;
+    if not !in_units then begin
+      Array.blit a.s_key 0 a.u_key base m;
+      Array.blit a.s_uid 0 a.u_uid base m;
+      Array.blit a.s_gain 0 a.u_gain base m
+    end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Construction. *)
@@ -317,6 +369,17 @@ let build_cascade a base m =
       c_rp = a.l_rp;
     }
   end
+
+let unit_swap a i j =
+  let k = a.u_key.(i) in
+  a.u_key.(i) <- a.u_key.(j);
+  a.u_key.(j) <- k;
+  let u = a.u_uid.(i) in
+  a.u_uid.(i) <- a.u_uid.(j);
+  a.u_uid.(j) <- u;
+  let g = a.u_gain.(i) in
+  a.u_gain.(i) <- a.u_gain.(j);
+  a.u_gain.(j) <- g
 
 (* Expand the scheduled entries straight into the unit scratch (one
    pre-sized pass — no [Slack_units] arrays, no intermediate lists),

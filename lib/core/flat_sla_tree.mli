@@ -3,9 +3,10 @@
 
     Construction expands a scheduled buffer straight into pooled
     key/uid/gain arrays (one pre-sized pass), partitions into the S+
-    and S- regions, sorts each in place, and fills both cascades
-    bottom-up into a reusable {!arena} — no per-node boxing and, once
-    the arena has grown to the working-set size, no allocation at all.
+    and S- regions, merge-sorts each through arena scratch, and fills
+    both cascades bottom-up into a reusable {!arena} — no per-node
+    boxing and, once the arena has grown to the working-set size, no
+    allocation at all.
 
     Every float stored or returned is bit-identical to the boxed
     {!Cascade_tree} over the same schedule: same sort permutation (the
@@ -29,6 +30,10 @@ type t
 (** [build arena entries] expands, partitions, sorts and builds both
     cascades inside [arena]. O(NK log NK). *)
 val build : arena -> Schedule.entry array -> t
+
+(** Units per insertion-sorted run of the build's merge sort; exposed
+    so tests can aim unit counts at the sort's seams. *)
+val run_length : int
 
 (** One cascade from raw units — the input contract of
     {!Cascade_tree.build}, for suites that compare both implementations

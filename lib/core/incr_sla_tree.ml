@@ -77,15 +77,17 @@ let rebuild_count t = t.rebuilds
 let pending_count t = Deque.length t.pending
 let delay t = t.delay
 
+let planned t i =
+  let lb = live_base t in
+  if i < 0 || i >= length t then
+    invalid_arg "Incr_sla_tree.planned: index out of bounds";
+  if i < lb then t.base_entries.(t.head + i) else Deque.get t.pending (i - lb)
+
 (* The current live schedule with true starts — also the oracle the
    test suite compares against. *)
 let to_entries t =
-  let lb = live_base t in
   Array.init (length t) (fun i ->
-      let e =
-        if i < lb then t.base_entries.(t.head + i)
-        else Deque.get t.pending (i - lb)
-      in
+      let e = planned t i in
       { e with Schedule.start = e.Schedule.start +. t.delay })
 
 (* The one build routine: build the tree over [entries] (true starts)
@@ -274,7 +276,13 @@ let range t q ~m ~n ~tau =
       if n < lb then 0.0
       else pending_part t q ~tau ~lo:(max 0 (m - lb)) ~hi:(n - lb)
     in
-    base_part +. pend_part
+    (* The answer is a sum of non-negative gains, but after drift or
+       pops the base part is a difference of prefix sums, which rounds
+       to a few ulps below zero when the counted units are absent.
+       Clamp, so a probe never reports a gain where the static tree
+       reports none, and callers may bound a loss below by 0. *)
+    let r = base_part +. pend_part in
+    if r < 0.0 then 0.0 else r
   end
 
 let postpone t ~m ~n ~tau =

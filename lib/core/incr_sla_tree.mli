@@ -49,11 +49,17 @@ val pop_head : ?actual:float -> t -> unit
 val reset_origin : t -> now:float -> unit
 
 (** Profit lost if live queries [m..n] are postponed by [tau];
-    O(log NK + BK) for overflow size B. *)
+    O(log NK + BK) for overflow size B. Never negative, like
+    {!expedite}. *)
 val postpone : t -> m:int -> n:int -> tau:float -> float
 
 (** Profit gained if live queries [m..n] are expedited by [tau]. *)
 val expedite : t -> m:int -> n:int -> tau:float -> float
+
+(** [planned t i]: live query [i] with its start on the planned
+    timeline, without copying; its true start is that start plus
+    {!delay}. Raises [Invalid_argument] out of range. O(1). *)
+val planned : t -> int -> Schedule.entry
 
 (** The live schedule with true start times (for oracles/debugging). *)
 val to_entries : t -> Schedule.entry array

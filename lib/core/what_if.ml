@@ -27,53 +27,70 @@ let rush_net_gain tree i =
     own_rush_gain tree i -. loss
   end
 
-(* Index of the query whose rush maximizes net gain, with its gain.
-   Ties resolve to the earliest buffer position, so an all-zero buffer
-   keeps the original order. Returns [None] on an empty buffer. *)
-let best_rush tree =
-  let n = Sla_tree.length tree in
-  let best = ref None in
-  for i = 0 to n - 1 do
-    (* rush_net_gain is 0.0 at i = 0, so the first iteration seeds the
-       running best; an empty buffer never seeds and yields None. *)
-    let g = rush_net_gain tree i in
-    match !best with
-    | Some (_, bg) when g <= bg -> ()
-    | Some _ | None -> best := Some (i, g)
-  done;
-  !best
+(* The rush scan behind every entry point below. Candidate [i] of [n]
+   nets its own gain — the profit change from completing at
+   [origin + est_i] instead of at [completion (entry i)] — minus
+   [loss ~n:(i - 1) ~tau:est_i], the postpone loss of its predecessors.
+   The head seeds the incumbent at 0.0 (rushing it changes nothing) and
+   only a strictly better gain replaces the incumbent, so ties keep the
+   earliest position.
 
-(* [best_rush] against a live incremental tree: same argmax, same
-   tie-breaking, but the postpone questions run over the maintained
-   structure instead of a freshly built one. The rush origin is the
-   head's true start, which at a scheduling point equals the decision
-   time (the head was just popped there). *)
+   Bound: the loss is a sum of non-negative unit gains, so a candidate
+   nets at most its own gain. One whose own gain does not beat the
+   incumbent cannot win, and its probe is skipped; the argmax and the
+   returned gain are those of the scan that probes every candidate. *)
+let scan n ~entry ~origin ~completion ~loss =
+  if n = 0 then None
+  else begin
+    let best_i = ref 0 and best_gain = ref 0.0 in
+    for i = 1 to n - 1 do
+      let e = entry i in
+      let q = e.Schedule.query in
+      let tau = q.Query.est_size in
+      let own =
+        Query.profit_at q ~completion:(origin +. tau)
+        -. Query.profit_at q ~completion:(completion e)
+      in
+      if own > !best_gain then begin
+        let g = own -. if tau = 0.0 then 0.0 else loss ~n:(i - 1) ~tau in
+        if g > !best_gain then begin
+          best_i := i;
+          best_gain := g
+        end
+      end
+    done;
+    Some (!best_i, !best_gain)
+  end
+
+let best_rush tree =
+  scan (Sla_tree.length tree) ~entry:(Sla_tree.entry tree)
+    ~origin:(Sla_tree.now tree) ~completion:Schedule.completion
+    ~loss:(Sla_tree.postpone tree ~m:0)
+
+(* The static decision without a tree in hand: the tree over [planned]
+   is built on the first candidate that passes the bound, and not at
+   all when none does. *)
+let best_rush_planned ~now planned =
+  let entries = Schedule.of_queries ~now planned in
+  let tree = lazy (Sla_tree.of_entries ~now entries) in
+  scan (Array.length entries) ~entry:(Array.get entries) ~origin:now
+    ~completion:Schedule.completion ~loss:(fun ~n ~tau ->
+      Sla_tree.postpone (Lazy.force tree) ~m:0 ~n ~tau)
+
+(* Against a live incremental tree, reading the live schedule in place:
+   a true start is the planned start plus the tree's delay. The rush
+   origin is the head's true start, which at a scheduling point equals
+   the decision time (the head was just popped there). *)
 let best_rush_incr tree =
   let n = Incr_sla_tree.length tree in
   if n = 0 then None
   else begin
-    let entries = Incr_sla_tree.to_entries tree in
-    let origin = entries.(0).Schedule.start in
-    let best_i = ref 0 and best_gain = ref 0.0 in
-    for i = 1 to n - 1 do
-      let e = entries.(i) in
-      let q = e.Schedule.query in
-      let own =
-        Query.profit_at q ~completion:(origin +. q.Query.est_size)
-        -. Query.profit_at q ~completion:(Schedule.completion e)
-      in
-      let tau = q.Query.est_size in
-      let loss =
-        if tau = 0.0 then 0.0
-        else Incr_sla_tree.postpone tree ~m:0 ~n:(i - 1) ~tau
-      in
-      let g = own -. loss in
-      if g > !best_gain then begin
-        best_i := i;
-        best_gain := g
-      end
-    done;
-    Some (!best_i, !best_gain)
+    let d = Incr_sla_tree.delay tree in
+    scan n ~entry:(Incr_sla_tree.planned tree)
+      ~origin:((Incr_sla_tree.planned tree 0).Schedule.start +. d)
+      ~completion:(fun e ->
+        e.Schedule.start +. d +. e.Schedule.query.Query.est_size)
+      ~loss:(Incr_sla_tree.postpone tree ~m:0)
   end
 
 (* Net profit change of inserting [query] at buffer position [pos]

@@ -11,8 +11,17 @@ val rush_net_gain : Sla_tree.t -> int -> float
 
 (** Best query to execute next and its net gain; ties keep the earliest
     position (so the original order wins when nothing improves).
-    [None] on an empty buffer. *)
+    [None] on an empty buffer. A candidate whose own gain cannot beat
+    the best net gain so far is not probed: its net gain is at most
+    its own gain. The answer is the one {!rush_net_gain} at every
+    position gives. *)
 val best_rush : Sla_tree.t -> (int * float) option
+
+(** [best_rush_planned ~now planned] is
+    [best_rush (Sla_tree.build ~now planned)], but builds the tree only
+    when some candidate's own gain passes the bound, at the first such
+    candidate. *)
+val best_rush_planned : now:float -> Query.t array -> (int * float) option
 
 (** {!best_rush} over a live {!Incr_sla_tree} — identical answers and
     tie-breaking, without the per-decision rebuild. *)

@@ -14,6 +14,11 @@ type point = {
     trees — the paper's stress setup). *)
 val make_buffer : seed:int -> int -> Query.t array
 
+(** One decision as the figure times it: build the tree over [buffer]
+    (into [arena] when given) and ask {!What_if.rush_net_gain} at every
+    position. *)
+val decision : ?arena:Sla_tree.arena -> now:float -> Query.t array -> unit
+
 val compute : ?buffer_sizes:int list -> seed:int -> unit -> point list
 
 (** Write a gnuplot-ready [fig17.dat] into [dir]; returns the path. *)

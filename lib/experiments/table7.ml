@@ -24,8 +24,11 @@ let greedy_execute qs =
   let kept_head = ref true in
   while !remaining <> [] do
     let buf = Array.of_list !remaining in
-    let tree = Sla_tree.build ~now:!t buf in
-    let i = match What_if.best_rush tree with Some (i, _) -> i | None -> 0 in
+    let i =
+      match What_if.best_rush_planned ~now:!t buf with
+      | Some (i, _) -> i
+      | None -> 0
+    in
     if i <> 0 then kept_head := false;
     let q = buf.(i) in
     t := !t +. q.Query.size;

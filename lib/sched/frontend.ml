@@ -59,8 +59,7 @@ let get_next_query t ~now =
       if not t.use_sla_tree then perm.(0)
       else begin
         let planned = Array.map (fun i -> arr.(i)) perm in
-        let tree = Sla_tree.build ~now planned in
-        match What_if.best_rush tree with
+        match What_if.best_rush_planned ~now planned with
         | Some (i, gain) when i > 0 ->
           t.rushes <- t.rushes + 1;
           Log.debug (fun m ->

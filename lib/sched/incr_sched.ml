@@ -17,8 +17,8 @@
    At a pick, the tree therefore equals Sla_tree.build ~now buffer of
    the rebuild-per-decision path, and What_if.best_rush_incr makes the
    identical decision. A rush (pick <> 0) reorders the buffer out of
-   FCFS, so the tree is reset in post-rush order — exactly the cost
-   the static path pays on *every* decision. Every reconstruction
+   FCFS, so the tree is reset in post-rush order — the cost the static
+   path pays on every decision that probes. Every reconstruction
    resets the server's one tree in place, through its arena.
 
    Until the hook has delivered an event, nothing maintains the trees

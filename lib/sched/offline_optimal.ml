@@ -94,8 +94,11 @@ let greedy_profit ~now queries =
   let profit = ref 0.0 in
   while !remaining <> [] do
     let buf = Array.of_list !remaining in
-    let tree = Sla_tree.build ~now:!t buf in
-    let i = match What_if.best_rush tree with Some (i, _) -> i | None -> 0 in
+    let i =
+      match What_if.best_rush_planned ~now:!t buf with
+      | Some (i, _) -> i
+      | None -> 0
+    in
     let q = buf.(i) in
     t := !t +. q.Query.size;
     profit := !profit +. Query.profit_at q ~completion:!t;

@@ -1,9 +1,11 @@
 (* Schedulers: concrete [Sim.pick_next] values.
 
    A baseline scheduler simply runs the head of its planner's order.
-   The SLA-tree enhancement (paper Sec 6.1) builds an SLA-tree over the
-   planned order and rushes the query with the best net profit gain:
-     argmax_i  own_gain(q_i) - postpone(0, i-1, est_size_i).
+   The SLA-tree enhancement (paper Sec 6.1) rushes the query with the
+   best net profit gain over the planned order:
+     argmax_i  own_gain(q_i) - postpone(0, i-1, est_size_i),
+   building the SLA-tree only once some candidate can win
+   ([What_if.best_rush_planned]).
 
    Stateless schedulers share one closure; the incremental FCFS
    variant carries per-run state (one live Incr_sla_tree per server)
@@ -52,8 +54,7 @@ let with_sla_tree planner =
     (fun ~now buffer ->
       let perm = Planner.plan planner ~now buffer in
       let planned = Array.map (fun i -> buffer.(i)) perm in
-      let tree = Sla_tree.build ~now planned in
-      match What_if.best_rush tree with
+      match What_if.best_rush_planned ~now planned with
       | None -> invalid_arg "Schedulers.with_sla_tree: empty buffer"
       | Some (i, _gain) -> perm.(i))
 

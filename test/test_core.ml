@@ -430,6 +430,39 @@ let test_best_rush_picks_urgent () =
   | Some (i, g) -> Alcotest.failf "expected 1, got %d (gain %g)" i g
   | None -> Alcotest.fail "no answer"
 
+(* Buffers on which rushes pay and ties happen: estimation error, some
+   zero estimates (the tau = 0 branch), and copies of one query. *)
+let gen_rush_buffer =
+  QCheck.Gen.(
+    let* qs = gen_buffer in
+    let* est_ratios =
+      array_repeat (Array.length qs)
+        (frequency [ (4, return 1.0); (2, float_range 0.3 3.0); (1, return 0.0) ])
+    in
+    let* copies = 0 -- 4 in
+    let with_est =
+      Array.mapi
+        (fun i q ->
+          Query.make ~id:q.Query.id ~arrival:q.Query.arrival ~size:q.Query.size
+            ~est_size:(q.Query.size *. est_ratios.(i)) ~sla:q.Query.sla ())
+        qs
+    in
+    return (Array.append with_est (Array.make copies with_est.(0))))
+
+let prop_best_rush_matches_unpruned =
+  QCheck.Test.make ~name:"pruned best_rush == unpruned (bitwise)" ~count:500
+    (QCheck.make
+       ~print:(fun qs -> Fmt.str "@[<v>%a@]" Fmt.(array ~sep:cut Query.pp) qs)
+       gen_rush_buffer)
+    (fun qs ->
+      let tree = Sla_tree.build ~now qs in
+      let pruned = What_if.best_rush tree
+      and unpruned = Rush_oracle.best_rush tree in
+      Rush_oracle.same pruned unpruned
+      || QCheck.Test.fail_reportf "pruned %s, unpruned %s"
+           (Rush_oracle.to_string pruned)
+           (Rush_oracle.to_string unpruned))
+
 let test_idle_server_profit () =
   let q = mk_query 0 50.0 10.0 20.0 4.0 in
   check_float "on time on idle server" 4.0 (What_if.idle_server_profit ~now:55.0 q);
@@ -745,6 +778,7 @@ let () =
           qtest prop_insertion_delta_matches_brute_force;
           Alcotest.test_case "ties keep head" `Quick test_best_rush_prefers_earliest_on_ties;
           Alcotest.test_case "urgent query rushed" `Quick test_best_rush_picks_urgent;
+          qtest prop_best_rush_matches_unpruned;
           Alcotest.test_case "idle server profit" `Quick test_idle_server_profit;
         ] );
       ( "expedite-apps",

@@ -20,15 +20,23 @@ let check_bits name a b =
 (* ------------------------------------------------------------------ *)
 (* Cascade-level fuzz over raw unit arrays. *)
 
-(* Adversarial unit arrays. Keys come from a small quantized pool so
-   exact duplicates are common; uids are distinct per unit, or shared
-   in pairs (then the pair's keys are forced apart so (key, uid) stays
-   a strict total order — the invariant real expansions guarantee,
-   since a query's unit slacks strictly increase). *)
-let gen_units =
+(* Unit counts at the seams of the build's merge sort: one unit, one
+   short of a run, a run, one past it, one past two runs (a lone unit
+   in the last merge), and a count above four runs that is no power of
+   two (a partial run at every merge width). *)
+let run = Flat_sla_tree.run_length
+let small_seams = [ 1; run - 1; run; run + 1 ]
+let large_seams = [ (2 * run) + 1; (4 * run) + 13 ]
+
+(* Adversarial unit arrays of [m] units. Keys come from a small
+   quantized pool (a single value, at worst) so exact duplicates are
+   common; uids are distinct per unit, or shared in pairs (then the
+   pair's keys are forced apart so (key, uid) stays a strict total
+   order — the invariant real expansions guarantee, since a query's
+   unit slacks strictly increase). *)
+let gen_units_of m =
   QCheck.Gen.(
-    let* m = 1 -- 48 in
-    let* k = 2 -- 6 in
+    let* k = 1 -- 6 in
     let* raw_pool = array_repeat k (float_range (-50.0) 50.0) in
     let pool = Array.map (fun x -> Float.round (x *. 4.0) /. 4.0) raw_pool in
     let* idxs = array_repeat m (0 -- (k - 1)) in
@@ -41,7 +49,7 @@ let gen_units =
             (* Force a shared-uid pair's KEYS apart by value — the pool
                may hold the same quantized value at two indices, and an
                equal (key, uid) pair would make the sort comparator a
-               non-total order (boxed Array.sort and the flat heapsort
+               non-total order (boxed Array.sort and the flat merge sort
                could then order the pair's gains differently). *)
             let s = pool.(idxs.(i)) in
             if dup_uids && i land 1 = 1 && s = pool.(idxs.(i - 1)) then
@@ -54,10 +62,9 @@ let gen_units =
 
 (* (units, n, tau): n spans the uid range with both edges, tau is an
    exact key or an epsilon/quarter-step perturbation of one. *)
-let gen_case =
+let gen_case_of m =
   QCheck.Gen.(
-    let* units = gen_units in
-    let m = Array.length units in
+    let* units = gen_units_of m in
     let max_uid =
       Array.fold_left (fun acc u -> max acc u.Slack_units.uid) 0 units
     in
@@ -66,37 +73,59 @@ let gen_case =
     let* perturb = oneofl [ 0.0; 0.0; 0.0; 1e-9; -1e-9; 0.25; -0.25 ] in
     return (units, n, units.(ti).Slack_units.slack +. perturb))
 
-let arb_case =
-  QCheck.make
-    ~print:(fun (units, n, tau) ->
-      Fmt.str "n=%d tau=%h@ [@[%a@]]" n tau
-        Fmt.(
-          array ~sep:semi (fun ppf u ->
-              Fmt.pf ppf "(uid %d, slack %h, gain %h)" u.Slack_units.uid
-                u.Slack_units.slack u.Slack_units.gain))
-        units)
-    gen_case
+let gen_case =
+  QCheck.Gen.(
+    let* m = oneof [ 1 -- 48; oneofl (small_seams @ large_seams) ] in
+    gen_case_of m)
+
+let print_case (units, n, tau) =
+  Fmt.str "n=%d tau=%h@ [@[%a@]]" n tau
+    Fmt.(
+      array ~sep:semi (fun ppf u ->
+          Fmt.pf ppf "(uid %d, slack %h, gain %h)" u.Slack_units.uid
+            u.Slack_units.slack u.Slack_units.gain))
+    units
+
+(* The flat cascade over [units], built into [arena], answers like the
+   boxed one, bit for bit. *)
+let cascade_matches_boxed arena (units, n, tau) =
+  let boxed = Cascade_tree.build units in
+  let flat = Flat_sla_tree.of_units arena units in
+  Flat_sla_tree.unit_count flat = Cascade_tree.unit_count boxed
+  && Flat_sla_tree.depth flat = Cascade_tree.depth boxed
+  && bits_eq (Cascade_tree.total boxed) (Flat_sla_tree.total flat)
+  && bits_eq
+       (Cascade_tree.prefix_total boxed ~n)
+       (Flat_sla_tree.prefix_total flat ~n)
+  && List.for_all
+       (fun mode ->
+         let b = Cascade_tree.prefix_loss boxed mode ~n ~tau in
+         bits_eq b (Flat_sla_tree.prefix_loss flat mode ~n ~tau)
+         && bits_eq b
+              (Flat_sla_tree.prefix_loss_binary_search flat mode ~n ~tau))
+       [ Cascade_tree.Lt; Cascade_tree.Le ]
 
 let prop_flat_cascade_matches_boxed =
   QCheck.Test.make ~name:"flat cascade == boxed cascade (bitwise)" ~count:1000
-    arb_case
-    (fun (units, n, tau) ->
-      let boxed = Cascade_tree.build units in
+    (QCheck.make ~print:print_case gen_case)
+    (fun case -> cascade_matches_boxed (Flat_sla_tree.create_arena ()) case)
+
+let prop_arena_seams_large_small_large =
+  (* One arena through a build past several runs, one within a run
+     (the merge scratch is left as it is), then past several runs
+     again. *)
+  QCheck.Test.make ~name:"arena rebuilds large -> small -> large (bitwise)"
+    ~count:300
+    (QCheck.make
+       ~print:(fun cases -> String.concat "\n" (List.map print_case cases))
+       QCheck.Gen.(
+         let* large = oneofl large_seams in
+         let* small = oneofl small_seams in
+         let* large' = oneofl large_seams in
+         flatten_l (List.map gen_case_of [ large; small; large' ])))
+    (fun cases ->
       let arena = Flat_sla_tree.create_arena () in
-      let flat = Flat_sla_tree.of_units arena units in
-      Flat_sla_tree.unit_count flat = Cascade_tree.unit_count boxed
-      && Flat_sla_tree.depth flat = Cascade_tree.depth boxed
-      && bits_eq (Cascade_tree.total boxed) (Flat_sla_tree.total flat)
-      && bits_eq
-           (Cascade_tree.prefix_total boxed ~n)
-           (Flat_sla_tree.prefix_total flat ~n)
-      && List.for_all
-           (fun mode ->
-             let b = Cascade_tree.prefix_loss boxed mode ~n ~tau in
-             bits_eq b (Flat_sla_tree.prefix_loss flat mode ~n ~tau)
-             && bits_eq b
-                  (Flat_sla_tree.prefix_loss_binary_search flat mode ~n ~tau))
-           [ Cascade_tree.Lt; Cascade_tree.Le ])
+      List.for_all (cascade_matches_boxed arena) cases)
 
 let test_flat_cascade_empty () =
   let arena = Flat_sla_tree.create_arena () in
@@ -299,6 +328,7 @@ let () =
           Alcotest.test_case "empty" `Quick test_flat_cascade_empty;
           Alcotest.test_case "paper example" `Quick test_flat_cascade_paper_example;
           qtest prop_flat_cascade_matches_boxed;
+          qtest prop_arena_seams_large_small_large;
         ] );
       ( "facade",
         [

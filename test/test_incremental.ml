@@ -228,6 +228,130 @@ let prop_random_ops_match_oracle =
         ops;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* Live trees as a server drives them: arrivals with estimation error
+   and tenancy-tier gains (0.6/1.3/1.5 make them non-dyadic), pops with
+   random actual times (drift), and post-rush resets. *)
+
+type live_op =
+  | Arrive of float * float * int  (* size, est / size, tier index *)
+  | Run of float  (* actual / est of the head *)
+  | Rush of int  (* reset in the order [q_k; the rest] *)
+  | Probe
+
+let tiers = [| 0.6; 1.0; 1.3; 1.5 |]
+
+let tier_sla tier =
+  Sla.make
+    ~levels:
+      [ { bound = 20.0; gain = 2.0 *. tier }; { bound = 100.0; gain = tier } ]
+    ~penalty:(0.5 *. tier)
+
+let gen_live_ops =
+  QCheck.Gen.(
+    let op =
+      frequency
+        [
+          ( 4,
+            map3
+              (fun s e k -> Arrive (s, e, k))
+              (float_range 0.5 40.0)
+              (oneof [ return 1.0; float_range 0.4 2.5 ])
+              (0 -- 3) );
+          (3, map (fun f -> Run f) (float_range 0.1 3.0));
+          (1, map (fun k -> Rush k) (0 -- 40));
+          (2, return Probe);
+        ]
+    in
+    list_size (10 -- 120) op)
+
+let arb_live_ops =
+  QCheck.make ~shrink:QCheck.Shrink.list
+    ~print:(fun ops ->
+      String.concat ";"
+        (List.map
+           (function
+             | Arrive (s, e, k) -> Printf.sprintf "A(%h,%h,%d)" s e k
+             | Run f -> Printf.sprintf "R(%h)" f
+             | Rush k -> Printf.sprintf "U(%d)" k
+             | Probe -> "P")
+           ops))
+    gen_live_ops
+
+(* Replay [ops] on a live tree, calling [probe t] at every [Probe];
+   false as soon as one answers false. *)
+let drive_live ops ~probe =
+  let clock = ref 0.0 and next_id = ref 0 in
+  let t = Incr_sla_tree.create ~now:0.0 [||] in
+  List.for_all
+    (fun op ->
+      match op with
+      | Arrive (size, est_ratio, k) ->
+        incr next_id;
+        Incr_sla_tree.append t
+          (Query.make ~id:!next_id ~arrival:!clock ~size
+             ~est_size:(size *. est_ratio) ~sla:(tier_sla tiers.(k)) ());
+        true
+      | Run factor ->
+        if Incr_sla_tree.length t > 0 then begin
+          let head = (Incr_sla_tree.to_entries t).(0) in
+          let actual = head.Schedule.query.Query.est_size *. factor in
+          clock := head.Schedule.start +. actual;
+          Incr_sla_tree.pop_head ~actual t;
+          if Incr_sla_tree.length t = 0 then
+            Incr_sla_tree.reset_origin t ~now:!clock
+        end;
+        true
+      | Rush k ->
+        let entries = Incr_sla_tree.to_entries t in
+        let n = Array.length entries in
+        if n > 1 then begin
+          let k = k mod n in
+          let qs = Array.map (fun e -> e.Schedule.query) entries in
+          let order =
+            Array.init n (fun j ->
+                if j = 0 then qs.(k) else if j <= k then qs.(j - 1) else qs.(j))
+          in
+          Incr_sla_tree.reset t ~now:entries.(0).Schedule.start order
+        end;
+        true
+      | Probe -> probe t)
+    ops
+
+let prop_probes_never_negative =
+  QCheck.Test.make ~name:"postpone and expedite never go negative" ~count:300
+    arb_live_ops
+    (fun ops ->
+      drive_live ops ~probe:(fun t ->
+          let entries = Incr_sla_tree.to_entries t in
+          let n = Array.length entries in
+          let taus =
+            [ 1.0; 7.5; 25.0; 60.0 ]
+            @ Array.to_list
+                (Array.map (fun e -> e.Schedule.query.Query.est_size) entries)
+          in
+          List.for_all
+            (fun tau ->
+              List.for_all
+                (fun (m, hi) ->
+                  Incr_sla_tree.postpone t ~m ~n:hi ~tau >= 0.0
+                  && Incr_sla_tree.expedite t ~m ~n:hi ~tau >= 0.0)
+                (List.init n (fun i -> (0, i))
+                @ List.init n (fun m -> (m, n - 1))))
+            taus))
+
+let prop_pruned_rush_matches_unpruned =
+  QCheck.Test.make ~name:"pruned best_rush_incr == unpruned (bitwise)"
+    ~count:300 arb_live_ops
+    (fun ops ->
+      drive_live ops ~probe:(fun t ->
+          let pruned = What_if.best_rush_incr t
+          and unpruned = Rush_oracle.best_rush_incr t in
+          Rush_oracle.same pruned unpruned
+          || QCheck.Test.fail_reportf "pruned %s, unpruned %s"
+               (Rush_oracle.to_string pruned)
+               (Rush_oracle.to_string unpruned)))
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let () =
@@ -250,5 +374,10 @@ let () =
           Alcotest.test_case "pop promotes pending" `Quick test_pop_pending_only;
           Alcotest.test_case "errors" `Quick test_errors;
         ] );
-      ("property", [ qtest prop_random_ops_match_oracle ]);
+      ( "property",
+        [
+          qtest prop_random_ops_match_oracle;
+          qtest prop_probes_never_negative;
+          qtest prop_pruned_rush_matches_unpruned;
+        ] );
     ]

@@ -190,6 +190,52 @@ let prop_pick_in_range =
           Schedulers.cbs_sla_tree ~rate:0.05;
         ])
 
+(* The one static entry point, which builds its tree only when some
+   candidate passes the bound, decides exactly like a tree built up
+   front and scanned without the prune, under every planner. *)
+let prop_best_rush_planned_matches_unpruned =
+  QCheck.Test.make ~name:"best_rush_planned == build + unpruned scan"
+    ~count:300
+    QCheck.(pair (int_range 0 30) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let rng = Prng.create seed in
+      let b =
+        Array.init n (fun id ->
+            let size = 0.1 +. (Prng.float rng *. 30.0) in
+            let est =
+              if Prng.float rng < 0.1 then 0.0
+              else size *. (0.5 +. Prng.float rng)
+            in
+            let bound = 1.0 +. (Prng.float rng *. 60.0) in
+            let sla =
+              Sla.make
+                ~levels:
+                  [
+                    { bound; gain = 1.0 +. Prng.float rng };
+                    { bound = 3.0 *. bound; gain = 0.5 };
+                  ]
+                ~penalty:(Prng.float rng)
+            in
+            mk ~sla ~est id (Prng.float rng *. 50.0) size)
+      in
+      let now = 60.0 in
+      List.for_all
+        (fun planner ->
+          let planned = Planner.planned_queries planner ~now b in
+          let lazy_ = What_if.best_rush_planned ~now planned
+          and oracle = Rush_oracle.best_rush (Sla_tree.build ~now planned) in
+          Rush_oracle.same lazy_ oracle
+          || QCheck.Test.fail_reportf "%s: %s, oracle %s" (Planner.name planner)
+               (Rush_oracle.to_string lazy_)
+               (Rush_oracle.to_string oracle))
+        [
+          Planner.fcfs;
+          Planner.sjf;
+          Planner.edf;
+          Planner.value_edf;
+          Planner.cbs ~rate:0.05;
+        ])
+
 (* ------------------------------------------------------------------ *)
 (* Frontend (the paper's Fig 2 interface) *)
 
@@ -443,6 +489,7 @@ let () =
           Alcotest.test_case "maps back through planner" `Quick
             test_sla_tree_over_cbs_maps_back;
           qtest prop_pick_in_range;
+          qtest prop_best_rush_planned_matches_unpruned;
         ] );
       ( "frontend",
         [
