@@ -56,15 +56,33 @@ let incr_question_tests =
           ignore (Incr_sla_tree.postpone tree ~m:0 ~n:(n - 1) ~tau:50.0)))
 
 let incr_cycle_tests =
-  (* A full pop+append cycle on the incremental structure (amortized
-     rebuilds included) — contrast with sched.decision, which rebuilds
-     everything. *)
+  (* A full pop+append cycle on the incremental structure. With no
+     probe in between, nothing is ever scanned, so these cycles never
+     build: contrast with sched.decision, which rebuilds everything. *)
   Test.make_indexed ~name:"incr.pop_append" ~fmt:"%s:%d" ~args:sizes (fun n ->
       let tree = Incr_sla_tree.create ~now (buffer_of n) in
       let replacement = (buffer_of 1).(0) in
       Staged.stage (fun () ->
           Incr_sla_tree.pop_head tree;
           Incr_sla_tree.append tree replacement))
+
+let incr_rush_tests =
+  (* The live tree's side of a rushed pick: reset in post-rush order
+     (query N/2 first), then the one prefix probe that rushing query
+     N/2 asks, postpone(0, N/2 - 1) by its estimate. *)
+  Test.make_indexed ~name:"incr.rush" ~fmt:"%s:%d" ~args:sizes (fun n ->
+      let buffer = buffer_of n in
+      let i = n / 2 in
+      let rushed =
+        Array.init n (fun j ->
+            if j = 0 then buffer.(i) else if j <= i then buffer.(j - 1)
+            else buffer.(j))
+      in
+      let tau = buffer.(i).Query.est_size in
+      let tree = Incr_sla_tree.create ~now buffer in
+      Staged.stage (fun () ->
+          Incr_sla_tree.reset tree ~now rushed;
+          ignore (Incr_sla_tree.postpone tree ~m:0 ~n:(i - 1) ~tau)))
 
 let run_micro () =
   let grouped =
@@ -76,6 +94,7 @@ let run_micro () =
         decision_tests;
         incr_question_tests;
         incr_cycle_tests;
+        incr_rush_tests;
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in

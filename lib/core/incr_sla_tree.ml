@@ -27,20 +27,27 @@
           -> S- gives  Le(tau - delay) - Le(-delay)
              S+ gives  Lt(delay) - Lt(delay - tau)
 
-   3. APPENDS ARE LOCAL. A query appended at the tail postpones nobody;
-      it goes to a small pending overflow on the same planned timeline,
-      scanned naively, and a full rebuild happens only when the
-      overflow outgrows a fraction of the live buffer — classic
-      lazy-rebuild amortization.
+   3. BUILD ONLY WHAT THE PROBES PAY FOR. The live buffer is a base the
+      tree was built over, followed by an overflow on the same planned
+      timeline that probes scan unit by unit. Appends, post-rush
+      [reset]s and pops past the base only touch the overflow. A build
+      (the "fold") costs about n log n for n live queries, so the
+      overflow is folded into the tree once the scans since the last
+      build, reset or drain have visited more than
+      n * (floor(log2 n) + 1) entries: rent until the rent paid equals
+      the price, then buy.
+      Scanning thus costs at most one extra build, and a schedule that
+      is reset at every rush, as [Incr_sched] does, is rarely built at
+      all. Folds run in [append] and [pop_head] only, never inside a
+      probe, so every probe of one decision reads one representation.
 
-   Each tree owns one flat arena: [create], [reset] and the amortized
-   [rebuild] all build through it, so a long-lived tree stops
-   allocating tree storage once the arena has grown to its working
-   set.
+   Each tree owns one flat arena: [create] and every fold build through
+   it, so a long-lived tree stops allocating tree storage once the
+   arena has grown to its working set.
 
-   Amortized costs: pop O(1); append O(K) amortized (rebuild cost
-   spread over the appends that caused it); each question
-   O(log NK + BK) where B is the bounded overflow size. *)
+   Costs: pop O(1) plus folds; append O(1) plus folds; reset O(n); a
+   question O(log NK) on the tree plus O(K) per overflow entry in its
+   range, the scans amortized against the folds they trigger. *)
 
 (* Observability handles, resolved once per [create] against the run's
    registry (absent on the noop sink, so the hot paths pay a single
@@ -61,8 +68,11 @@ type t = {
   mutable head : int;  (** base entries [0 .. head-1] already executed *)
   mutable delay : float;  (** true time = planned time + delay *)
   pending : Schedule.entry Deque.t;
-      (** appended since the last build, in arrival order, with planned
-          starts *)
+      (** the overflow: live queries past the base, in schedule order,
+          with planned starts *)
+  mutable scanned : int;
+      (** overflow entries visited by probes since the last build,
+          reset or drain *)
   mutable tail_time : float;  (** planned end of the current schedule *)
   mutable rebuilds : int;
   stats : stats option;
@@ -92,28 +102,42 @@ let to_entries t =
 
 (* The one build routine: build the tree over [entries] (true starts)
    through the arena and re-anchor the planned timeline on them, so
-   delay returns to 0 and the overflow empties. [empty_tail] is the
-   schedule end when [entries] is empty. *)
-let load t entries ~empty_tail =
+   delay returns to 0 and the overflow empties. Over no entries the
+   schedule end stays where it was. *)
+let load t entries =
   let n = Array.length entries in
-  t.tail_time <-
-    (if n > 0 then Schedule.completion entries.(n - 1) else empty_tail);
+  if n > 0 then t.tail_time <- Schedule.completion entries.(n - 1);
   t.tree <- Flat_sla_tree.build t.arena entries;
   t.base_entries <- entries;
   t.head <- 0;
   t.delay <- 0.0;
+  t.scanned <- 0;
   Deque.clear t.pending
 
-(* Fold the overflow in: rebuild over the true-start live schedule.
-   The empty-buffer tail still needs the old delay, so it is computed
-   before [load] resets it. *)
-let rebuild t =
-  load t (to_entries t) ~empty_tail:(t.tail_time +. t.delay);
+(* Fold the overflow in: rebuild over the true-start live schedule,
+   which is never empty here. *)
+let fold t =
+  load t (to_entries t);
   t.rebuilds <- t.rebuilds + 1;
   bump t.stats (fun s -> s.s_rebuilds)
 
+(* Schedule [query] at the planned tail, in the overflow. *)
+let push t query =
+  let start = t.tail_time in
+  Deque.push_back t.pending { Schedule.query; start };
+  t.tail_time <- start +. query.Query.est_size
+
+(* The whole new order goes into the overflow, its starts accumulated
+   from [now] exactly as [Schedule.of_queries] does; the tree left in
+   the arena is stale until the next fold overwrites it. *)
 let reset t ~now queries =
-  load t (Schedule.of_queries ~now queries) ~empty_tail:now
+  t.base_entries <- [||];
+  t.head <- 0;
+  t.delay <- 0.0;
+  t.scanned <- 0;
+  t.tail_time <- now;
+  Deque.clear t.pending;
+  Array.iter (push t) queries
 
 let create ?(obs = Obs.noop) ~now queries =
   let stats =
@@ -139,58 +163,63 @@ let create ?(obs = Obs.noop) ~now queries =
       head = 0;
       delay = 0.0;
       pending = Deque.create ();
+      scanned = 0;
       tail_time = now;
       rebuilds = 0;
       stats;
     }
   in
-  reset t ~now queries;
+  load t (Schedule.of_queries ~now queries);
   t
 
-let maybe_rebuild t =
-  let live = length t in
-  if
-    pending_count t > max 8 (live / 2)
-    || t.head > max 16 (Array.length t.base_entries / 2)
-  then rebuild t
+(* floor (log2 n), for n >= 1. *)
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
+
+(* Rent or buy: fold once the overflow scans have cost more than a
+   build over the live buffer, n * (floor(log2 n) + 1) entries. *)
+let maybe_fold t =
+  let n = length t in
+  if t.scanned > n * (log2 n + 1) then fold t
 
 (* FCFS arrival: the query starts when the current schedule ends. *)
 let append t query =
   bump t.stats (fun s -> s.s_appends);
-  let start = t.tail_time in
-  Deque.push_back t.pending { Schedule.query; start };
-  t.tail_time <- start +. query.Query.est_size;
-  maybe_rebuild t
+  push t query;
+  maybe_fold t
 
 (* The head of the buffer was executed, taking [actual] time (defaults
-   to its estimate). Everything downstream shifts by the difference. *)
-let rec pop_head ?actual t =
+   to its estimate). Everything downstream shifts by the difference.
+   The head comes from the base while it lasts, then from the
+   overflow; a fully popped base is dropped, not rebuilt. *)
+let pop_head ?actual t =
   if length t = 0 then invalid_arg "Incr_sla_tree.pop_head: empty buffer";
-  if live_base t = 0 then begin
-    (* Only pending queries left: promote them, then pop for real. *)
-    rebuild t;
-    pop_head ?actual t
-  end
-  else begin
-    bump t.stats (fun s -> s.s_pops);
-    let e = t.base_entries.(t.head) in
-    let est = e.Schedule.query.Query.est_size in
-    let actual = Option.value actual ~default:est in
-    t.head <- t.head + 1;
-    t.delay <- t.delay +. (actual -. est);
-    if length t = 0 then begin
-      (* Drained: re-anchor the planned timeline at the true instant
-         the server became free. *)
-      t.base_entries <- [||];
-      t.head <- 0;
-      t.tail_time <- e.Schedule.start +. est +. t.delay;
-      t.delay <- 0.0
+  bump t.stats (fun s -> s.s_pops);
+  let e =
+    if live_base t = 0 then Deque.pop_front t.pending
+    else begin
+      let e = t.base_entries.(t.head) in
+      t.head <- t.head + 1;
+      if live_base t = 0 then begin
+        t.base_entries <- [||];
+        t.head <- 0
+      end;
+      e
     end
-    else maybe_rebuild t
+  in
+  let est = e.Schedule.query.Query.est_size in
+  let actual = Option.value actual ~default:est in
+  t.delay <- t.delay +. (actual -. est);
+  if length t = 0 then begin
+    (* Drained: re-anchor the planned timeline at the true instant
+       the server became free; nothing is left to fold. *)
+    t.tail_time <- e.Schedule.start +. est +. t.delay;
+    t.delay <- 0.0;
+    t.scanned <- 0
   end
+  else maybe_fold t
 
-(* Next query to execute: head of the live base, or the oldest pending
-   query when the base is exhausted. *)
+(* Next query to execute: head of the live base, or of the overflow
+   once the base is used up. *)
 let peek t =
   if live_base t > 0 then Some t.base_entries.(t.head).Schedule.query
   else Option.map (fun e -> e.Schedule.query) (Deque.peek_front t.pending)
@@ -230,7 +259,7 @@ let base_prefix t q ~tau abs_id =
   in
   if abs_id < t.head then 0.0 else at abs_id -. at (t.head - 1)
 
-(* Scan pending positions [lo .. hi] (arrival order) unit by unit, on
+(* Scan overflow positions [lo .. hi] (schedule order) unit by unit, on
    the true timeline. *)
 let pending_part t q ~tau ~lo ~hi =
   let d = t.delay in
@@ -251,7 +280,8 @@ let pending_part t q ~tau ~lo ~hi =
   !acc
 
 (* Live range [m..n]: the tree answers the base part, the overflow
-   scan the pending part. *)
+   scan the pending part, and the scanned entries count towards the
+   next fold. *)
 let range t q ~m ~n ~tau =
   let len = length t in
   if m < 0 || n >= len || m > n then
@@ -274,7 +304,11 @@ let range t q ~m ~n ~tau =
     in
     let pend_part =
       if n < lb then 0.0
-      else pending_part t q ~tau ~lo:(max 0 (m - lb)) ~hi:(n - lb)
+      else begin
+        let lo = max 0 (m - lb) and hi = n - lb in
+        t.scanned <- t.scanned + (hi - lo + 1);
+        pending_part t q ~tau ~lo ~hi
+      end
     in
     (* The answer is a sum of non-negative gains, but after drift or
        pops the base part is a difference of prefix sums, which rounds

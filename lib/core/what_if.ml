@@ -80,7 +80,9 @@ let best_rush_planned ~now planned =
 (* Against a live incremental tree, reading the live schedule in place:
    a true start is the planned start plus the tree's delay. The rush
    origin is the head's true start, which at a scheduling point equals
-   the decision time (the head was just popped there). *)
+   the decision time (the head was just popped there). A probe never
+   folds the tree's overflow, so the delay and the entries read here
+   stay valid across every probe of the scan. *)
 let best_rush_incr tree =
   let n = Incr_sla_tree.length tree in
   if n = 0 then None

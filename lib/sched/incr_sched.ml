@@ -14,12 +14,13 @@
      Dropped q    the tree cannot remove interior queries: mark the
                   server dirty, reconstruct lazily at the next pick
 
-   At a pick, the tree therefore equals Sla_tree.build ~now buffer of
-   the rebuild-per-decision path, and What_if.best_rush_incr makes the
-   identical decision. A rush (pick <> 0) reorders the buffer out of
-   FCFS, so the tree is reset in post-rush order — the cost the static
-   path pays on every decision that probes. Every reconstruction
-   resets the server's one tree in place, through its arena.
+   At a pick, the tree therefore holds the schedule of
+   Sla_tree.build ~now buffer of the rebuild-per-decision path, and
+   What_if.best_rush_incr makes the identical decision. A rush
+   (pick <> 0) reorders the buffer out of FCFS, so the tree is reset in
+   post-rush order. Every reconstruction is such a reset, which only
+   refills the tree's overflow: the tree folds it into a flat build
+   once its probes have scanned as much as that build costs.
 
    Until the hook has delivered an event, nothing maintains the trees
    (the pick is driven without its hook), so every pick resets. *)

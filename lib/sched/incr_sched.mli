@@ -6,17 +6,19 @@
     enqueue, [reset_origin] when an idle gap ends. At each scheduling
     point the tree already holds the buffer scheduled back-to-back
     from the decision time, so the rush decision runs without a
-    per-decision [Sla_tree.build]; a rebuild happens only when the
-    cheap update cannot represent the change (a rush out of FCFS
-    order, or drop-policy removals).
+    per-decision [Sla_tree.build]; a reset happens only when the cheap
+    update cannot represent the change (a rush out of FCFS order, or
+    drop-policy removals).
 
     Picks are identical to {!Schedulers.with_sla_tree} over
-    {!Planner.fcfs} — the equivalence property tests drive both paths
-    over randomized workloads and assert pick equality.
+    {!Planner.fcfs} — the equivalence tests drive both paths over
+    randomized workloads, tenant tier gains included, and assert pick
+    equality.
 
     [hook] must be passed as [Sim.run]'s [on_server_event]; [pick] is
-    the matching [pick_next]. Each server's tree is reset in place on a
-    rebuild. Driven without the hook, [pick] rebuilds on every decision
+    the matching [pick_next]. A reconstruction resets the server's tree
+    in place, which builds nothing until its probes pay for a build.
+    Driven without the hook, [pick] reconstructs on every decision
     until the hook delivers its first event, i.e. it degrades to the
     rebuild-per-decision path with the same picks. *)
 

@@ -92,6 +92,32 @@ let prop_scheduler_equiv_random_seeds =
       let _, mismatches, _ = run_scheduler_both ~queries ~servers:2 () in
       mismatches = 0)
 
+let test_scheduler_equiv_tenant_tiers () =
+  (* Tenant tiers scale SLA-B's gains by 0.6/1.3/1.5, so a postpone loss
+     is no longer a small integer. A rush whose own gain exactly equals
+     its loss nets 0 in the static tree's m = 0 prefix sum; a live tree
+     that answers with a difference of prefix sums nets +-1 ulp and
+     picks differently. *)
+  let reg = Tenancy.default_registry () in
+  List.iter
+    (fun (servers, load, n_queries, sigma2, seed) ->
+      let queries =
+        Tenancy.assign reg
+          (trace ~kind:Workloads.Exp ~sigma2 ~load ~servers ~n_queries ~seed)
+      in
+      let decisions, mismatches, _ = run_scheduler_both ~queries ~servers () in
+      check_bool "made decisions" true (decisions > 1_000);
+      check_int
+        (Printf.sprintf "no pick mismatches (%d servers, sigma2 %.1f, seed %d)"
+           servers sigma2 seed)
+        0 mismatches)
+    [
+      (2, 1.0, 3_000, 0.0, 3);
+      (2, 1.0, 3_000, 0.0, 101);
+      (2, 1.0, 3_000, 0.2, 1);
+      (3, 1.1, 2_000, 0.2, 101);
+    ]
+
 let test_scheduler_end_to_end_metrics_equal () =
   (* Whole-trajectory check through the public Schedulers API: the
      incremental variant (with its hook installed) must reproduce the
@@ -435,6 +461,8 @@ let () =
           Alcotest.test_case "elastic pool" `Quick test_scheduler_equiv_elastic;
           Alcotest.test_case "without the hook" `Quick
             test_scheduler_equiv_no_hook;
+          Alcotest.test_case "scheduler picks equal under tenant tier gains"
+            `Quick test_scheduler_equiv_tenant_tiers;
           qtest prop_scheduler_equiv_random_seeds;
         ] );
       ( "dispatcher",

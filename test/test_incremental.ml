@@ -106,14 +106,59 @@ let test_append_after_drift () =
   Incr_sla_tree.pop_head ~actual:2.0 t;
   agree t ~msg:"drift after append"
 
-let test_rebuild_triggered_by_appends () =
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
+
+let test_fold_when_scans_paid () =
   let t = Incr_sla_tree.create ~now:0.0 (initial_buffer 4) in
   for i = 0 to 19 do
     Incr_sla_tree.append t (mk (100 + i) (Float.of_int i) 3.0)
   done;
-  check_bool "rebuilt at least once" true (Incr_sla_tree.rebuild_count t > 0);
-  check_bool "overflow stayed bounded" true (Incr_sla_tree.pending_count t <= 13);
-  agree t ~msg:"after many appends"
+  check_int "appends alone never rebuild" 0 (Incr_sla_tree.rebuild_count t);
+  check_int "every append in the overflow" 20 (Incr_sla_tree.pending_count t);
+  agree t ~msg:"before the fold";
+  (* [agree] scanned far past the budget, but a probe never folds. *)
+  check_int "probes never fold" 0 (Incr_sla_tree.rebuild_count t);
+  Incr_sla_tree.pop_head t;
+  check_int "the next pop folds" 1 (Incr_sla_tree.rebuild_count t);
+  check_int "overflow folded in" 0 (Incr_sla_tree.pending_count t);
+  agree t ~msg:"after the fold";
+  (* Full-range probes with a pop or an append between them: the update
+     after the scans pass n * (floor(log2 n) + 1) entries folds, and no
+     update before it does. *)
+  let t = Incr_sla_tree.create ~now:0.0 (initial_buffer 4) in
+  for i = 0 to 19 do
+    Incr_sla_tree.append t (mk (100 + i) (Float.of_int i) 3.0)
+  done;
+  let scanned = ref 0 and step = ref 0 in
+  while Incr_sla_tree.rebuild_count t = 0 && !step < 100 do
+    let n = Incr_sla_tree.length t in
+    ignore (Incr_sla_tree.postpone t ~m:0 ~n:(n - 1) ~tau:25.0);
+    scanned := !scanned + Incr_sla_tree.pending_count t;
+    if !step mod 2 = 0 then Incr_sla_tree.pop_head t
+    else Incr_sla_tree.append t (mk (200 + !step) (Float.of_int !step) 3.0);
+    let n = Incr_sla_tree.length t in
+    check_bool
+      (Printf.sprintf "step %d: folded iff %d scanned > budget %d" !step
+         !scanned (n * (log2 n + 1)))
+      (!scanned > n * (log2 n + 1))
+      (Incr_sla_tree.rebuild_count t = 1);
+    incr step
+  done;
+  check_int "folded once" 1 (Incr_sla_tree.rebuild_count t);
+  agree t ~msg:"after the paid fold";
+  (* Scans of exactly the budget have not paid yet; one entry more has. *)
+  let t = Incr_sla_tree.create ~now:0.0 [||] in
+  Incr_sla_tree.reset t ~now:0.0 (initial_buffer 9);
+  for _ = 1 to 4 do
+    ignore (Incr_sla_tree.postpone t ~m:0 ~n:7 ~tau:25.0)
+  done;
+  Incr_sla_tree.pop_head t;
+  check_int "8 live, 32 scanned: no fold" 0 (Incr_sla_tree.rebuild_count t);
+  ignore (Incr_sla_tree.postpone t ~m:0 ~n:0 ~tau:25.0);
+  Incr_sla_tree.append t (mk 300 0.0 3.0);
+  check_int "9 live, 33 scanned: no fold" 0 (Incr_sla_tree.rebuild_count t);
+  Incr_sla_tree.pop_head t;
+  check_int "8 live, 33 scanned: fold" 1 (Incr_sla_tree.rebuild_count t)
 
 let test_drain_and_restart () =
   let t = Incr_sla_tree.create ~now:10.0 (initial_buffer 3) in
@@ -130,16 +175,19 @@ let test_drain_and_restart () =
   check_float "first unit lost" 1.0 (Incr_sla_tree.postpone t ~m:0 ~n:0 ~tau:20.5);
   check_float "both units lost" 3.0 (Incr_sla_tree.postpone t ~m:0 ~n:0 ~tau:70.5)
 
-let test_pop_pending_only () =
-  (* Popping when only pending queries remain promotes them first. *)
+let test_pop_from_overflow () =
+  (* Once the base is used up, pops take the overflow's head and
+     nothing is rebuilt. *)
   let t = Incr_sla_tree.create ~now:0.0 (initial_buffer 1) in
   Incr_sla_tree.append t (mk 10 1.0 2.0);
   Incr_sla_tree.append t (mk 11 2.0 2.0);
   Incr_sla_tree.pop_head t;
-  (* base drained; next pop must promote pending *)
-  Incr_sla_tree.pop_head t;
+  (* base drained; the next pop reads the overflow *)
+  Incr_sla_tree.pop_head ~actual:3.5 t;
   check_int "one left" 1 (Incr_sla_tree.length t);
-  agree t ~msg:"after pending promotion"
+  check_int "no rebuild" 0 (Incr_sla_tree.rebuild_count t);
+  check_float "drift from the overflow pop" 1.5 (Incr_sla_tree.delay t);
+  agree t ~msg:"after popping the overflow"
 
 let test_errors () =
   let t = Incr_sla_tree.create ~now:0.0 [||] in
@@ -158,9 +206,24 @@ let test_errors () =
     | _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Random operation sequences vs the static oracle. *)
+(* Random operation sequences vs the static and naive oracles. *)
 
-type op = Append of float * float | Pop of float | Check of float
+type op =
+  | Append of float * float
+  | Pop of float
+  | Check of float
+  | Reset of int  (* a rush: reset in the order [q_k; the rest] *)
+
+(* The live buffer with entry [k mod n] moved to the front, as a rush
+   reorders it, and the head's true start. *)
+let rushed_order t k =
+  let entries = Incr_sla_tree.to_entries t in
+  let n = Array.length entries in
+  let k = k mod n in
+  let qs = Array.map (fun e -> e.Schedule.query) entries in
+  ( entries.(0).Schedule.start,
+    Array.init n (fun j ->
+        if j = 0 then qs.(k) else if j <= k then qs.(j - 1) else qs.(j)) )
 
 let gen_ops =
   QCheck.Gen.(
@@ -170,6 +233,7 @@ let gen_ops =
           (3, map2 (fun s b -> Append (s, b)) (float_range 0.5 20.0) (float_range 2.0 120.0));
           (3, map (fun f -> Pop f) (float_range 0.1 2.5));
           (2, map (fun tau -> Check tau) (float_range 0.0 150.0));
+          (1, map (fun k -> Reset k) (0 -- 40));
         ]
     in
     list_size (5 -- 60) op)
@@ -182,7 +246,8 @@ let arb_ops =
            (function
              | Append (s, b) -> Printf.sprintf "A(%.2f,%.2f)" s b
              | Pop f -> Printf.sprintf "P(%.2f)" f
-             | Check tau -> Printf.sprintf "C(%.2f)" tau)
+             | Check tau -> Printf.sprintf "C(%.2f)" tau
+             | Reset k -> Printf.sprintf "R(%d)" k)
            ops))
     gen_ops
 
@@ -210,19 +275,34 @@ let prop_random_ops_match_oracle =
           | Check tau ->
             let n = Incr_sla_tree.length t in
             if n > 0 then begin
+              let entries = Incr_sla_tree.to_entries t in
               let oracle = static_of t in
               let m = n / 3 and hi = n - 1 in
+              let p = Incr_sla_tree.postpone t ~m ~n:hi ~tau in
+              let e = Incr_sla_tree.expedite t ~m:0 ~n:hi ~tau in
               if
                 not
-                  (close
-                     (Incr_sla_tree.postpone t ~m ~n:hi ~tau)
-                     (Sla_tree.postpone oracle ~m ~n:hi ~tau))
-              then ok := false;
+                  (close p (Sla_tree.postpone oracle ~m ~n:hi ~tau)
+                  && close p
+                       (Naive_whatif.postpone_by_units entries ~m ~n:hi ~tau)
+                  && close e (Sla_tree.expedite oracle ~m:0 ~n:hi ~tau)
+                  && close e
+                       (Naive_whatif.expedite_by_units entries ~m:0 ~n:hi ~tau))
+              then ok := false
+            end
+          | Reset k ->
+            if Incr_sla_tree.length t > 0 then begin
+              let now, order = rushed_order t k in
+              Incr_sla_tree.reset t ~now order;
+              (* The same starts, bit for bit, as the static schedule. *)
               if
                 not
-                  (close
-                     (Incr_sla_tree.expedite t ~m:0 ~n:hi ~tau)
-                     (Sla_tree.expedite oracle ~m:0 ~n:hi ~tau))
+                  (Array.for_all2
+                     (fun a b ->
+                       a.Schedule.query == b.Schedule.query
+                       && Float.equal a.Schedule.start b.Schedule.start)
+                     (Incr_sla_tree.to_entries t)
+                     (Schedule.of_queries ~now order))
               then ok := false
             end)
         ops;
@@ -303,16 +383,9 @@ let drive_live ops ~probe =
         end;
         true
       | Rush k ->
-        let entries = Incr_sla_tree.to_entries t in
-        let n = Array.length entries in
-        if n > 1 then begin
-          let k = k mod n in
-          let qs = Array.map (fun e -> e.Schedule.query) entries in
-          let order =
-            Array.init n (fun j ->
-                if j = 0 then qs.(k) else if j <= k then qs.(j - 1) else qs.(j))
-          in
-          Incr_sla_tree.reset t ~now:entries.(0).Schedule.start order
+        if Incr_sla_tree.length t > 1 then begin
+          let now, order = rushed_order t k in
+          Incr_sla_tree.reset t ~now order
         end;
         true
       | Probe -> probe t)
@@ -368,10 +441,12 @@ let () =
         ] );
       ( "lifecycle",
         [
-          Alcotest.test_case "rebuild on append overflow" `Quick
-            test_rebuild_triggered_by_appends;
+          Alcotest.test_case
+            "overflow folds once its scans have paid for a build" `Quick
+            test_fold_when_scans_paid;
           Alcotest.test_case "drain and restart" `Quick test_drain_and_restart;
-          Alcotest.test_case "pop promotes pending" `Quick test_pop_pending_only;
+          Alcotest.test_case "pop takes from the overflow" `Quick
+            test_pop_from_overflow;
           Alcotest.test_case "errors" `Quick test_errors;
         ] );
       ( "property",
