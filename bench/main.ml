@@ -84,6 +84,39 @@ let incr_rush_tests =
           Incr_sla_tree.reset tree ~now rushed;
           ignore (Incr_sla_tree.postpone tree ~m:0 ~n:(i - 1) ~tau)))
 
+let dispatch_fcfs_tests =
+  (* One FCFS SLA-tree dispatch decision over M servers. The session is
+     warmed to load 0.9 by 20 queries per server through the CLI's
+     default pair, then advanced to the next arrival, which is the
+     probe: the state and the query are fixed per M, and the decision
+     changes neither. *)
+  Test.make_indexed ~name:"dispatch.fcfs" ~fmt:"%s:%d" ~args:[ 4; 16; 64; 256 ]
+    (fun m ->
+      let n = 20 * m in
+      let queries =
+        Trace.generate
+          (Trace.config ~kind:Workloads.Exp ~profile:Workloads.Sla_b ~load:0.9
+             ~servers:m ~n_queries:(n + 1) ~seed:42 ())
+      in
+      let pick_next, hook =
+        Schedulers.instantiate Schedulers.fcfs_sla_tree_incr
+      in
+      let dispatch =
+        Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ())
+      in
+      let session =
+        Sim.session ?on_server_event:hook ~n_servers:m ~pick_next ~dispatch
+          ~metrics:(Metrics.create ~warmup_id:0 ())
+          ()
+      in
+      for i = 0 to n - 1 do
+        Sim.inject session queries.(i)
+      done;
+      let probe = queries.(n) in
+      Sim.advance session ~until:probe.Query.arrival;
+      let sim = Sim.sim session in
+      Staged.stage (fun () -> ignore (dispatch sim probe)))
+
 let run_micro () =
   let grouped =
     Test.make_grouped ~name:"slatree"
@@ -95,6 +128,7 @@ let run_micro () =
         incr_question_tests;
         incr_cycle_tests;
         incr_rush_tests;
+        dispatch_fcfs_tests;
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
@@ -801,8 +835,9 @@ let run_swf scale =
 (* Tenancy: what the probe-priced admission controller costs on the
    arrival hot path. One bursty overloaded tenant-tagged workload,
    identical pool and stack, admission off vs on — the on run pays one
-   O(servers) append-probe scan plus up to two O(log M) postpone
-   probes per arrival. *)
+   pruned append-probe scan ([Dispatchers.fcfs_best]) plus up to two
+   postpone probes per arrival, each over an SLA-tree built from the
+   priced server's buffer. *)
 
 type tenancy_bench = {
   tn_queries : int;

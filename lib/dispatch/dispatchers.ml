@@ -230,11 +230,16 @@ let cached_insertion_profit planner =
       What_if.insertion_delta e.tree ~query:q' ~pos
     end
 
+(* With [admission] set, a query whose best profit delta is negative
+   is rejected outright. *)
+let decide ~admission sid d =
+  if admission && d < 0.0 then { Sim.target = None; est_delta = Some d }
+  else { Sim.target = Some sid; est_delta = Some d }
+
 (* SLA-tree dispatching. Profit decides; exact profit ties (common
    when every candidate server meets the query's deadline anyway) fall
    back to least work left, so indifference does not pile queries onto
-   server 0. With [admission] set, a query whose best profit delta is
-   negative is rejected outright. *)
+   server 0, and then to the lowest sid. *)
 let argmax_profit ~admission profit_of sim q =
   let m = Sim.n_servers sim in
   let best = ref (-1)
@@ -253,12 +258,7 @@ let argmax_profit ~admission profit_of sim q =
     end
   done;
   if !best < 0 then no_server ();
-  if admission && !best_delta < 0.0 then
-    { Sim.target = None; est_delta = Some !best_delta }
-  else { Sim.target = Some !best; est_delta = Some !best_delta }
-
-let sla_tree_with ~name profit_of ~admission =
-  { name; make = (fun () -> argmax_profit ~admission profit_of) }
+  decide ~admission !best !best_delta
 
 (* The candidate loop memoizes per-server trees whenever the planner's
    order cannot depend on the decision time; [?memo:false] forces the
@@ -266,14 +266,12 @@ let sla_tree_with ~name profit_of ~admission =
    CBS-style time-dependent planners fall back to it on their own. *)
 let sla_tree ?(admission = false) ?(memo = true) planner =
   let name = if admission then "SLA-tree+AC" else "SLA-tree" in
-  if memo && Planner.time_invariant planner then
-    {
-      name;
-      make =
-        (fun () ->
-          argmax_profit ~admission (cached_insertion_profit planner));
-    }
-  else sla_tree_with ~name (insertion_profit planner) ~admission
+  let profit_of () =
+    if memo && Planner.time_invariant planner then
+      cached_insertion_profit planner
+    else insertion_profit planner
+  in
+  { name; make = (fun () -> argmax_profit ~admission (profit_of ())) }
 
 (* The incremental FCFS fast path. Under FCFS the newcomer always
    ranks last ([insertion_rank] = N), so [What_if.insertion_delta]
@@ -293,7 +291,44 @@ let insertion_profit_fcfs sim sid q =
       +. Sim.est_work_left sim srv
       +. (q.Query.est_size /. srv.Sim.speed))
 
+(* [argmax_profit] over [insertion_profit_fcfs], pruned by an exact
+   bound. The appended profit is a function of the completion time [c]
+   alone and never rises with it ([Sla.make]), so a server with
+   [c >= best_c] earns at most the incumbent's profit, and one that
+   also has [w >= best_work] cannot win the tie: its profit is not
+   asked. [c] is [insertion_profit_fcfs]'s expression, bit for bit. *)
+let fcfs_best sim q =
+  let m = Sim.n_servers sim in
+  let now = Sim.now sim and est = q.Query.est_size in
+  let best = ref (-1)
+  and best_delta = ref neg_infinity
+  and best_work = ref infinity
+  and best_c = ref infinity in
+  for sid = 0 to m - 1 do
+    if Sim.dispatchable sim sid then begin
+      let srv = Sim.server sim sid in
+      let w = Sim.est_work_left sim srv in
+      let c = now +. w +. (est /. srv.Sim.speed) in
+      if !best < 0 || c < !best_c || w < !best_work then begin
+        let d = Query.profit_at q ~completion:c in
+        if !best < 0 || d > !best_delta || (d = !best_delta && w < !best_work)
+        then begin
+          best := sid;
+          best_delta := d;
+          best_work := w;
+          best_c := c
+        end
+      end
+    end
+  done;
+  if !best < 0 then None else Some (!best, !best_delta)
+
 let fcfs_sla_tree_incr ?(admission = false) () =
-  sla_tree_with
-    ~name:(if admission then "SLA-tree+AC(incr)" else "SLA-tree(incr)")
-    insertion_profit_fcfs ~admission
+  {
+    name = (if admission then "SLA-tree+AC(incr)" else "SLA-tree(incr)");
+    make =
+      (fun () sim q ->
+        match fcfs_best sim q with
+        | Some (sid, d) -> decide ~admission sid d
+        | None -> no_server ());
+  }

@@ -37,7 +37,8 @@ val insertion_profit :
   float
 
 (** SLA-tree dispatching: argmax of {!insertion_profit} over servers
-    (exact profit ties fall back to least work left); reports the
+    (exact profit ties fall back to least work left, then the lowest
+    sid); reports the
     chosen delta through [est_delta]. With [admission], queries whose
     best delta is negative are rejected.
 
@@ -50,11 +51,33 @@ val sla_tree : ?admission:bool -> ?memo:bool -> Planner.t -> t
 
 (** O(1)-per-server profit of appending [q] to server [sid]'s FCFS
     schedule: under FCFS the newcomer ranks last and postpones nobody,
-    so the what-if is its own profit at [now + est_work_left +
-    est_size/speed] (exposed for tests). *)
+    so the what-if is its own profit at the completion time
+    [c = now + est_work_left + est_size/speed]. A function of [c]
+    alone, and non-increasing in it ({!Sla.make} makes profit
+    non-increasing in response time). Used by the elastic removal
+    probe and the tests. *)
 val insertion_profit_fcfs : Sim.t -> int -> Query.t -> float
 
-(** [sla_tree Planner.fcfs] without any per-decision tree build:
-    {!insertion_profit_fcfs} answers each server's what-if from the
-    incrementally maintained backlog accumulator. Identical picks. *)
+(** The FCFS dispatch scan: [Some (sid, delta)] for the dispatchable
+    server with the highest {!insertion_profit_fcfs}, ties to the least
+    work left, then to the lowest sid; [None] when no server accepts
+    work. Every server is visited ({!Sim.dispatchable} promotes booted
+    servers), but profit is asked only of the first one and of servers
+    with [c < c_best || w < w_best] against the incumbent's completion
+    time and work left. The bound is exact: a server that completes no
+    earlier earns no more, and one with no less work left cannot win
+    the tie. Both halves matter on heterogeneous farms, where a faster
+    server with more work may complete earlier and a slower one with
+    less work may complete later yet tie on profit. On a homogeneous
+    farm profit is evaluated only at new minima of work left. Target
+    and delta bits equal the unpruned argmax. Completion times must be
+    finite, which {!Query.make} guarantees. [Tenancy.admit] prices the
+    server this picks. *)
+val fcfs_best : Sim.t -> Query.t -> (int * float) option
+
+(** [sla_tree Planner.fcfs] without any per-decision tree build: each
+    arrival goes to {!fcfs_best}'s server, which answers each what-if
+    from the incrementally maintained backlog accumulator. Identical
+    picks and [est_delta]; with [admission], a negative best delta
+    rejects. The CLI's default dispatcher ([tree-fcfs]). *)
 val fcfs_sla_tree_incr : ?admission:bool -> unit -> t

@@ -25,11 +25,17 @@ type t = {
 }
 
 let make ?est_size ?(retries = 0) ?(tenant = 0) ~id ~arrival ~size ~sla () =
+  if not (Float.is_finite size) then
+    invalid_arg "Query.make: size must be finite";
   if size < 0.0 then invalid_arg "Query.make: size must be non-negative";
+  if not (Float.is_finite arrival) then
+    invalid_arg "Query.make: arrival must be finite";
   if arrival < 0.0 then invalid_arg "Query.make: arrival must be non-negative";
   if retries < 0 then invalid_arg "Query.make: retries must be non-negative";
   if tenant < 0 then invalid_arg "Query.make: tenant must be non-negative";
   let est_size = Option.value est_size ~default:size in
+  if not (Float.is_finite est_size) then
+    invalid_arg "Query.make: est_size must be finite";
   if est_size < 0.0 then invalid_arg "Query.make: est_size must be non-negative";
   { id; arrival; size; est_size; sla; retries; tenant }
 

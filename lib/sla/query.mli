@@ -21,7 +21,8 @@ type t = private {
 
 (** [make ~id ~arrival ~size ~sla ()] builds a query; [est_size]
     defaults to [size], [retries] and [tenant] to [0]. Raises
-    [Invalid_argument] on negative times or a negative tenant. *)
+    [Invalid_argument] on negative or non-finite (NaN, infinite) times
+    or a negative tenant. *)
 val make :
   ?est_size:float -> ?retries:int -> ?tenant:int -> id:int -> arrival:float ->
   size:float -> sla:Sla.t -> unit -> t

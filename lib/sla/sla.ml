@@ -49,6 +49,7 @@ let components_of levels penalty =
 let make ~levels ~penalty =
   let levels = Array.of_list levels in
   if Array.length levels = 0 then invalid "SLA needs at least one level";
+  if not (Float.is_finite penalty) then invalid "penalty must be finite";
   if penalty < 0.0 then invalid "penalty must be non-negative";
   Array.iteri
     (fun i { bound; gain } ->

@@ -13,8 +13,8 @@ exception Invalid of string
 
 (** [make ~levels ~penalty] validates and builds an SLA. Bounds must be
     positive and strictly increasing, gains strictly decreasing, and the
-    last gain at least [-penalty]; [penalty >= 0]. Raises {!Invalid}
-    otherwise. *)
+    last gain at least [-penalty]; every number finite and
+    [penalty >= 0]. Raises {!Invalid} otherwise. *)
 val make : levels:level list -> penalty:float -> t
 
 (** g/0 profit model (Fig 3b). *)

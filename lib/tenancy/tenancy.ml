@@ -11,11 +11,12 @@
      [-j] — the same keyed-draw discipline as [Sla_synth.pick_class];
 
    - an {e admission controller} for [Sim]'s [?admit] hook. It prices
-     the arriving query with the SLA-tree postpone probe: the best
-     servers's insertion delta is the newcomer's own attainable profit
-     at its planned slot {e minus} the postpone loss it inflicts on
-     every query already buffered behind that slot
-     ([What_if.insertion_delta], via [Dispatchers.insertion_profit]).
+     the arriving query with the SLA-tree postpone probe on the server
+     the FCFS dispatcher picks: that server's insertion delta is the
+     newcomer's own attainable profit at its planned slot {e minus}
+     the postpone loss it inflicts on every query already buffered
+     behind that slot ([What_if.insertion_delta], via
+     [Dispatchers.insertion_profit]).
      A query whose net is below the margin is first re-priced one SLA
      class down (the tenant still gets served, later and cheaper) and
      only rejected when even the degraded copy prices negative;
@@ -251,23 +252,6 @@ let admission ?(theta = 0.0) ?(degrade = true) ?(planner = Planner.edf) reg
     invalid_arg "Tenancy.admission: theta must be finite";
   { a_reg = reg; acct; theta; allow_degrade = degrade; planner }
 
-(* The server an append-only dispatcher would pick: argmax of the O(1)
-   appended-profit probe over dispatchable servers (ties to the lowest
-   sid, matching the dispatcher's own scan order). *)
-let best_server sim q =
-  let m = Sim.n_servers sim in
-  let best = ref (-1) and best_p = ref neg_infinity in
-  for sid = 0 to m - 1 do
-    if Sim.dispatchable sim sid then begin
-      let p = Dispatchers.insertion_profit_fcfs sim sid q in
-      if p > !best_p then begin
-        best := sid;
-        best_p := p
-      end
-    end
-  done;
-  if !best < 0 then None else Some !best
-
 (* Net worth of admitting [q] on [sid]: the SLA-tree postpone probe at
    the query's planned slot — its own attainable profit there minus
    the postpone loss inflicted on everything already buffered behind
@@ -289,16 +273,19 @@ let degraded_copy admission q =
            ~sla:(sla_for admission.a_reg p ~cls ~est:q.Query.est_size)
            ())
 
-(* Wire as [Sim]'s [?admit]. *)
+(* Wire as [Sim]'s [?admit]. The query is priced on the server the
+   FCFS SLA-tree dispatcher will pick ([Dispatchers.fcfs_best]: the
+   highest appended profit, then the least work left, then the lowest
+   sid). *)
 let admit admission sim q =
   let acct = admission.acct in
   Acct.on_offered acct q;
-  match best_server sim q with
+  match Dispatchers.fcfs_best sim q with
   | None ->
     (* nothing accepts work: let the dispatcher deal with it *)
     Acct.on_admitted acct q;
     Sim.Admit
-  | Some sid ->
+  | Some (sid, _) ->
     if net_of admission sim sid q >= admission.theta then begin
       Acct.on_admitted acct q;
       Sim.Admit

@@ -10,9 +10,10 @@
 
     The admission controller prices an arriving query with the
     SLA-tree {e postpone} probe ({!What_if.insertion_delta} through
-    {!Dispatchers.insertion_profit}): the query's own attainable
-    profit at its planned slot on the best server minus the postpone
-    loss it inflicts on everything already buffered behind that slot.
+    {!Dispatchers.insertion_profit}) on the server the FCFS dispatcher
+    picks ({!Dispatchers.fcfs_best}): the query's own attainable
+    profit at its planned slot there minus the postpone loss it
+    inflicts on everything already buffered behind that slot.
     Nets below the margin are re-priced one SLA class down (degrade)
     and rejected only when even the cheaper copy prices negative. *)
 

@@ -176,6 +176,17 @@ let test_scheduler_equiv_no_hook () =
 (* ------------------------------------------------------------------ *)
 (* Dispatcher: fcfs_sla_tree_incr vs sla_tree Planner.fcfs. *)
 
+(* Retire the lowest-sid server still accepting work, keeping at
+   least one accepting. *)
+let retire_lowest sim =
+  if Sim.dispatchable_count sim > 1 then begin
+    let sid = ref (-1) in
+    for i = Sim.n_servers sim - 1 downto 0 do
+      if Sim.dispatchable sim i then sid := i
+    done;
+    if !sid >= 0 then Sim.retire_server sim !sid
+  end
+
 (* A scripted elasticity scenario for the ?ticker hook: grow the pool
    twice, then drain two servers (redistributing their buffers), so
    the incremental state must survive membership changes. *)
@@ -185,16 +196,7 @@ let scale_script () =
     incr n;
     match !n with
     | 4 | 8 -> ignore (Sim.add_server sim)
-    | 12 | 16 ->
-      (* Retire the lowest-sid server still accepting work, keeping at
-         least one accepting. *)
-      if Sim.dispatchable_count sim > 1 then begin
-        let sid = ref (-1) in
-        for i = Sim.n_servers sim - 1 downto 0 do
-          if Sim.dispatchable sim i then sid := i
-        done;
-        if !sid >= 0 then Sim.retire_server sim !sid
-      end
+    | 12 | 16 -> retire_lowest sim
     | _ -> ()
 
 let test_scheduler_equiv_elastic () =
@@ -296,6 +298,122 @@ let prop_dispatcher_equiv_random_seeds =
         run_dispatcher_both ~admission:false ~queries ~servers:3 ()
       in
       mismatches = 0)
+
+(* Pruned FCFS dispatch vs the full scan ([Dispatch_oracle]),
+   decision by decision on identical state: the
+   same target and the same [est_delta] bits. The draw covers what the
+   bound's two halves depend on: equal or mixed speeds (the [c] and [w]
+   orders only disagree when speeds differ), integer SLA-A/B gains or
+   tenant tier gains (profit ties), estimation error, admission, and a
+   pool that grows by a booting server and loses another mid-run. *)
+type prune_case = {
+  p_servers : int;
+  p_speeds : float array option;  (* None: all 1.0 *)
+  p_new_speed : float;
+  p_sla : [ `A | `B | `Tenants ];
+  p_sigma2 : float;
+  p_admission : bool;
+  p_heavy : bool;
+  p_load : float;
+  p_seed : int;
+}
+
+let print_prune_case c =
+  Printf.sprintf
+    "servers=%d speeds=%s new=%g sla=%s sigma2=%g admission=%b %s load=%g \
+     seed=%d"
+    c.p_servers
+    (match c.p_speeds with
+    | None -> "1.0"
+    | Some a -> String.concat "," (Array.to_list (Array.map string_of_float a)))
+    c.p_new_speed
+    (match c.p_sla with `A -> "A" | `B -> "B" | `Tenants -> "tenants")
+    c.p_sigma2 c.p_admission
+    (if c.p_heavy then "pareto" else "exp")
+    c.p_load c.p_seed
+
+let arbitrary_prune_case =
+  let speed = QCheck.Gen.oneofl [ 0.5; 1.0; 2.0 ] in
+  QCheck.make ~print:print_prune_case
+    QCheck.Gen.(
+      let* p_servers = 1 -- 16 in
+      let* mixed = bool in
+      let* speeds = array_repeat p_servers speed in
+      let* p_new_speed = speed in
+      let* p_sla = oneofl [ `A; `B; `Tenants ] in
+      let* p_sigma2 = oneofl [ 0.0; 0.2; 1.0 ] in
+      let* p_admission = bool in
+      let* p_heavy = bool in
+      let* p_load = oneofl [ 0.7; 1.0; 1.3 ] in
+      let* p_seed = int_bound 100_000 in
+      return
+        {
+          p_servers;
+          p_speeds = (if mixed then Some speeds else None);
+          p_new_speed = (if mixed then p_new_speed else 1.0);
+          p_sla;
+          p_sigma2;
+          p_admission;
+          p_heavy;
+          p_load;
+          p_seed;
+        })
+
+(* Adds a server at the second tick, booting for one interval, and
+   retires one at the fourth. *)
+let boot_and_retire ~speed ~interval =
+  let n = ref 0 in
+  fun sim ->
+    incr n;
+    match !n with
+    | 2 -> ignore (Sim.add_server ~speed ~boot_delay:interval sim)
+    | 4 -> retire_lowest sim
+    | _ -> ()
+
+let prune_mismatches c =
+  let error =
+    if c.p_sigma2 > 0.0 then Estimate_error.gaussian ~sigma2:c.p_sigma2 ()
+    else Estimate_error.none
+  in
+  let queries =
+    Trace.generate
+      (Trace.config ~error
+         ~kind:(if c.p_heavy then Workloads.Pareto else Workloads.Exp)
+         ~profile:(if c.p_sla = `A then Workloads.Sla_a else Workloads.Sla_b)
+         ~load:c.p_load ~servers:c.p_servers ~n_queries:600 ~seed:c.p_seed ())
+  in
+  let queries =
+    if c.p_sla = `Tenants then
+      Tenancy.assign (Tenancy.default_registry ()) queries
+    else queries
+  in
+  let interval = queries.(Array.length queries - 1).Query.arrival /. 6.0 in
+  let pruned =
+    Dispatchers.instantiate
+      (Dispatchers.fcfs_sla_tree_incr ~admission:c.p_admission ())
+  in
+  let decisions = ref 0 and mismatches = ref 0 in
+  let dispatch sim q =
+    let a = pruned sim q in
+    let b = Dispatch_oracle.dispatch ~admission:c.p_admission sim q in
+    incr decisions;
+    if not (Dispatch_oracle.same a b) then incr mismatches;
+    a
+  in
+  Sim.run ?speeds:c.p_speeds
+    ~ticker:(interval, boot_and_retire ~speed:c.p_new_speed ~interval)
+    ~queries ~n_servers:c.p_servers
+    ~pick_next:(Schedulers.pick Schedulers.fcfs)
+    ~dispatch
+    ~metrics:(Metrics.create ~warmup_id:0 ())
+    ();
+  (!decisions, !mismatches)
+
+let prop_pruned_dispatch_equals_full_scan =
+  QCheck.Test.make ~name:"pruned dispatch == full scan (target, delta bits)"
+    ~count:60 arbitrary_prune_case (fun c ->
+      let decisions, mismatches = prune_mismatches c in
+      decisions >= 600 && mismatches = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Memoized vs rebuild-per-candidate dispatch: the default dispatcher
@@ -474,6 +592,7 @@ let () =
             test_dispatcher_equiv_admission;
           Alcotest.test_case "elastic pool" `Quick test_dispatcher_equiv_elastic;
           qtest prop_dispatcher_equiv_random_seeds;
+          qtest prop_pruned_dispatch_equals_full_scan;
         ] );
       ( "flat-vs-boxed",
         [

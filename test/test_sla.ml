@@ -267,6 +267,29 @@ let test_query_invalid () =
     (Invalid_argument "Query.make: size must be non-negative") (fun () ->
       ignore (Query.make ~id:0 ~arrival:0.0 ~size:(-1.0) ~sla ()))
 
+let test_non_finite_rejected () =
+  (* NaN or an infinity in any time field, or in the penalty, would
+     poison every profit computed from it (a NaN clock, a -inf profit);
+     the constructors refuse them so nothing decoded from the wire or a
+     file can carry one in. *)
+  let sla = Sla.one_zero ~bound:1.0 in
+  let bad = [ Float.nan; Float.infinity; Float.neg_infinity ] in
+  List.iter
+    (fun x ->
+      let raises label f =
+        match f () with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.failf "%s = %h accepted" label x
+      in
+      raises "arrival" (fun () ->
+          Query.make ~id:0 ~arrival:x ~size:1.0 ~sla ());
+      raises "size" (fun () -> Query.make ~id:0 ~arrival:0.0 ~size:x ~sla ());
+      raises "est_size" (fun () ->
+          Query.make ~est_size:x ~id:0 ~arrival:0.0 ~size:1.0 ~sla ());
+      expect_invalid (fun () ->
+          Sla.make ~levels:[ { Sla.bound = 1.0; gain = 1.0 } ] ~penalty:x))
+    bad
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let () =
@@ -321,5 +344,7 @@ let () =
           Alcotest.test_case "est size" `Quick test_query_est_size;
           Alcotest.test_case "equal and pp" `Quick test_sla_equal_and_pp;
           Alcotest.test_case "invalid" `Quick test_query_invalid;
+          Alcotest.test_case "non-finite fields rejected" `Quick
+            test_non_finite_rejected;
         ] );
     ]

@@ -278,6 +278,52 @@ let test_admission_underloaded_admits_all () =
   check_bool "profit earned" true (rep.Tenancy.rep_profit > 0.0);
   check_float "nothing turned away" 0.0 rep.Tenancy.rep_rejected_value
 
+let test_admission_prices_dispatch_target () =
+  (* The newcomer (deadline 0.5, size 1) is late wherever it goes, so
+     its appended profit ties at 0 on both servers, and the FCFS
+     dispatcher breaks the tie to server 1, which has less work left.
+     Server 0 buffers a $10 query the newcomer would jump under EDF,
+     making it late: priced there, the newcomer nets -$10 and would be
+     refused. Admission must price the server the dispatcher picks. *)
+  let reg = reg_with 7 in
+  let acct = Tenancy.Acct.create reg ~warmup_id:0 in
+  let adm = Tenancy.admission ~theta:0.0 reg ~acct () in
+  let q ~id ~size ~sla = Query.make ~id ~arrival:0.0 ~size ~sla () in
+  let loose = Sla.one_zero ~bound:1000.0 in
+  let setup =
+    [|
+      (q ~id:0 ~size:10.0 ~sla:loose, 0);
+      (q ~id:1 ~size:5.0 ~sla:(Sla.single_step ~bound:15.5 ~gain:10.0), 0);
+      (q ~id:2 ~size:2.0 ~sla:loose, 1);
+    |]
+  in
+  let sess =
+    Sim.session ~n_servers:2
+      ~pick_next:(Schedulers.pick Schedulers.fcfs)
+      ~dispatch:(fun _ q ->
+        { Sim.target = Some (snd setup.(q.Query.id)); est_delta = None })
+      ~metrics:(Metrics.create ~warmup_id:0 ())
+      ()
+  in
+  Array.iter (fun (q, _) -> Sim.inject sess q) setup;
+  let sim = Sim.sim sess in
+  let newcomer =
+    q ~id:3 ~size:1.0 ~sla:(Sla.single_step ~bound:0.5 ~gain:1.0)
+  in
+  check_bool "appended profit ties" true
+    (Dispatchers.insertion_profit_fcfs sim 0 newcomer
+    = Dispatchers.insertion_profit_fcfs sim 1 newcomer);
+  check_bool "server 0 has more work left" true
+    (Sim.est_work_left sim (Sim.server sim 0)
+    > Sim.est_work_left sim (Sim.server sim 1));
+  check_bool "jumping the buffer on server 0 nets negative" true
+    (Dispatchers.insertion_profit Planner.edf sim 0 newcomer < 0.0);
+  let dispatch = Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()) in
+  check_bool "the dispatcher picks server 1" true
+    ((dispatch sim newcomer).Sim.target = Some 1);
+  check_bool "priced on server 1: admitted" true
+    (Tenancy.admit adm sim newcomer = Sim.Admit)
+
 (* ------------------------------------------------------------------ *)
 (* Fairness and burn rates *)
 
@@ -385,6 +431,8 @@ let () =
           Alcotest.test_case "overloaded farm" `Quick test_admission_overloaded;
           Alcotest.test_case "underloaded admits all" `Quick
             test_admission_underloaded_admits_all;
+          Alcotest.test_case "prices the dispatch target" `Quick
+            test_admission_prices_dispatch_target;
         ] );
       ( "fairness-burn",
         [

@@ -288,6 +288,51 @@ let test_submit_roundtrip_example () =
       | _ -> Alcotest.fail "submit did not round-trip")
     [ Wire.Binary; Wire.Json ]
 
+let test_submit_nan_arrival_rejected () =
+  (* A Submit whose arrival is NaN must not decode: admitted, it would
+     set the session clock to NaN and complete with a NaN response. The
+     binary frame is patched in place (header 7 bytes, then the 8-byte
+     id, then the arrival); the Json line is re-printed with a [nan]
+     token, which Jsonx parses. *)
+  let q =
+    Query.make ~id:7 ~arrival:12.5 ~size:3.0 ~sla:(Sla.one_zero ~bound:10.0) ()
+  in
+  let binary =
+    let b = Bytes.of_string (Wire.encode Wire.Binary (Wire.Submit q)) in
+    check_bool "arrival at byte 15" true
+      (Int64.float_of_bits (Bytes.get_int64_be b 15) = 12.5);
+    Bytes.set_int64_be b 15 (Int64.bits_of_float Float.nan);
+    Bytes.to_string b
+  in
+  let json =
+    match Jsonx.parse (Wire.encode Wire.Json (Wire.Submit q)) with
+    | Jsonx.Obj fields ->
+      let patch = function
+        | "q", Jsonx.Obj qf ->
+          ( "q",
+            Jsonx.Obj
+              (List.map
+                 (function
+                   | "arrival", _ -> ("arrival", Jsonx.Num Float.nan)
+                   | kv -> kv)
+                 qf) )
+        | kv -> kv
+      in
+      Jsonx.to_string (Jsonx.Obj (List.map patch fields)) ^ "\n"
+    | _ -> Alcotest.fail "submit is not a Json object"
+  in
+  List.iter
+    (fun (framing, frame) ->
+      match Wire.decode framing frame with
+      | Error (Wire.Malformed e) ->
+        check_bool
+          (Printf.sprintf "located error (%s)" e)
+          true
+          (String.starts_with ~prefix:"invalid query" e)
+      | Error Wire.Truncated -> Alcotest.fail "NaN arrival read as truncated"
+      | Ok _ -> Alcotest.fail "NaN arrival decoded")
+    [ (Wire.Binary, binary); (Wire.Json, json) ]
+
 let () =
   Alcotest.run "wire"
     [
@@ -314,5 +359,7 @@ let () =
           Alcotest.test_case "garbage rejection" `Quick test_garbage_prefix;
           Alcotest.test_case "framing autodetect" `Quick
             test_framing_autodetect;
+          Alcotest.test_case "NaN arrival rejected" `Quick
+            test_submit_nan_arrival_rejected;
         ] );
     ]
