@@ -835,9 +835,9 @@ let run_swf scale =
 (* Tenancy: what the probe-priced admission controller costs on the
    arrival hot path. One bursty overloaded tenant-tagged workload,
    identical pool and stack, admission off vs on — the on run pays one
-   pruned append-probe scan ([Dispatchers.fcfs_best]) plus up to two
-   postpone probes per arrival, each over an SLA-tree built from the
-   priced server's buffer. *)
+   pruned append-probe scan ([Dispatchers.fcfs_best]), one plan of the
+   priced server's buffer and up to two postpone questions per arrival,
+   each answered by a scan over the queries the newcomer displaces. *)
 
 type tenancy_bench = {
   tn_queries : int;

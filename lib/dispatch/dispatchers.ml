@@ -120,9 +120,9 @@ let lwl =
   }
 
 (* Profit delta of adding [q] to server [sid], whose scheduler plans
-   with [planner]: build the SLA-tree over the server's planned buffer
-   (anchored at its estimated free time) and evaluate the insertion
-   at the rank the planner would give the newcomer (Sec 6.2).
+   with [planner] (Sec 6.2): the newcomer's own profit at the slot the
+   planner would give it, minus the postpone loss it inflicts on the
+   queries planned behind that slot.
 
    Heterogeneous farms (the paper's explicit claim: "the potential
    impact ... is computed based on the execution time of q on Si"):
@@ -137,22 +137,68 @@ let scale_query speed query =
       ~sla:query.Query.sla ~retries:query.Query.retries
       ~tenant:query.Query.tenant ()
 
-let insertion_profit ?arena planner sim sid q =
+(* One question asks for no tree: a build costs O(NK log NK) and pays
+   only over many questions (Sec 5), while this one touches just the
+   queries the newcomer displaces. The buffer is planned once per
+   server; each priced query then walks the plan.
+
+   Starts accumulate from [free_at] exactly as [Schedule.of_queries]
+   does, so the newcomer's own profit is the tree path's float. The
+   loss counts the displaced units with [0 <= slack < tau], the slack
+   tree's postpone test, summed in rank order.
+
+   The rank is a binary search of the plan whenever the scaled plan
+   stays sorted under the planner's key: always at speed 1.0, and for
+   the time-invariant planners, whose keys ignore the estimate or order
+   by it, so dividing every estimate by one speed keeps the order. CBS
+   prices loss per unit of work and may reorder on a scaled server;
+   there the newcomer is appended and the scaled plan re-sorted. *)
+let insertion_profit planner sim sid =
   let srv = Sim.server sim sid in
   let speed = srv.Sim.speed in
   let free_at = Sim.est_free_at sim srv in
-  let buffer = Sim.buffer_array srv in
-  let planned =
-    Array.map (scale_query speed)
-      (Planner.planned_queries planner ~now:(Sim.now sim) buffer)
-  in
-  let tree =
-    Sla_tree.of_entries ?arena ~now:free_at
-      (Schedule.of_queries ~now:free_at planned)
-  in
-  let q' = scale_query speed q in
-  let pos = Planner.insertion_rank planner ~now:(Sim.now sim) planned q' in
-  What_if.insertion_delta tree ~query:q' ~pos
+  if Sim.buffer_length srv = 0 then (fun q ->
+    let q' = scale_query speed q in
+    Query.profit_at q' ~completion:(free_at +. q'.Query.est_size))
+  else begin
+    let now = Sim.now sim in
+    let planned = Planner.planned_queries planner ~now (Sim.buffer_array srv) in
+    let planned =
+      if speed = 1.0 then planned else Array.map (scale_query speed) planned
+    in
+    let n = Array.length planned in
+    let rank =
+      if speed = 1.0 || Planner.time_invariant planner then
+        Planner.insertion_rank_sorted planner ~now planned
+      else Planner.insertion_rank planner ~now planned
+    in
+    fun q ->
+      let q' = scale_query speed q in
+      let pos = rank q' in
+      let tau = q'.Query.est_size in
+      let t = ref free_at in
+      for k = 0 to pos - 1 do
+        t := !t +. planned.(k).Query.est_size
+      done;
+      let own = Query.profit_at q' ~completion:(!t +. tau) in
+      if tau = 0.0 then own
+      else begin
+        let lost = ref 0.0 in
+        for k = pos to n - 1 do
+          let p = planned.(k) in
+          let completion = !t +. p.Query.est_size in
+          let comps = Sla.components p.Query.sla in
+          for c = 0 to Array.length comps - 1 do
+            let s =
+              Query.deadline p ~bound:comps.(c).Sla.comp_bound -. completion
+            in
+            if s >= 0.0 && s < tau then lost := !lost +. comps.(c).Sla.comp_gain
+          done;
+          t := completion
+        done;
+        own -. !lost
+      end
+  end
 
 (* Memoized what-if probes: one cached SLA-tree per server, rebuilt
    only when the server's event generation or anchor time moved.
@@ -261,9 +307,10 @@ let argmax_profit ~admission profit_of sim q =
   decide ~admission !best !best_delta
 
 (* The candidate loop memoizes per-server trees whenever the planner's
-   order cannot depend on the decision time; [?memo:false] forces the
-   historical rebuild-per-candidate behavior (the test oracle), and
-   CBS-style time-dependent planners fall back to it on their own. *)
+   order cannot depend on the decision time. CBS-style time-dependent
+   planners, and [?memo:false] (the reference the equivalence tests
+   hold the cache to), price every candidate by [insertion_profit]'s
+   scan instead. *)
 let sla_tree ?(admission = false) ?(memo = true) planner =
   let name = if admission then "SLA-tree+AC" else "SLA-tree" in
   let profit_of () =

@@ -25,16 +25,37 @@ val round_robin : t
 (** Least-work-left: smallest estimated backlog wins. *)
 val lwl : t
 
-(** Profit delta of inserting [q] into server [sid]'s buffer as planned
-    by [planner] (exposed for tests and capacity planning). [?arena]
-    reuses tree storage across calls. *)
-val insertion_profit :
-  ?arena:Sla_tree.arena ->
-  Planner.t ->
-  Sim.t ->
-  int ->
-  Query.t ->
-  float
+(** [insertion_profit planner sim sid q] is the profit delta of
+    inserting [q] into server [sid]'s buffer as planned by [planner]
+    (Sec 6.2): [q]'s own profit at its planned slot minus the postpone
+    loss it inflicts on the queries planned behind it, on execution
+    times divided by the server's speed.
+
+    Staged: [insertion_profit planner sim sid] plans the buffer once
+    and returns the pricer, so two queries priced against the same
+    server state (a query and its degraded copy) share one plan. An
+    empty buffer plans nothing: the delta is [q]'s profit at
+    [free_at + est].
+
+    The one question is answered by a direct scan, without an
+    SLA-tree. Cost: an O(n log n) plan, then O(log n + n + kK) per
+    priced query, for [k] displaced queries with [K] SLA levels each
+    (O(n log n + kK) where the rank re-sorts, below).
+
+    Rank: the newcomer loses every tie. At speed 1.0, or under a
+    {!Planner.time_invariant} planner, the rank is a binary search of
+    the plan ({!Planner.insertion_rank_sorted}). Otherwise (CBS on a
+    server whose speed is not 1.0, where scaling can reorder the
+    keys) the scaled plan is re-sorted with the newcomer appended
+    ({!Planner.insertion_rank}).
+
+    Against an SLA-tree built over the same plan
+    ({!What_if.insertion_delta}): every start and the newcomer's own
+    profit are the same floats, so the delta is bit-equal when [q]
+    appends (rank = n) or has a zero estimate. Otherwise the displaced
+    gains are summed in rank order rather than by the tree's prefix
+    difference, and the delta may differ in the last bits. *)
+val insertion_profit : Planner.t -> Sim.t -> int -> Query.t -> float
 
 (** SLA-tree dispatching: argmax of {!insertion_profit} over servers
     (exact profit ties fall back to least work left, then the lowest
@@ -44,9 +65,10 @@ val insertion_profit :
 
     For time-invariant planners the candidate loop memoizes one
     SLA-tree per server, keyed on the server's event generation and
-    anchor time, rebuilding only when the server actually changed —
-    identical decisions to the rebuild-per-candidate path.
-    [?memo:false] disables the cache (the equivalence oracle). *)
+    anchor time, rebuilding only when the server actually changed.
+    Time-dependent planners (CBS) price every candidate with
+    {!insertion_profit}'s scan; [?memo:false] does so for every planner
+    (the reference the equivalence tests hold the cache to). *)
 val sla_tree : ?admission:bool -> ?memo:bool -> Planner.t -> t
 
 (** O(1)-per-server profit of appending [q] to server [sid]'s FCFS

@@ -5,8 +5,8 @@
    every query means completing doomed queries — work that arrives at
    a backlog deep enough that it can only finish past its last
    deadline, earning the penalty. The admission controller prices each
-   arrival with the SLA-tree postpone probe (its own attainable profit
-   at its planned slot minus the postpone loss inflicted on the work
+   arrival with the postpone question (its own attainable profit at
+   its planned slot minus the postpone loss inflicted on the work
    behind it) and refuses the negative-net tail, so the admission-on
    cells should net strictly more measured profit than admission-off
    on the bursty workloads. *)

@@ -11,12 +11,14 @@
      [-j] — the same keyed-draw discipline as [Sla_synth.pick_class];
 
    - an {e admission controller} for [Sim]'s [?admit] hook. It prices
-     the arriving query with the SLA-tree postpone probe on the server
-     the FCFS dispatcher picks: that server's insertion delta is the
+     the arriving query with the postpone question on the server the
+     FCFS dispatcher picks: that server's insertion delta is the
      newcomer's own attainable profit at its planned slot {e minus}
      the postpone loss it inflicts on every query already buffered
-     behind that slot ([What_if.insertion_delta], via
-     [Dispatchers.insertion_profit]).
+     behind that slot ([Dispatchers.insertion_profit]). One question
+     needs no SLA-tree: it is answered by a scan over the queries the
+     newcomer displaces, and the query and its degraded copy are
+     priced against one plan of the buffer.
      A query whose net is below the margin is first re-priced one SLA
      class down (the tenant still gets served, later and cheaper) and
      only rejected when even the degraded copy prices negative;
@@ -252,13 +254,6 @@ let admission ?(theta = 0.0) ?(degrade = true) ?(planner = Planner.edf) reg
     invalid_arg "Tenancy.admission: theta must be finite";
   { a_reg = reg; acct; theta; allow_degrade = degrade; planner }
 
-(* Net worth of admitting [q] on [sid]: the SLA-tree postpone probe at
-   the query's planned slot — its own attainable profit there minus
-   the postpone loss inflicted on everything already buffered behind
-   it. Gains are tier-scaled at assignment, so this is in dollars. *)
-let net_of admission sim sid q =
-  Dispatchers.insertion_profit admission.planner sim sid q
-
 let degraded_copy admission q =
   match find admission.a_reg ~tenant:q.Query.tenant with
   | None -> None
@@ -276,7 +271,11 @@ let degraded_copy admission q =
 (* Wire as [Sim]'s [?admit]. The query is priced on the server the
    FCFS SLA-tree dispatcher will pick ([Dispatchers.fcfs_best]: the
    highest appended profit, then the least work left, then the lowest
-   sid). *)
+   sid). Its net worth there is the postpone question at its planned
+   slot: its own attainable profit minus the loss inflicted on
+   everything buffered behind it, in dollars (gains are tier-scaled at
+   assignment). The query and its degraded copy are priced against one
+   plan of that server's buffer. *)
 let admit admission sim q =
   let acct = admission.acct in
   Acct.on_offered acct q;
@@ -286,7 +285,8 @@ let admit admission sim q =
     Acct.on_admitted acct q;
     Sim.Admit
   | Some (sid, _) ->
-    if net_of admission sim sid q >= admission.theta then begin
+    let net = Dispatchers.insertion_profit admission.planner sim sid in
+    if net q >= admission.theta then begin
       Acct.on_admitted acct q;
       Sim.Admit
     end
@@ -294,7 +294,7 @@ let admit admission sim q =
       match
         if admission.allow_degrade then degraded_copy admission q else None
       with
-      | Some q' when net_of admission sim sid q' >= admission.theta ->
+      | Some q' when net q' >= admission.theta ->
         Acct.on_admitted acct q;
         Acct.on_degraded acct q;
         Sim.Degrade q'

@@ -9,11 +9,13 @@
     chunking, tiling or [-j].
 
     The admission controller prices an arriving query with the
-    SLA-tree {e postpone} probe ({!What_if.insertion_delta} through
-    {!Dispatchers.insertion_profit}) on the server the FCFS dispatcher
-    picks ({!Dispatchers.fcfs_best}): the query's own attainable
-    profit at its planned slot there minus the postpone loss it
-    inflicts on everything already buffered behind that slot.
+    {e postpone} question ({!Dispatchers.insertion_profit}) on the
+    server the FCFS dispatcher picks ({!Dispatchers.fcfs_best}): the
+    query's own attainable profit at its planned slot there minus the
+    postpone loss it inflicts on everything already buffered behind
+    that slot. One question builds no SLA-tree: it is answered by a
+    scan over the queries the newcomer displaces, and the query and
+    its degraded copy are priced against one plan of the buffer.
     Nets below the margin are re-priced one SLA class down (degrade)
     and rejected only when even the cheaper copy prices negative. *)
 

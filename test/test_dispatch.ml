@@ -251,6 +251,46 @@ let test_insertion_profit_heterogeneous () =
   | Some v -> check_float "slow server: 10/0.5 = 20 > 6, earns 0" 0.0 v
   | None -> Alcotest.fail "no slow probe"
 
+let test_insertion_profit_slack_edges () =
+  (* Exact binary fractions throughout. q0 runs from 0 to 2.5, the
+     anchor. EDF plans q1 (deadline 3.75) then q2 (deadline 5.75): q1
+     completes at 3.75, q2 at 4.25. The newcomer (estimate 1.5, first
+     deadline 3.0) ranks first and postpones both by tau = 1.5. q1's
+     slack is exactly 0: on time now, late once postponed, so its $16
+     counts. q2's slack is exactly tau: postponed, it completes exactly
+     at its deadline and stays on time, so its $8 does not count. The
+     newcomer completes at 4.0, its second level: $4. *)
+  let q0 = mk 0 0.0 2.5 in
+  let q1 = mk ~sla:(sla ~bound:3.75 ~gain:16.0 ()) 1 0.0 1.25 in
+  let q2 = mk ~sla:(sla ~bound:5.75 ~gain:8.0 ()) 2 0.0 0.5 in
+  let newcomer =
+    mk
+      ~sla:
+        (Sla.make
+           ~levels:
+             [ { Sla.bound = 3.0; gain = 32.0 }; { Sla.bound = 4.0; gain = 4.0 } ]
+           ~penalty:0.0)
+      3 0.0 1.5
+  in
+  let sess =
+    Sim.session ~n_servers:1
+      ~pick_next:(Schedulers.pick Schedulers.fcfs)
+      ~dispatch:(fun _ _ -> { Sim.target = Some 0; est_delta = None })
+      ~metrics:(Metrics.create ~warmup_id:0 ())
+      ()
+  in
+  List.iter (Sim.inject sess) [ q0; q1; q2 ];
+  let sim = Sim.sim sess in
+  let srv = Sim.server sim 0 in
+  check_int "two buffered" 2 (Sim.buffer_length srv);
+  Alcotest.(check (float 0.0)) "anchor" 2.5 (Sim.est_free_at sim srv);
+  Alcotest.(check (float 0.0))
+    "scan: 4 - 16" (-12.0)
+    (Dispatchers.insertion_profit Planner.edf sim 0 newcomer);
+  Alcotest.(check (float 0.0))
+    "tree: 4 - 16" (-12.0)
+    (Insertion_oracle.insertion_profit Planner.edf sim 0 newcomer)
+
 let test_heterogeneous_end_to_end () =
   (* Mixed farm: the profit-aware dispatcher must not lose to RR. *)
   let queries =
@@ -407,6 +447,8 @@ let () =
           Alcotest.test_case "heterogeneous end-to-end" `Slow
             test_heterogeneous_end_to_end;
           Alcotest.test_case "names" `Quick test_names;
+          Alcotest.test_case "insertion profit at slack 0 and tau" `Quick
+            test_insertion_profit_slack_edges;
         ] );
       ( "timed-wrapper",
         [

@@ -416,12 +416,13 @@ let prop_pruned_dispatch_equals_full_scan =
       decisions >= 600 && mismatches = 0)
 
 (* ------------------------------------------------------------------ *)
-(* Memoized vs rebuild-per-candidate dispatch: the default dispatcher
-   (memoized probes, one cached tree per server) against the historical
-   oracle (no cache, a tree rebuilt for every candidate), decision by
-   decision on identical state. The group keeps its old "flat-vs-boxed"
-   name; the boxed tree itself is now pinned against the flat one at
-   the cascade and facade level, bit for bit, in test_flat.ml. *)
+(* Memoized vs unmemoized dispatch: the default dispatcher (memoized
+   probes, one cached tree per server) against [~memo:false], which
+   prices every candidate afresh with [Dispatchers.insertion_profit]'s
+   scan, decision by decision on identical state. The group keeps its
+   old "flat-vs-boxed" name; the boxed tree itself is now pinned
+   against the flat one at the cascade and facade level, bit for bit,
+   in test_flat.ml. *)
 
 let run_dispatcher_memo_oracle ?speeds ?ticker ?timers
     ?(planner = Planner.fcfs) ?(admission = false) ~queries ~servers () =
@@ -562,6 +563,260 @@ let test_memo_dispatch_metrics_equal () =
     "identical avg response" (Metrics.avg_response a) (Metrics.avg_response b);
   check_int "identical late count" (Metrics.late_count a) (Metrics.late_count b)
 
+(* ------------------------------------------------------------------ *)
+(* Insertion pricing by scan vs the tree it replaced
+   ([Insertion_oracle]), probe by probe on identical state: at every
+   arrival, every dispatchable server prices the query, and a
+   tenant-tagged query's degraded copy, both ways. Nets are bit-equal
+   when the newcomer appends or has a zero estimate, and otherwise
+   agree within 1e-9 relative (the displaced gains are summed in rank
+   order, not by the tree's prefix difference). The draw covers what
+   the scan reads: the planner's rank (CBS also on scaled servers,
+   where the rank falls back to re-sorting), speed scaling, the
+   running query's anchor, integer or tier-scaled gains, and buffers
+   from shallow to overloaded. *)
+type scan_case = {
+  s_servers : int;
+  s_speeds : float array option;  (* None: all 1.0 *)
+  s_sla : [ `A | `B | `Tenants ];
+  s_sigma2 : float;
+  s_load : float;
+  s_planner : Planner.t;
+  s_seed : int;
+}
+
+let scan_planners =
+  [
+    Planner.fcfs;
+    Planner.sjf;
+    Planner.edf;
+    Planner.value_edf;
+    Planner.cbs ~rate:(Exp_common.cbs_rate Workloads.Exp);
+  ]
+
+let print_scan_case c =
+  Printf.sprintf "servers=%d speeds=%s sla=%s sigma2=%g load=%g planner=%s seed=%d"
+    c.s_servers
+    (match c.s_speeds with
+    | None -> "1.0"
+    | Some a -> String.concat "," (Array.to_list (Array.map string_of_float a)))
+    (match c.s_sla with `A -> "A" | `B -> "B" | `Tenants -> "tenants")
+    c.s_sigma2 c.s_load (Planner.name c.s_planner) c.s_seed
+
+let arbitrary_scan_case =
+  QCheck.make ~print:print_scan_case
+    QCheck.Gen.(
+      let* s_servers = 1 -- 8 in
+      let* mixed = bool in
+      let* speeds = array_repeat s_servers (oneofl [ 0.5; 1.0; 2.0 ]) in
+      let* s_sla = oneofl [ `A; `B; `Tenants ] in
+      let* s_sigma2 = oneofl [ 0.0; 0.2; 1.0 ] in
+      let* s_load = oneofl [ 0.7; 1.0; 1.5 ] in
+      let* s_planner = oneofl scan_planners in
+      let* s_seed = int_bound 100_000 in
+      return
+        {
+          s_servers;
+          s_speeds = (if mixed then Some speeds else None);
+          s_sla;
+          s_sigma2;
+          s_load;
+          s_planner;
+          s_seed;
+        })
+
+(* (probes, bit-exact probes, mismatches) over one run. *)
+let scan_mismatches ?(n_queries = 400) c =
+  let error =
+    if c.s_sigma2 > 0.0 then Estimate_error.gaussian ~sigma2:c.s_sigma2 ()
+    else Estimate_error.none
+  in
+  let queries =
+    Trace.generate
+      (Trace.config ~error ~kind:Workloads.Exp
+         ~profile:(if c.s_sla = `A then Workloads.Sla_a else Workloads.Sla_b)
+         ~load:c.s_load ~servers:c.s_servers ~n_queries ~seed:c.s_seed ())
+  in
+  let reg = Tenancy.default_registry () in
+  let queries =
+    if c.s_sla = `Tenants then Tenancy.assign reg queries else queries
+  in
+  let probes = ref 0 and exact = ref 0 and mismatches = ref 0 in
+  let lwl = Dispatchers.instantiate Dispatchers.lwl in
+  let dispatch sim q =
+    let copies =
+      match Insertion_oracle.degraded_copy reg q with
+      | Some q' -> [ q; q' ]
+      | None -> [ q ]
+    in
+    for sid = 0 to Sim.n_servers sim - 1 do
+      if Sim.dispatchable sim sid then begin
+        let price = Dispatchers.insertion_profit c.s_planner sim sid in
+        List.iter
+          (fun q ->
+            let oracle, bitwise =
+              Insertion_oracle.probe c.s_planner sim sid q
+            in
+            incr probes;
+            if bitwise then incr exact;
+            if not (Insertion_oracle.agrees ~exact:bitwise ~oracle (price q))
+            then incr mismatches)
+          copies
+      end
+    done;
+    lwl sim q
+  in
+  Sim.run ?speeds:c.s_speeds ~queries ~n_servers:c.s_servers
+    ~pick_next:(Schedulers.pick (Schedulers.of_planner c.s_planner))
+    ~dispatch
+    ~metrics:(Metrics.create ~warmup_id:0 ())
+    ();
+  (!probes, !exact, !mismatches)
+
+let prop_insertion_scan_equals_tree =
+  QCheck.Test.make ~name:"insertion scan == tree oracle, probe by probe"
+    ~count:40 arbitrary_scan_case (fun c ->
+      let probes, _, mismatches = scan_mismatches c in
+      probes >= 400 && mismatches = 0)
+
+(* CBS on scaled servers is the one case whose rank re-sorts the
+   scaled plan; a fixed draw pins it, with displaced queries. *)
+let test_insertion_scan_cbs_scaled () =
+  let planner = Planner.cbs ~rate:(Exp_common.cbs_rate Workloads.Exp) in
+  List.iter
+    (fun (s_sla, s_seed) ->
+      let c =
+        {
+          s_servers = 3;
+          s_speeds = Some [| 0.5; 2.0; 1.0 |];
+          s_sla;
+          s_sigma2 = 0.2;
+          s_load = 1.5;
+          s_planner = planner;
+          s_seed;
+        }
+      in
+      let probes, exact, mismatches = scan_mismatches ~n_queries:600 c in
+      check_bool "some probes displace queries" true (exact < probes);
+      check_int
+        (Printf.sprintf "no mismatches (%s)" (print_scan_case c))
+        0 mismatches)
+    [ (`B, 17); (`Tenants, 4242) ]
+
+(* Whole runs under the serve stack (FCFS SLA-tree scheduler and
+   dispatcher, tenancy admission): [Tenancy.admit] and a replica that
+   prices with the tree make the same verdicts, a degraded copy with
+   an equal SLA, and bit-equal metrics. Where the tree's net is
+   within rounding of the margin and the two verdicts differ, the
+   replica takes the scan's ([Insertion_oracle.admit]); the test
+   reports how many such probes there were. *)
+type admission_case = {
+  a_servers : int;
+  a_bursty : bool;
+  a_theta : float;
+  a_n : int;
+  a_seed : int;
+}
+
+let admission_cases =
+  (* the last one is the serve workload's trace at seed 101, cut to
+     2 000 queries *)
+  List.map
+    (fun (a_servers, a_bursty, a_theta, a_n, a_seed) ->
+      { a_servers; a_bursty; a_theta; a_n; a_seed })
+    [
+      (2, false, 0.0, 1_500, 1);
+      (2, false, 0.5, 1_500, 2);
+      (4, false, 0.0, 1_500, 3);
+      (4, false, 0.5, 1_500, 4);
+      (8, false, 0.5, 1_500, 5);
+      (2, true, 0.0, 1_500, 6);
+      (2, true, 0.5, 1_500, 7);
+      (4, true, 0.0, 1_500, 8);
+      (4, true, 0.5, 1_500, 9);
+      (8, true, 0.0, 1_500, 10);
+      (8, true, 0.5, 1_500, 11);
+      (8, false, 0.0, 2_000, 101);
+    ]
+
+let admission_queries c reg =
+  let tcfg =
+    Trace.config ~kind:Workloads.Exp ~profile:Workloads.Sla_b ~load:0.9
+      ~servers:c.a_servers ~n_queries:c.a_n ~seed:c.a_seed ()
+  in
+  let queries =
+    if c.a_bursty then
+      let period = Float.of_int c.a_n /. Trace.arrival_rate tcfg /. 8.0 in
+      Bursty.generate tcfg
+        (Bursty.square ~period ~duty:0.4 ~low:0.5 ~high:2.5)
+    else Trace.generate tcfg
+  in
+  Tenancy.assign reg queries
+
+let admission_run ~admit ~queries ~servers =
+  let verdicts = ref [] in
+  let admit sim q =
+    let v = admit sim q in
+    verdicts := v :: !verdicts;
+    v
+  in
+  let metrics = Metrics.create ~warmup_id:(Array.length queries / 10) () in
+  let pick_next, hook = Schedulers.instantiate Schedulers.fcfs_sla_tree_incr in
+  Sim.run ~admit ?on_server_event:hook ~queries ~n_servers:servers ~pick_next
+    ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()))
+    ~metrics ();
+  (List.rev !verdicts, metrics)
+
+let same_verdict a b =
+  match (a, b) with
+  | Sim.Admit, Sim.Admit | Sim.Reject, Sim.Reject -> true
+  | Sim.Degrade x, Sim.Degrade y ->
+    x.Query.id = y.Query.id && Sla.equal x.Query.sla y.Query.sla
+  | _ -> false
+
+let test_admission_verdicts_equal_tree () =
+  let reg = Tenancy.default_registry () in
+  List.iter
+    (fun c ->
+      let queries = admission_queries c reg in
+      let acct = Tenancy.Acct.create reg ~warmup_id:0 in
+      let v_scan, m_scan =
+        admission_run ~queries ~servers:c.a_servers
+          ~admit:(Tenancy.admit (Tenancy.admission ~theta:c.a_theta reg ~acct ()))
+      in
+      let ties = ref 0 in
+      let v_tree, m_tree =
+        admission_run ~queries ~servers:c.a_servers
+          ~admit:(Insertion_oracle.admit ~theta:c.a_theta ~ties reg)
+      in
+      let label what =
+        Printf.sprintf "%s (%d servers, %s, theta %g, seed %d)" what
+          c.a_servers
+          (if c.a_bursty then "bursty" else "steady")
+          c.a_theta c.a_seed
+      in
+      Printf.printf "%s: %d\n" (label "verdicts split at the margin") !ties;
+      check_int (label "verdicts") (List.length v_tree) (List.length v_scan);
+      check_bool (label "same verdicts") true
+        (List.for_all2 same_verdict v_scan v_tree);
+      check_bool (label "some rejected or degraded") true
+        (List.exists (fun v -> v <> Sim.Admit) v_tree);
+      List.iter
+        (fun (what, f) -> check_int (label what) (f m_tree) (f m_scan))
+        [
+          ("offered", Metrics.offered_count);
+          ("admitted", Metrics.admitted_count);
+          ("rejected", Metrics.rejected_count);
+          ("completed", Metrics.completed_count);
+          ("late", Metrics.late_count);
+          ("dropped", Metrics.dropped_count);
+          ("lost", Metrics.lost_count);
+        ];
+      check_bool (label "avg_loss bits") true
+        (Int64.bits_of_float (Metrics.avg_loss m_scan)
+        = Int64.bits_of_float (Metrics.avg_loss m_tree)))
+    admission_cases
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let () =
@@ -607,5 +862,13 @@ let () =
           Alcotest.test_case "end-to-end metrics equal" `Quick
             test_memo_dispatch_metrics_equal;
           qtest prop_memo_dispatch_random_seeds;
+        ] );
+      ( "scan-vs-tree",
+        [
+          qtest prop_insertion_scan_equals_tree;
+          Alcotest.test_case "CBS on scaled servers" `Quick
+            test_insertion_scan_cbs_scaled;
+          Alcotest.test_case "admission verdicts equal the tree's" `Quick
+            test_admission_verdicts_equal_tree;
         ] );
     ]
