@@ -117,6 +117,27 @@ let dispatch_fcfs_tests =
       let sim = Sim.sim session in
       Staged.stage (fun () -> ignore (dispatch sim probe)))
 
+(* One pick over a fixed buffer of N Pareto SLA-B queries at a fixed
+   decision time (the last arrival): plain CBS reads the plan head in
+   one pass; CBS+SLA-tree sorts the plan and builds its tree, into the
+   domain's arena, once some candidate passes the rush bound. *)
+let cbs_pick_row name scheduler =
+  Test.make_indexed ~name ~fmt:"%s:%d" ~args:[ 16; 64; 256 ] (fun n ->
+      let buffer =
+        Trace.generate
+          (Trace.config ~kind:Workloads.Pareto ~profile:Workloads.Sla_b
+             ~load:0.9 ~servers:1 ~n_queries:n ~seed:42 ())
+      in
+      let now = buffer.(n - 1).Query.arrival in
+      let pick = Schedulers.pick scheduler in
+      Staged.stage (fun () -> ignore (pick ~now buffer)))
+
+let cbs_rate = Exp_common.cbs_rate Workloads.Pareto
+let cbs_tests = cbs_pick_row "sched.cbs" (Schedulers.cbs ~rate:cbs_rate)
+
+let cbs_tree_tests =
+  cbs_pick_row "sched.cbs_tree" (Schedulers.cbs_sla_tree ~rate:cbs_rate)
+
 let run_micro () =
   let grouped =
     Test.make_grouped ~name:"slatree"
@@ -129,6 +150,8 @@ let run_micro () =
         incr_cycle_tests;
         incr_rush_tests;
         dispatch_fcfs_tests;
+        cbs_tests;
+        cbs_tree_tests;
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in

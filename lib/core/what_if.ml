@@ -67,12 +67,21 @@ let best_rush tree =
     ~origin:(Sla_tree.now tree) ~completion:Schedule.completion
     ~loss:(Sla_tree.postpone tree ~m:0)
 
+(* One build arena per domain for [best_rush_planned]. Its tree never
+   leaves the call and the scan calls nothing that could re-enter it,
+   so the arena holds at most one live tree (nothing here runs
+   systhreads, which would share it). Once grown to the largest buffer
+   seen, a build into it allocates no tree storage. *)
+let arena_key = Domain.DLS.new_key Sla_tree.create_arena
+
 (* The static decision without a tree in hand: the tree over [planned]
    is built on the first candidate that passes the bound, and not at
    all when none does. *)
 let best_rush_planned ~now planned =
   let entries = Schedule.of_queries ~now planned in
-  let tree = lazy (Sla_tree.of_entries ~now entries) in
+  let tree =
+    lazy (Sla_tree.of_entries ~arena:(Domain.DLS.get arena_key) ~now entries)
+  in
   scan (Array.length entries) ~entry:(Array.get entries) ~origin:now
     ~completion:Schedule.completion ~loss:(fun ~n ~tau ->
       Sla_tree.postpone (Lazy.force tree) ~m:0 ~n ~tau)

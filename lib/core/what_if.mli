@@ -20,7 +20,8 @@ val best_rush : Sla_tree.t -> (int * float) option
 (** [best_rush_planned ~now planned] is
     [best_rush (Sla_tree.build ~now planned)], but builds the tree only
     when some candidate's own gain passes the bound, at the first such
-    candidate. *)
+    candidate. The tree is built into the calling domain's own arena,
+    reused from call to call, and never escapes the call. *)
 val best_rush_planned : now:float -> Query.t array -> (int * float) option
 
 (** {!best_rush} over a live {!Incr_sla_tree} — identical answers and

@@ -54,10 +54,10 @@ let get_next_query t ~now =
   | buffer ->
     t.decisions <- t.decisions + 1;
     let arr = Array.of_list buffer in
-    let perm = Planner.plan t.planner ~now arr in
     let chosen =
-      if not t.use_sla_tree then perm.(0)
+      if not t.use_sla_tree then Planner.head t.planner ~now arr
       else begin
+        let perm = Planner.plan t.planner ~now arr in
         let planned = Array.map (fun i -> arr.(i)) perm in
         match What_if.best_rush_planned ~now planned with
         | Some (i, gain) when i > 0 ->

@@ -13,9 +13,10 @@ type t = {
   time_invariant : bool;
       (* whether the permutation is independent of [now]; probe caches
          may only reuse a planned order across arrivals when true *)
-  keys : (now:float -> Query.t -> float * float) option;
-      (* for planners that are a stable sort on a lexicographic float
-         pair: the sort key. Enables O(log n) insertion ranking over an
+  keys : now:float -> Query.t -> float * float;
+      (* the lexicographic float pair the permutation stable-sorts on
+         (second component constant for single-key planners). Gives the
+         plan head in one pass and O(log n) insertion ranking over an
          already-planned buffer. *)
 }
 
@@ -31,13 +32,36 @@ let planned_queries t ~now buffer =
   let perm = plan t ~now buffer in
   Array.map (fun i -> buffer.(i)) perm
 
-(* Stable sort of indices by a key function; ties keep arrival order. *)
+(* The plan's first element without the plan: the least key pair under
+   the sort's comparator, the lower index winning ties. Scanning up
+   from index 0 and replacing only on a strictly smaller pair keeps the
+   earliest of equal keys. *)
+let head t ~now buffer =
+  let n = Array.length buffer in
+  if n = 0 then invalid_arg "Planner.head: empty buffer";
+  let b1, b2 = t.keys ~now buffer.(0) in
+  let best = ref 0 and b1 = ref b1 and b2 = ref b2 in
+  for i = 1 to n - 1 do
+    let k1, k2 = t.keys ~now buffer.(i) in
+    let c = Float.compare k1 !b1 in
+    if c < 0 || (c = 0 && Float.compare k2 !b2 < 0) then begin
+      best := i;
+      b1 := k1;
+      b2 := k2
+    end
+  done;
+  !best
+
+(* Stable sort of indices by a key function; ties keep arrival order.
+   The comparator breaks key ties by index, so it is a strict total
+   order and any comparison sort gives this permutation; the merge sort
+   allocates nothing up to 5 elements. *)
 let by_key key =
  fun ~now buffer ->
   let n = Array.length buffer in
   let idx = Array.init n (fun i -> i) in
   let keys = Array.map (key ~now) buffer in
-  Array.sort
+  Array.stable_sort
     (fun a b ->
       let c = Float.compare keys.(a) keys.(b) in
       if c <> 0 then c else Int.compare a b)
@@ -52,7 +76,7 @@ let fcfs =
     (* identity order = a stable sort on a constant key: everything
        ties, and the newcomer (latest arrival) loses every tie, so the
        sorted insertion rank correctly lands at the end. *)
-    keys = Some (fun ~now:_ _ -> (0.0, 0.0));
+    keys = (fun ~now:_ _ -> (0.0, 0.0));
   }
 
 let sjf =
@@ -60,7 +84,7 @@ let sjf =
     name = "SJF";
     permutation = by_key (fun ~now:_ q -> q.Query.est_size);
     time_invariant = true;
-    keys = Some (fun ~now:_ q -> (q.Query.est_size, 0.0));
+    keys = (fun ~now:_ q -> (q.Query.est_size, 0.0));
   }
 
 let edf =
@@ -68,16 +92,17 @@ let edf =
     name = "EDF";
     permutation = by_key (fun ~now:_ q -> Query.first_deadline q);
     time_invariant = true;
-    keys = Some (fun ~now:_ q -> (Query.first_deadline q, 0.0));
+    keys = (fun ~now:_ q -> (Query.first_deadline q, 0.0));
   }
 
-(* Stable sort on a lexicographic pair of keys. *)
+(* Stable sort on a lexicographic pair of keys; the same strict total
+   order as [by_key]. *)
 let by_key_pair key =
  fun ~now buffer ->
   let n = Array.length buffer in
   let idx = Array.init n (fun i -> i) in
   let keys = Array.map (key ~now) buffer in
-  Array.sort
+  Array.stable_sort
     (fun a b ->
       let ka1, ka2 = keys.(a) and kb1, kb2 = keys.(b) in
       let c = Float.compare ka1 kb1 in
@@ -101,7 +126,7 @@ let value_edf =
     name = "Value-EDF";
     permutation = by_key_pair value_edf_key;
     time_invariant = true;
-    keys = Some value_edf_key;
+    keys = value_edf_key;
   }
 
 (* Cost-based scheduling (Peha-Tobagi [15], as used in Sec 7.2): order
@@ -123,7 +148,7 @@ let cbs ~rate =
        order can change between arrivals with no server event at all:
        never cache a CBS plan. *)
     time_invariant = false;
-    keys = Some (fun ~now q -> (-.cbs_priority ~rate ~now q, 0.0));
+    keys = (fun ~now q -> (-.cbs_priority ~rate ~now q, 0.0));
   }
 
 (* Rank a new query within a planned buffer: the position it would take
@@ -141,22 +166,18 @@ let insertion_rank t ~now buffer query =
    output of [planned_queries]). Because planners are stable sorts and
    the newcomer carries the latest arrival, it loses every key tie: its
    rank is the number of planned entries whose key pair is <= its own.
-   Equals [insertion_rank] on a planned buffer; falls back to it when
-   the planner has no key form. *)
+   Equals [insertion_rank] on a planned buffer. *)
 let insertion_rank_sorted t ~now buffer query =
-  match t.keys with
-  | None -> insertion_rank t ~now buffer query
-  | Some key ->
-    let k1, k2 = key ~now query in
-    let gt q =
-      let e1, e2 = key ~now q in
-      let c = Float.compare e1 k1 in
-      if c <> 0 then c > 0 else Float.compare e2 k2 > 0
-    in
-    (* First index whose key pair exceeds the newcomer's. *)
-    let lo = ref 0 and hi = ref (Array.length buffer) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if gt buffer.(mid) then hi := mid else lo := mid + 1
-    done;
-    !lo
+  let k1, k2 = t.keys ~now query in
+  let gt q =
+    let e1, e2 = t.keys ~now q in
+    let c = Float.compare e1 k1 in
+    if c <> 0 then c > 0 else Float.compare e2 k2 > 0
+  in
+  (* First index whose key pair exceeds the newcomer's. *)
+  let lo = ref 0 and hi = ref (Array.length buffer) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if gt buffer.(mid) then hi := mid else lo := mid + 1
+  done;
+  !lo

@@ -3,7 +3,11 @@
     A planner maps the arrival-ordered buffer to a stable permutation
     (the planned execution order). Stability gives the paper's
     "very minor condition" (Sec 6.2): inserting a query never reorders
-    the existing ones. *)
+    the existing ones.
+
+    Every planner is a stable sort on a lexicographic pair of float
+    keys (FCFS's pair is constant, so its order is arrival order).
+    {!head} and {!insertion_rank_sorted} read the pair directly. *)
 
 type t
 
@@ -20,6 +24,12 @@ val plan : t -> now:float -> Query.t array -> int array
 
 (** Buffer reordered into planned execution order. *)
 val planned_queries : t -> now:float -> Query.t array -> Query.t array
+
+(** [head t ~now buffer] is [(plan t ~now buffer).(0)] in one pass and
+    without sorting: the least key pair under the plan's comparator
+    ([Float.compare] on each key), the lower index winning ties.
+    Raises [Invalid_argument] on an empty buffer. *)
+val head : t -> now:float -> Query.t array -> int
 
 (** First-come-first-serve: identity order. *)
 val fcfs : t
@@ -46,7 +56,7 @@ val cbs_priority : rate:float -> now:float -> Query.t -> float
 val insertion_rank : t -> now:float -> Query.t array -> Query.t -> int
 
 (** Same answer as {!insertion_rank} when [buffer] is already in
-    planned order (the output of {!planned_queries}), but O(log n) for
-    the built-in key-sort planners: the newcomer loses every tie, so
-    its rank is the count of entries with key [<=] its own. *)
+    planned order (the output of {!planned_queries}), but O(log n): the
+    newcomer loses every tie, so its rank is the count of entries with
+    key pair [<=] its own. *)
 val insertion_rank_sorted : t -> now:float -> Query.t array -> Query.t -> int

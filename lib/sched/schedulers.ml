@@ -1,6 +1,7 @@
 (* Schedulers: concrete [Sim.pick_next] values.
 
-   A baseline scheduler simply runs the head of its planner's order.
+   A baseline scheduler simply runs the head of its planner's order,
+   found in one pass without sorting ([Planner.head]).
    The SLA-tree enhancement (paper Sec 6.1) rushes the query with the
    best net profit gain over the planned order:
      argmax_i  own_gain(q_i) - postpone(0, i-1, est_size_i),
@@ -44,9 +45,7 @@ let pick t = fst (t.make Obs.noop)
 let stateless name pick = { name; make = (fun _obs -> (pick, None)) }
 
 let of_planner planner =
-  stateless (Planner.name planner) (fun ~now buffer ->
-      let perm = Planner.plan planner ~now buffer in
-      perm.(0))
+  stateless (Planner.name planner) (Planner.head planner)
 
 let with_sla_tree planner =
   stateless

@@ -30,7 +30,8 @@ val instantiate : ?obs:Obs.t -> t -> Sim.pick_next * hook option
     degrades to the rebuild-per-decision path. *)
 val pick : t -> Sim.pick_next
 
-(** Run the head of the planner's order. *)
+(** Run the head of the planner's order. The head is found in one
+    pass over the buffer ({!Planner.head}); no plan is sorted. *)
 val of_planner : Planner.t -> t
 
 (** Rush [argmax_i (own_gain_i - postpone(0, i-1, est_size_i))] over

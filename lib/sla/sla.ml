@@ -111,7 +111,10 @@ let profit_of_decomposition (comps, offset) ~response =
 (* Expected profit when the response time is [elapsed + X] with
    X ~ Exp(rate): closed form over the SLA steps. This is the integral
    CBS needs (Sec 6.1 footnote; Peha-Tobagi's memoryless waiting-time
-   assumption). *)
+   assumption). Level i earns its gain with probability
+   P(above bound i-1) - P(above bound i); each survival term is
+   evaluated once and carried to the next level, and the last one
+   weights the penalty. *)
 let expected_profit_exp t ~elapsed ~rate =
   if rate <= 0.0 then invalid_arg "Sla.expected_profit_exp: rate must be > 0";
   let surv bound =
@@ -120,13 +123,13 @@ let expected_profit_exp t ~elapsed ~rate =
     if d <= 0.0 then 1.0 else exp (-.rate *. d)
   in
   let n = Array.length t.levels in
-  let acc = ref 0.0 in
+  let acc = ref 0.0 and p_above_prev = ref 1.0 in
   for i = 0 to n - 1 do
-    let p_above_prev = if i = 0 then 1.0 else surv t.levels.(i - 1).bound in
     let p_above_cur = surv t.levels.(i).bound in
-    acc := !acc +. (t.levels.(i).gain *. (p_above_prev -. p_above_cur))
+    acc := !acc +. (t.levels.(i).gain *. (!p_above_prev -. p_above_cur));
+    p_above_prev := p_above_cur
   done;
-  !acc +. (-.t.penalty *. surv t.levels.(n - 1).bound)
+  !acc +. (-.t.penalty *. !p_above_prev)
 
 let expected_loss_exp t ~elapsed ~rate =
   max_gain t -. expected_profit_exp t ~elapsed ~rate

@@ -64,7 +64,9 @@ val profit_of_decomposition : component list * float -> response:float -> float
 
 (** [expected_profit_exp t ~elapsed ~rate] is [E(profit (elapsed + X))]
     for [X ~ Exp(rate)] — the closed-form integral behind the CBS
-    baseline's priority. *)
+    baseline's priority. One [exp] per level past [elapsed]: each
+    level's survival term is evaluated once and reused by the next
+    level and the penalty. *)
 val expected_profit_exp : t -> elapsed:float -> rate:float -> float
 
 val expected_loss_exp : t -> elapsed:float -> rate:float -> float

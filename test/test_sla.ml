@@ -206,6 +206,66 @@ let prop_expected_profit_bounded =
       let v = Sla.expected_profit_exp sla ~elapsed ~rate in
       v <= Sla.max_gain sla +. 1e-9 && v >= -.Sla.penalty sla -. 1e-9)
 
+(* The integral as it was first written, evaluating every level's
+   lower survival term again for the next level and the last one again
+   for the penalty. Kept only here, as the oracle the one-evaluation
+   body must match bit for bit. *)
+let expected_profit_two_evaluations sla ~elapsed ~rate =
+  let levels = Array.of_list (Sla.levels sla) in
+  let surv bound =
+    let d = bound -. elapsed in
+    if d <= 0.0 then 1.0 else exp (-.rate *. d)
+  in
+  let n = Array.length levels in
+  let acc = ref 0.0 in
+  for i = 0 to n - 1 do
+    let p_above_prev = if i = 0 then 1.0 else surv levels.(i - 1).Sla.bound in
+    let p_above_cur = surv levels.(i).Sla.bound in
+    acc := !acc +. (levels.(i).Sla.gain *. (p_above_prev -. p_above_cur))
+  done;
+  !acc +. (-.Sla.penalty sla *. surv levels.(n - 1).Sla.bound)
+
+(* SLAs of 1-5 levels with positive, strictly decreasing gains and a
+   penalty of 0 or a positive one; [elapsed] before the first bound,
+   on or between bounds, or past the last; rates log-uniform over
+   0.01-10. *)
+let prop_expected_profit_bits =
+  QCheck.Test.make ~name:"expected profit == two-evaluation integral, bit for bit"
+    ~count:1000
+    QCheck.(pair (int_range 1 5) (int_range 0 1_000_000))
+    (fun (k, seed) ->
+      let rng = Prng.create seed in
+      let bounds = Array.make k 0.0 and gains = Array.make k 0.0 in
+      let b = ref 0.0 and g = ref (0.5 +. (Prng.float rng *. 10.0)) in
+      for i = 0 to k - 1 do
+        b := !b +. 0.5 +. (Prng.float rng *. 30.0);
+        bounds.(i) <- !b;
+        gains.(i) <- !g;
+        g := !g *. (0.1 +. (0.8 *. Prng.float rng))
+      done;
+      let penalty = if Prng.bool rng then 0.0 else 0.1 +. (Prng.float rng *. 5.0) in
+      let sla =
+        Sla.make
+          ~levels:(List.init k (fun i -> { Sla.bound = bounds.(i); gain = gains.(i) }))
+          ~penalty
+      in
+      let elapsed =
+        match Prng.int rng 4 with
+        | 0 -> Prng.float rng *. bounds.(0)
+        | 1 -> bounds.(Prng.int rng k)
+        | 2 ->
+          let j = Prng.int rng k in
+          let lo = if j = 0 then 0.0 else bounds.(j - 1) in
+          lo +. (Prng.float rng *. (bounds.(j) -. lo))
+        | _ -> bounds.(k - 1) +. (Prng.float rng *. 50.0)
+      in
+      let rate = 0.01 *. (1000.0 ** Prng.float rng) in
+      let got = Sla.expected_profit_exp sla ~elapsed ~rate
+      and want = expected_profit_two_evaluations sla ~elapsed ~rate in
+      Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float want)
+      || QCheck.Test.fail_reportf "%a elapsed %h rate %h: %h, oracle %h" Sla.pp
+           sla elapsed rate got want)
+
 (* ------------------------------------------------------------------ *)
 (* Profiles (Fig 16) *)
 
@@ -331,6 +391,7 @@ let () =
           Alcotest.test_case "positive loss under risk" `Quick
             test_expected_loss_positive_when_late_risk;
           qtest prop_expected_profit_bounded;
+          qtest prop_expected_profit_bits;
         ] );
       ( "profiles",
         [
