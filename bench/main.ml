@@ -188,10 +188,11 @@ let run_micro () =
   rows
 
 (* Part 1b — sim.throughput: whole simulator runs through the FCFS
-   SLA-tree scheduling+dispatching pair, rebuild-per-decision vs the
-   incremental fast path. An overloaded single server grows its buffer
-   into the hundreds, which is exactly where the per-decision
-   [Sla_tree.build] dominates the event loop. *)
+   SLA-tree scheduling+dispatching pair, the rebuild scheduler with the
+   scan-priced dispatcher vs the incremental fast path. An overloaded
+   single server grows its buffer into the hundreds, which is exactly
+   where the rebuild path's per-decision tree build and per-arrival
+   plan of the buffer dominate the event loop. *)
 
 let throughput_case ~n_queries =
   Trace.generate
@@ -250,9 +251,10 @@ let run_sim_throughput scale =
 (* Part 1b' — scale: the headline end-to-end run. A 1M-query trace
    spread over 100 servers at steady load (50k over 20 at smoke),
    dispatched by FCFS two ways: the incremental per-server trees, and
-   the flat rebuild path with memoized dispatch probes. One wall-clock
-   run each — at this size a single run is past measurement noise, and
-   single-digit seconds for the million-query run is the bar. *)
+   the flat rebuild scheduler with scan-priced dispatch
+   ([Dispatchers.sla_tree]). One wall-clock run each — at this size a
+   single run is past measurement noise, and single-digit seconds for
+   the million-query run is the bar. *)
 
 type scale_bench = {
   sc_queries : int;
@@ -289,11 +291,11 @@ let run_scale scale =
     run1 "fcfs-incr" ~scheduler:Schedulers.fcfs_sla_tree_incr
       ~dispatcher:(Dispatchers.fcfs_sla_tree_incr ())
   in
-  let memo =
-    run1 "tree-memo" ~scheduler:Schedulers.fcfs_sla_tree
+  let scan =
+    run1 "tree-scan" ~scheduler:Schedulers.fcfs_sla_tree
       ~dispatcher:(Dispatchers.sla_tree Planner.fcfs)
   in
-  let runs = [ incr; memo ] in
+  let runs = [ incr; scan ] in
   Fmt.pr "@.";
   { sc_queries = n; sc_servers = n_servers; sc_runs = runs }
 

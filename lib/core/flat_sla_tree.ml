@@ -25,8 +25,8 @@
    cursors and fills both cascades, so repeated rebuilds through the
    same arena allocate nothing once the arrays have grown to the
    working-set size. Building into an arena invalidates every tree
-   previously built from it — callers that cache trees (the dispatcher
-   probe cache) must pair one arena with one live tree.
+   previously built from it — a caller that keeps a tree must pair one
+   arena with one live tree.
 
    Equivalence. The sort comparator (key, then uid) is a strict total
    order over the unit multiset — units of one query have strictly

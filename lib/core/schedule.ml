@@ -24,9 +24,6 @@ let completion e = e.start +. e.query.Query.est_size
    is tardiness). *)
 let slack e ~bound = Query.deadline e.query ~bound -. completion e
 
-let total_estimated_work queries =
-  Array.fold_left (fun acc q -> acc +. q.Query.est_size) 0.0 queries
-
 (* Total profit of the whole schedule as currently planned. *)
 let scheduled_profit entries =
   Array.fold_left

@@ -17,7 +17,5 @@ val completion : entry -> float
     negative values are tardiness. *)
 val slack : entry -> bound:float -> float
 
-val total_estimated_work : Query.t array -> float
-
 (** Total profit of the schedule if executed exactly as planned. *)
 val scheduled_profit : entry array -> float

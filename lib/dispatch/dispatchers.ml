@@ -200,82 +200,6 @@ let insertion_profit planner sim sid =
       end
   end
 
-(* Memoized what-if probes: one cached SLA-tree per server, rebuilt
-   only when the server's event generation or anchor time moved.
-
-   Validity argument. The tree's contents are a pure function of
-   (planned buffer, speed, free_at): [Sim.gen] bumps on every event
-   that can change the buffer, the running query or the speed, and
-   [free_at] covers the one remaining input (an idle or overrun
-   server's anchor is [now] itself, which moves between arrivals with
-   no event). The planned order is reused too, which is only sound for
-   time-invariant planners — the caller gates on
-   [Planner.time_invariant]. Each cache entry owns its arena (an arena
-   holds one live tree), so steady-state rebuilds allocate nothing.
-
-   An empty buffer short-circuits: inserting into an empty schedule
-   postpones nobody, and the tree path reduces to exactly
-   [profit_at q' ~completion:(free_at + est)] — same floats, no tree. *)
-type probe_cache = {
-  mutable gen : int;
-  mutable free_at : float;
-  mutable planned : Query.t array;
-  mutable tree : Sla_tree.t;
-  arena : Sla_tree.arena;
-}
-
-let cached_insertion_profit planner =
-  let caches : probe_cache option array ref = ref [||] in
-  let entry_of sid =
-    let n = Array.length !caches in
-    if sid >= n then begin
-      let grown = Array.make (max (sid + 1) (max 8 (2 * n))) None in
-      Array.blit !caches 0 grown 0 n;
-      caches := grown
-    end;
-    match !caches.(sid) with
-    | Some e -> e
-    | None ->
-      let e =
-        {
-          gen = -1;
-          free_at = nan;
-          planned = [||];
-          tree = Sla_tree.of_entries ~now:0.0 [||];
-          arena = Sla_tree.create_arena ();
-        }
-      in
-      !caches.(sid) <- Some e;
-      e
-  in
-  fun sim sid q ->
-    let srv = Sim.server sim sid in
-    let speed = srv.Sim.speed in
-    let q' = scale_query speed q in
-    let free_at = Sim.est_free_at sim srv in
-    if Sim.buffer_length srv = 0 then
-      Query.profit_at q' ~completion:(free_at +. q'.Query.est_size)
-    else begin
-      let e = entry_of sid in
-      if e.gen <> srv.Sim.gen || e.free_at <> free_at then begin
-        let buffer = Sim.buffer_array srv in
-        let planned =
-          Array.map (scale_query speed)
-            (Planner.planned_queries planner ~now:(Sim.now sim) buffer)
-        in
-        e.planned <- planned;
-        e.tree <-
-          Sla_tree.of_entries ~arena:e.arena ~now:free_at
-            (Schedule.of_queries ~now:free_at planned);
-        e.gen <- srv.Sim.gen;
-        e.free_at <- free_at
-      end;
-      let pos =
-        Planner.insertion_rank_sorted planner ~now:(Sim.now sim) e.planned q'
-      in
-      What_if.insertion_delta e.tree ~query:q' ~pos
-    end
-
 (* With [admission] set, a query whose best profit delta is negative
    is rejected outright. *)
 let decide ~admission sid d =
@@ -286,14 +210,14 @@ let decide ~admission sid d =
    when every candidate server meets the query's deadline anyway) fall
    back to least work left, so indifference does not pile queries onto
    server 0, and then to the lowest sid. *)
-let argmax_profit ~admission profit_of sim q =
+let argmax_profit ~admission planner sim q =
   let m = Sim.n_servers sim in
   let best = ref (-1)
   and best_delta = ref neg_infinity
   and best_work = ref infinity in
   for sid = 0 to m - 1 do
     if Sim.dispatchable sim sid then begin
-      let d = profit_of sim sid q in
+      let d = insertion_profit planner sim sid q in
       let w = Sim.est_work_left sim (Sim.server sim sid) in
       if !best < 0 || d > !best_delta || (d = !best_delta && w < !best_work)
       then begin
@@ -306,30 +230,22 @@ let argmax_profit ~admission profit_of sim q =
   if !best < 0 then no_server ();
   decide ~admission !best !best_delta
 
-(* The candidate loop memoizes per-server trees whenever the planner's
-   order cannot depend on the decision time. CBS-style time-dependent
-   planners, and [?memo:false] (the reference the equivalence tests
-   hold the cache to), price every candidate by [insertion_profit]'s
-   scan instead. *)
-let sla_tree ?(admission = false) ?(memo = true) planner =
-  let name = if admission then "SLA-tree+AC" else "SLA-tree" in
-  let profit_of () =
-    if memo && Planner.time_invariant planner then
-      cached_insertion_profit planner
-    else insertion_profit planner
-  in
-  { name; make = (fun () -> argmax_profit ~admission (profit_of ())) }
+let sla_tree ?(admission = false) planner =
+  {
+    name = (if admission then "SLA-tree+AC" else "SLA-tree");
+    make = (fun () -> argmax_profit ~admission planner);
+  }
 
 (* The incremental FCFS fast path. Under FCFS the newcomer always
    ranks last ([insertion_rank] = N), so [What_if.insertion_delta]
    postpones nobody: the what-if collapses to the newcomer's own
    profit at the end of the server's estimated schedule. That tail is
    exactly [now + est_work_left] — the accumulator the simulator
-   already maintains per server — so each server's answer is O(1) and
-   the per-arrival, per-server [Sla_tree.build] disappears entirely.
-   Same answers as [sla_tree Planner.fcfs], including on heterogeneous
-   farms (the schedule tail and the newcomer's execution time are both
-   speed-scaled, like [insertion_profit]'s scaled copies). *)
+   already maintains per server — so each server's answer is O(1),
+   with no plan of its buffer and no scan. Same answers as [sla_tree
+   Planner.fcfs], including on heterogeneous farms (the schedule tail
+   and the newcomer's execution time are both speed-scaled, like
+   [insertion_profit]'s scaled copies). *)
 let insertion_profit_fcfs sim sid q =
   let srv = Sim.server sim sid in
   Query.profit_at q
@@ -338,11 +254,11 @@ let insertion_profit_fcfs sim sid q =
       +. Sim.est_work_left sim srv
       +. (q.Query.est_size /. srv.Sim.speed))
 
-(* [argmax_profit] over [insertion_profit_fcfs], pruned by an exact
-   bound. The appended profit is a function of the completion time [c]
-   alone and never rises with it ([Sla.make]), so a server with
-   [c >= best_c] earns at most the incumbent's profit, and one that
-   also has [w >= best_work] cannot win the tie: its profit is not
+(* [argmax_profit]'s rule over [insertion_profit_fcfs], pruned by an
+   exact bound. The appended profit is a function of the completion
+   time [c] alone and never rises with it ([Sla.make]), so a server
+   with [c >= best_c] earns at most the incumbent's profit, and one
+   that also has [w >= best_work] cannot win the tie: its profit is not
    asked. [c] is [insertion_profit_fcfs]'s expression, bit for bit. *)
 let fcfs_best sim q =
   let m = Sim.n_servers sim in

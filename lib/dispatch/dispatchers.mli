@@ -57,19 +57,18 @@ val lwl : t
     difference, and the delta may differ in the last bits. *)
 val insertion_profit : Planner.t -> Sim.t -> int -> Query.t -> float
 
-(** SLA-tree dispatching: argmax of {!insertion_profit} over servers
-    (exact profit ties fall back to least work left, then the lowest
-    sid); reports the
-    chosen delta through [est_delta]. With [admission], queries whose
-    best delta is negative are rejected.
+(** SLA-tree dispatching: argmax of {!insertion_profit} over the
+    dispatchable servers (exact profit ties fall back to least work
+    left, then the lowest sid); reports the chosen delta through
+    [est_delta]. With [admission], queries whose best delta is negative
+    are rejected.
 
-    For time-invariant planners the candidate loop memoizes one
-    SLA-tree per server, keyed on the server's event generation and
-    anchor time, rebuilding only when the server actually changed.
-    Time-dependent planners (CBS) price every candidate with
-    {!insertion_profit}'s scan; [?memo:false] does so for every planner
-    (the reference the equivalence tests hold the cache to). *)
-val sla_tree : ?admission:bool -> ?memo:bool -> Planner.t -> t
+    Every candidate is priced by {!insertion_profit}'s scan, and
+    nothing is kept between arrivals. An arrival plans each
+    dispatchable server's buffer once, so it costs O(n log n + n + kK)
+    per server with [n] buffered queries, [k] of them displaced (O(1)
+    for an empty buffer). *)
+val sla_tree : ?admission:bool -> Planner.t -> t
 
 (** O(1)-per-server profit of appending [q] to server [sid]'s FCFS
     schedule: under FCFS the newcomer ranks last and postpones nobody,
@@ -97,9 +96,9 @@ val insertion_profit_fcfs : Sim.t -> int -> Query.t -> float
     server this picks. *)
 val fcfs_best : Sim.t -> Query.t -> (int * float) option
 
-(** [sla_tree Planner.fcfs] without any per-decision tree build: each
-    arrival goes to {!fcfs_best}'s server, which answers each what-if
-    from the incrementally maintained backlog accumulator. Identical
-    picks and [est_delta]; with [admission], a negative best delta
-    rejects. The CLI's default dispatcher ([tree-fcfs]). *)
+(** [sla_tree Planner.fcfs] without planning or scanning any buffer:
+    each arrival goes to {!fcfs_best}'s server, which answers each
+    what-if from the incrementally maintained backlog accumulator.
+    Identical picks and [est_delta]; with [admission], a negative best
+    delta rejects. The CLI's default dispatcher ([tree-fcfs]). *)
 val fcfs_sla_tree_incr : ?admission:bool -> unit -> t

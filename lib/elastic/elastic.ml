@@ -59,17 +59,13 @@ type config = {
   min_servers : int;
   max_servers : int;
   cooldown : float;  (** ms after any scale action before a scale-down *)
-  up_factor : float;  (** scale up when window gain > cost * up_factor *)
-  down_factor : float;
-      (** consider scale-down when window gain < cost * down_factor *)
   types : server_type array;
       (** bootable tiers; empty = every scale-up boots a stock server
           billed by the legacy flat-rate integral *)
 }
 
-let config ?(boot_delay = 0.0) ?(cooldown = 0.0) ?(up_factor = 1.0)
-    ?(down_factor = 0.5) ?(types = [||]) ~interval ~cost_per_interval
-    ~min_servers ~max_servers () =
+let config ?(boot_delay = 0.0) ?(cooldown = 0.0) ?(types = [||]) ~interval
+    ~cost_per_interval ~min_servers ~max_servers () =
   if interval <= 0.0 then invalid_arg "Elastic.config: interval must be positive";
   if cost_per_interval < 0.0 then
     invalid_arg "Elastic.config: cost must be non-negative";
@@ -79,8 +75,6 @@ let config ?(boot_delay = 0.0) ?(cooldown = 0.0) ?(up_factor = 1.0)
   if min_servers < 1 then invalid_arg "Elastic.config: min_servers must be >= 1";
   if max_servers < min_servers then
     invalid_arg "Elastic.config: max_servers must be >= min_servers";
-  if up_factor <= 0.0 || down_factor < 0.0 || down_factor > up_factor then
-    invalid_arg "Elastic.config: need 0 <= down_factor <= up_factor, up_factor > 0";
   {
     interval;
     cost_per_interval;
@@ -88,8 +82,6 @@ let config ?(boot_delay = 0.0) ?(cooldown = 0.0) ?(up_factor = 1.0)
     min_servers;
     max_servers;
     cooldown;
-    up_factor;
-    down_factor;
     types;
   }
 
@@ -179,10 +171,10 @@ let cheapest_removal sim =
 (* Policies. *)
 
 (* The SLA-tree policy. Scale up when the window's accumulated idle-
-   server margin — what an extra server would have earned — beats its
-   price; scale down when the margin is far below the price AND the
-   removal probe says the cheapest server's buffer migrates for less
-   than one interval's rent. *)
+   server margin — what an extra server would have earned — beats one
+   interval's rent; scale down when the margin is below half the rent
+   AND the removal probe says the cheapest server's buffer migrates for
+   less than one interval's rent. *)
 let sla_tree_policy =
   {
     name = "SLA-tree";
@@ -190,7 +182,7 @@ let sla_tree_policy =
       (fun o ->
         let cfg = o.cfg in
         let gain = o.margin_per_query *. Float.of_int o.arrivals in
-        let rent = cfg.cost_per_interval *. cfg.up_factor in
+        let rent = cfg.cost_per_interval in
         if gain > rent then
           (* Evidence several rents deep means the pool lags a steep
              ramp; adding servers two at a time halves the chase.
@@ -198,7 +190,7 @@ let sla_tree_policy =
              capped well below gain / rent.) *)
           Scale_up (if gain > 4.0 *. rent then 2 else 1)
         else if
-          gain < cfg.cost_per_interval *. cfg.down_factor
+          gain < cfg.cost_per_interval *. 0.5
           && o.removal_cost < cfg.cost_per_interval
         then Scale_down 1
         else Hold);
@@ -274,7 +266,7 @@ let predictive ?(obs = Obs.noop) ?forecast ?horizon () =
                  (Forecast.predict f ~horizon:h)
                  (Forecast.predict f ~horizon:(h + 1)))
         in
-        let rent = cfg.cost_per_interval *. cfg.up_factor in
+        let rent = cfg.cost_per_interval in
         pending := List.filter (fun ready -> ready > o.now) !pending;
         (match gauges with
         | Some (g_pred, g_gain) ->
@@ -314,7 +306,7 @@ let predictive ?(obs = Obs.noop) ?forecast ?horizon () =
           Scale_up k
         end
         else if
-          gain < cfg.cost_per_interval *. cfg.down_factor
+          gain < cfg.cost_per_interval *. 0.5
           (* hold capacity only when a rent-clearing peak is within
              reach of the forecast, not on any mid-range prediction *)
           && gain_pred <= bar
@@ -327,9 +319,9 @@ let predictive ?(obs = Obs.noop) ?forecast ?horizon () =
    each tick moves the pool toward the target for [now]. [pool]
    already counts booting servers, so the tracking converges without
    double-booting. *)
-let scheduled ?(name = "oracle") ~target () =
+let scheduled ~target () =
   {
-    name;
+    name = "oracle";
     decide =
       (fun o ->
         let tgt =
@@ -341,9 +333,9 @@ let scheduled ?(name = "oracle") ~target () =
   }
 
 (* Profit-blind baseline: react to the average queue length per
-   accepting server. *)
-let queue_threshold ?(up = 3.0) ?(down = 0.5) () =
-  if down >= up then invalid_arg "Elastic.queue_threshold: need down < up";
+   accepting server, up above 3 queries each and down below half a
+   query. *)
+let queue_threshold () =
   {
     name = "queue-threshold";
     decide =
@@ -351,8 +343,8 @@ let queue_threshold ?(up = 3.0) ?(down = 0.5) () =
         let per =
           Float.of_int o.queue_len /. Float.of_int (max 1 o.accepting)
         in
-        if per > up then Scale_up 1
-        else if per < down && o.removal_cost < infinity then Scale_down 1
+        if per > 3.0 then Scale_up 1
+        else if per < 0.5 && o.removal_cost < infinity then Scale_down 1
         else Hold);
   }
 

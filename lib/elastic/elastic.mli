@@ -49,9 +49,6 @@ type config = {
       (** minimum ms after any scale action before a scale-down is
           allowed; scale-ups are never throttled (demand ramps must be
           chased, flapping only ever shrinks too early) *)
-  up_factor : float;  (** scale up when window gain > cost * up_factor *)
-  down_factor : float;
-      (** consider scale-down when window gain < cost * down_factor *)
   types : server_type array;
       (** bootable tiers the controller may choose among at each
           scale-up (picked by expected net: margin evidence scaled by
@@ -60,13 +57,11 @@ type config = {
           bit-identical to the pre-typed controller *)
 }
 
-(** Validating constructor. Defaults: no boot delay, no cooldown,
-    [up_factor = 1.0], [down_factor = 0.5], no server types. *)
+(** Validating constructor. Defaults: no boot delay, no cooldown, no
+    server types. *)
 val config :
   ?boot_delay:float ->
   ?cooldown:float ->
-  ?up_factor:float ->
-  ?down_factor:float ->
   ?types:server_type array ->
   interval:float ->
   cost_per_interval:float ->
@@ -96,10 +91,12 @@ type policy = { name : string; decide : observation -> action }
 
 val policy_name : policy -> string
 
-(** The SLA-tree policy: scale up when the window's accumulated
-    idle-server margin beats one interval's rent; scale down when the
-    margin is far below the rent and the cheapest server's buffer
-    migrates for less than one interval's rent. *)
+(** The SLA-tree policy. With [gain] the window's accumulated
+    idle-server margin and [rent] one interval's [cost_per_interval]:
+    [Scale_up 2] when [gain > 4 * rent], [Scale_up 1] when
+    [gain > rent], [Scale_down 1] when [gain < rent / 2] and the
+    cheapest server's buffer migrates for less than [rent], else
+    [Hold]. *)
 val sla_tree_policy : policy
 
 (** The predictive policy: the reactive rule of {!sla_tree_policy},
@@ -133,12 +130,13 @@ val predictive :
 (** [scheduled ~target ()] tracks an externally computed pool
     schedule: each tick moves the pool toward [target ~now] (clamped
     to the config bounds). Used with [Forecast.Oracle] schedules as
-    the offline-optimal upper bound. Default [name] is ["oracle"]. *)
-val scheduled : ?name:string -> target:(now:float -> int) -> unit -> policy
+    the offline-optimal upper bound; its name is ["oracle"]. *)
+val scheduled : target:(now:float -> int) -> unit -> policy
 
 (** Profit-blind baseline on the average queue length per accepting
-    server. Defaults: [up = 3.0], [down = 0.5]. *)
-val queue_threshold : ?up:float -> ?down:float -> unit -> policy
+    server: [Scale_up 1] above 3.0, [Scale_down 1] below 0.5 when a
+    server can be removed, else [Hold]. *)
+val queue_threshold : unit -> policy
 
 (** Never scales (fixed pool under the same cost model). *)
 val static : policy

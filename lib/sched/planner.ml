@@ -11,8 +11,8 @@ type t = {
   name : string;
   permutation : now:float -> Query.t array -> int array;
   time_invariant : bool;
-      (* whether the permutation is independent of [now]; probe caches
-         may only reuse a planned order across arrivals when true *)
+      (* whether the permutation is independent of [now]; when true, a
+         plan of speed-scaled estimates stays sorted *)
   keys : now:float -> Query.t -> float * float;
       (* the lexicographic float pair the permutation stable-sorts on
          (second component constant for single-key planners). Gives the

@@ -14,8 +14,10 @@ type t
 val name : t -> string
 
 (** Whether the planned order is independent of the decision time
-    [now]. Probe caches may only reuse a plan across arrivals when
-    true (CBS is the time-dependent exception). *)
+    [now] (CBS is the time-dependent exception). Its one reader is
+    [Dispatchers.insertion_profit]: these planners' keys ignore the
+    estimate or order by it, so a plan divided by one server's speed
+    stays sorted and the rank on a scaled server is a binary search. *)
 val time_invariant : t -> bool
 
 (** [plan t ~now buffer] is the permutation: [perm.(k)] is the buffer

@@ -62,11 +62,6 @@ type server = {
   mutable run_token : int;
       (** token of the server's live completion-heap entry; entries
           whose token no longer matches are stale and skipped *)
-  mutable gen : int;
-      (** event generation: bumped on every emitted server event, i.e.
-          whenever the buffer, running query, speed or life-cycle state
-          changes. Probe caches key on it to reuse per-server SLA-trees
-          across arrivals. *)
 }
 
 (* Per-server life-cycle notifications, consumed by incremental
@@ -131,11 +126,7 @@ let buffer_array s = Deque.to_array s.buffer
 
 let buffer_length s = Deque.length s.buffer
 
-(* Every state change a probe cache could care about funnels through
-   here, so the generation bump happens whether or not an observer is
-   installed. *)
 let emit t s ev =
-  s.gen <- s.gen + 1;
   match t.on_event with None -> () | Some f -> f ~sid:s.sid ~now:t.now ev
 
 (* Whether the server currently accepts dispatches. Booting servers
@@ -236,7 +227,6 @@ let make_server ~sid ~speed ~state =
     est_backlog = 0.0;
     state;
     run_token = 0;
-    gen = 0;
   }
 
 (* Grow the pool by one server. With [boot_delay], the newcomer joins

@@ -43,11 +43,6 @@ type server = {
   mutable state : server_state;
   mutable run_token : int;
       (** internal: completion-heap entry validity token *)
-  mutable gen : int;
-      (** event generation: bumped on every server event (buffer,
-          running-query, speed or life-cycle change). Two reads of the
-          same [gen] bracket an unchanged server; probe caches key
-          per-server SLA-trees on it. *)
 }
 
 (** Per-server life-cycle notifications (consumed by incremental

@@ -13,12 +13,12 @@
    - an {e admission controller} for [Sim]'s [?admit] hook. It prices
      the arriving query with the postpone question on the server the
      FCFS dispatcher picks: that server's insertion delta is the
-     newcomer's own attainable profit at its planned slot {e minus}
-     the postpone loss it inflicts on every query already buffered
-     behind that slot ([Dispatchers.insertion_profit]). One question
-     needs no SLA-tree: it is answered by a scan over the queries the
-     newcomer displaces, and the query and its degraded copy are
-     priced against one plan of the buffer.
+     newcomer's own attainable profit at its slot in an EDF plan
+     {e minus} the postpone loss it inflicts on every query already
+     buffered behind that slot ([Dispatchers.insertion_profit]). One
+     question needs no SLA-tree: it is answered by a scan over the
+     queries the newcomer displaces, and the query and its degraded
+     copy are priced against one plan of the buffer.
      A query whose net is below the margin is first re-priced one SLA
      class down (the tenant still gets served, later and cheaper) and
      only rejected when even the degraded copy prices negative;
@@ -244,15 +244,12 @@ type admission = {
   a_reg : registry;
   acct : Acct.t;
   theta : float;  (* required net margin, $ *)
-  allow_degrade : bool;
-  planner : Planner.t;  (* rank model for the postpone probe *)
 }
 
-let admission ?(theta = 0.0) ?(degrade = true) ?(planner = Planner.edf) reg
-    ~acct () =
+let admission ?(theta = 0.0) reg ~acct () =
   if not (Float.is_finite theta) then
     invalid_arg "Tenancy.admission: theta must be finite";
-  { a_reg = reg; acct; theta; allow_degrade = degrade; planner }
+  { a_reg = reg; acct; theta }
 
 let degraded_copy admission q =
   match find admission.a_reg ~tenant:q.Query.tenant with
@@ -275,7 +272,7 @@ let degraded_copy admission q =
    slot: its own attainable profit minus the loss inflicted on
    everything buffered behind it, in dollars (gains are tier-scaled at
    assignment). The query and its degraded copy are priced against one
-   plan of that server's buffer. *)
+   EDF plan of that server's buffer. *)
 let admit admission sim q =
   let acct = admission.acct in
   Acct.on_offered acct q;
@@ -285,15 +282,13 @@ let admit admission sim q =
     Acct.on_admitted acct q;
     Sim.Admit
   | Some (sid, _) ->
-    let net = Dispatchers.insertion_profit admission.planner sim sid in
+    let net = Dispatchers.insertion_profit Planner.edf sim sid in
     if net q >= admission.theta then begin
       Acct.on_admitted acct q;
       Sim.Admit
     end
     else begin
-      match
-        if admission.allow_degrade then degraded_copy admission q else None
-      with
+      match degraded_copy admission q with
       | Some q' when net q' >= admission.theta ->
         Acct.on_admitted acct q;
         Acct.on_degraded acct q;

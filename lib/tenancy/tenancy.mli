@@ -11,11 +11,11 @@
     The admission controller prices an arriving query with the
     {e postpone} question ({!Dispatchers.insertion_profit}) on the
     server the FCFS dispatcher picks ({!Dispatchers.fcfs_best}): the
-    query's own attainable profit at its planned slot there minus the
-    postpone loss it inflicts on everything already buffered behind
-    that slot. One question builds no SLA-tree: it is answered by a
-    scan over the queries the newcomer displaces, and the query and
-    its degraded copy are priced against one plan of the buffer.
+    query's own attainable profit at its slot in an EDF plan there
+    minus the postpone loss it inflicts on everything already buffered
+    behind that slot. One question builds no SLA-tree: it is answered
+    by a scan over the queries the newcomer displaces, and the query
+    and its degraded copy are priced against one plan of the buffer.
     Nets below the margin are re-priced one SLA class down (degrade)
     and rejected only when even the cheaper copy prices negative. *)
 
@@ -112,18 +112,11 @@ end
 type admission
 
 (** [admission reg ~acct ()] builds the controller. [theta] (default
-    0) is the required net margin in dollars; [degrade] (default true)
-    allows down-tiering before rejection; [planner] (default
-    {!Planner.edf}) is the rank model the postpone probe prices
-    insertion under. *)
-val admission :
-  ?theta:float ->
-  ?degrade:bool ->
-  ?planner:Planner.t ->
-  registry ->
-  acct:Acct.t ->
-  unit ->
-  admission
+    0) is the required net margin in dollars. The postpone probe always
+    prices insertion into an EDF plan ({!Planner.edf}), and a query
+    below the margin is always re-priced one class down before it is
+    rejected. *)
+val admission : ?theta:float -> registry -> acct:Acct.t -> unit -> admission
 
 (** Wire as [Sim]'s [?admit]. *)
 val admit : admission -> Sim.t -> Query.t -> Sim.verdict

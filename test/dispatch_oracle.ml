@@ -1,17 +1,20 @@
-(* The FCFS dispatch scan as it ran before the bound prune: every
-   dispatchable server's appended profit, argmax by profit, then least
-   work left, then lowest sid. Kept only here, as the oracle
-   [Dispatchers.fcfs_sla_tree_incr] must match: same target, same
-   [est_delta] bits. *)
+(* The SLA-tree dispatch rule with no pruning: every dispatchable
+   server's [profit], argmax by profit, then least work left, then
+   lowest sid. Kept only here, as an oracle. With the default
+   [profit], the appended FCFS profit, it is the scan as it ran before
+   the bound prune, which [Dispatchers.fcfs_sla_tree_incr] must match:
+   same target, same [est_delta] bits. With the tree-built probe
+   [Insertion_oracle.insertion_profit planner], it is the tree-priced
+   reference for [Dispatchers.sla_tree planner]. *)
 
-let dispatch ~admission sim q =
+let dispatch ?(profit = Dispatchers.insertion_profit_fcfs) ~admission sim q =
   let m = Sim.n_servers sim in
   let best = ref (-1)
   and best_delta = ref neg_infinity
   and best_work = ref infinity in
   for sid = 0 to m - 1 do
     if Sim.dispatchable sim sid then begin
-      let d = Dispatchers.insertion_profit_fcfs sim sid q in
+      let d = profit sim sid q in
       let w = Sim.est_work_left sim (Sim.server sim sid) in
       if !best < 0 || d > !best_delta || (d = !best_delta && w < !best_work)
       then begin

@@ -411,6 +411,75 @@ let test_cooldown_gates_scale_down_only () =
     (has_consecutive up.Elastic.events)
 
 (* ------------------------------------------------------------------ *)
+(* Policy thresholds *)
+
+(* One decision window as a policy sees it: a pool of two accepting
+   servers with an empty queue and a free removal, unless overridden.
+   [arrivals] defaults to 0 (a quiet window); with one arrival the
+   window's gain is exactly [margin_per_query]. *)
+let observation ?(now = 0.0) ?(accepting = 2) ?(queue_len = 0) ?(arrivals = 0)
+    ?(margin_per_query = 0.0) ?(removal_cost = 0.0) cfg =
+  {
+    Elastic.now;
+    pool = accepting;
+    accepting;
+    queue_len;
+    backlog = 0.0;
+    arrivals;
+    margin_per_query;
+    removal_cost;
+    cfg;
+  }
+
+let check_action msg expected policy o =
+  let got = policy.Elastic.decide o in
+  if got <> expected then
+    Alcotest.failf "%s: expected %a, got %a" msg Elastic.pp_action expected
+      Elastic.pp_action got
+
+let test_sla_tree_policy_thresholds () =
+  (* Rent is one interval's cost; scale-down needs the gain below half
+     of it. Each boundary is probed one ulp either side. *)
+  let rent = 2.0 in
+  let cfg = mk_config ~cost:rent () in
+  let decide ?removal_cost gain =
+    observation ~arrivals:1 ~margin_per_query:gain ?removal_cost cfg
+  in
+  let p = Elastic.sla_tree_policy in
+  check_action "just above the rent" (Elastic.Scale_up 1) p
+    (decide (Float.succ rent));
+  check_action "at the rent" Elastic.Hold p (decide rent);
+  check_action "just below the rent" Elastic.Hold p (decide (Float.pred rent));
+  check_action "at 4x the rent" (Elastic.Scale_up 1) p (decide (4.0 *. rent));
+  check_action "above 4x the rent" (Elastic.Scale_up 2) p
+    (decide (Float.succ (4.0 *. rent)));
+  check_action "just below half the rent, cheap removal"
+    (Elastic.Scale_down 1) p
+    (decide (Float.pred (0.5 *. rent)));
+  check_action "just above half the rent" Elastic.Hold p
+    (decide (Float.succ (0.5 *. rent)));
+  check_action "below half the rent, removal costs a rent" Elastic.Hold p
+    (decide ~removal_cost:rent (Float.pred (0.5 *. rent)))
+
+let test_queue_threshold_levels () =
+  (* Up above 3.0 buffered queries per accepting server, down below
+     0.5; a hundred accepting servers put the boundaries 0.01 apart. *)
+  let cfg = mk_config () in
+  let per queue_len = observation ~accepting:100 ~queue_len cfg in
+  let p = Elastic.queue_threshold () in
+  check_action "3.01 per server" (Elastic.Scale_up 1) p (per 301);
+  check_action "3.00 per server" Elastic.Hold p (per 300);
+  check_action "0.50 per server" Elastic.Hold p (per 50);
+  check_action "0.49 per server" (Elastic.Scale_down 1) p (per 49);
+  check_action "0.49 per server, no removable server" Elastic.Hold p
+    { (per 49) with Elastic.removal_cost = infinity }
+
+let test_scheduled_is_oracle () =
+  Alcotest.(check string)
+    "name" "oracle"
+    (Elastic.policy_name (Elastic.scheduled ~target:(fun ~now:_ -> 2) ()))
+
+(* ------------------------------------------------------------------ *)
 (* Predictive policy: the pending-boot guard *)
 
 (* A forecaster already convinced a big square peak is coming: season 8,
@@ -428,19 +497,9 @@ let test_predictive_no_double_boot () =
      are online — the controller's cooldown would NOT stop the repeat
      (it gates scale-downs only, proven above). *)
   let cfg = mk_config ~interval:100.0 ~cost:2.0 ~boot:250.0 () in
-  let obs_at now =
-    {
-      Elastic.now;
-      pool = 2;
-      accepting = 2;
-      queue_len = 0;
-      backlog = 0.0;
-      arrivals = 0;  (* quiet window: the reactive rule sees nothing *)
-      margin_per_query = 0.0;
-      removal_cost = 0.0;  (* shrinking is free, so only the forecast holds it *)
-      cfg;
-    }
-  in
+  (* A quiet window, so the reactive rule sees nothing, and a free
+     removal, so only the forecast holds capacity. *)
+  let obs_at now = observation ~now cfg in
   let p = Elastic.predictive ~forecast:(trained_square 24) ~horizon:4 () in
   (match p.Elastic.decide (obs_at 0.0) with
   | Elastic.Scale_up _ -> ()
@@ -609,6 +668,15 @@ let () =
         [
           Alcotest.test_case "gates scale-down only" `Quick
             test_cooldown_gates_scale_down_only;
+        ] );
+      ( "thresholds",
+        [
+          Alcotest.test_case "sla-tree policy" `Quick
+            test_sla_tree_policy_thresholds;
+          Alcotest.test_case "queue threshold" `Quick
+            test_queue_threshold_levels;
+          Alcotest.test_case "scheduled is the oracle" `Quick
+            test_scheduled_is_oracle;
         ] );
       ( "predictive",
         [

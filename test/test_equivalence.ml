@@ -416,27 +416,33 @@ let prop_pruned_dispatch_equals_full_scan =
       decisions >= 600 && mismatches = 0)
 
 (* ------------------------------------------------------------------ *)
-(* Memoized vs unmemoized dispatch: the default dispatcher (memoized
-   probes, one cached tree per server) against [~memo:false], which
-   prices every candidate afresh with [Dispatchers.insertion_profit]'s
-   scan, decision by decision on identical state. The group keeps its
-   old "flat-vs-boxed" name; the boxed tree itself is now pinned
-   against the flat one at the cascade and facade level, bit for bit,
-   in test_flat.ml. *)
+(* Scan-priced vs tree-priced dispatch: [Dispatchers.sla_tree], which
+   prices every candidate with [Dispatchers.insertion_profit]'s scan,
+   against [Dispatch_oracle.dispatch] pricing each candidate with the
+   tree-built probe ([Insertion_oracle]), decision by decision on
+   identical state. The scenarios cover what the scan reads: sorted
+   planners (binary-search rank against the oracle's append-and-sort
+   rank), heterogeneous speeds with admission, a pool that grows and
+   shrinks, and crash, brownout and repair. The contract is the same
+   target; the deltas may differ in the last bits, where the scan sums
+   displaced gains in rank order. The group keeps its old
+   "flat-vs-boxed" name; the boxed tree itself is pinned against the
+   flat one at the cascade and facade level, bit for bit, in
+   test_flat.ml. *)
 
-let run_dispatcher_memo_oracle ?speeds ?ticker ?timers
+let run_dispatcher_tree_oracle ?speeds ?ticker ?timers
     ?(planner = Planner.fcfs) ?(admission = false) ~queries ~servers () =
-  let d_memo =
+  let d_scan =
     Dispatchers.instantiate (Dispatchers.sla_tree ~admission planner)
-  in
-  let d_oracle =
-    Dispatchers.instantiate
-      (Dispatchers.sla_tree ~admission ~memo:false planner)
   in
   let decisions = ref 0 and mismatches = ref 0 in
   let dispatch sim q =
-    let a = d_memo sim q in
-    let b = d_oracle sim q in
+    let a = d_scan sim q in
+    let b =
+      Dispatch_oracle.dispatch
+        ~profit:(Insertion_oracle.insertion_profit planner)
+        ~admission sim q
+    in
     incr decisions;
     if a.Sim.target <> b.Sim.target then incr mismatches;
     a
@@ -447,18 +453,18 @@ let run_dispatcher_memo_oracle ?speeds ?ticker ?timers
     ~dispatch ~metrics ();
   (!decisions, !mismatches)
 
-let test_memo_dispatch_exp () =
+let test_scan_dispatch_exp () =
   let queries =
     trace ~kind:Workloads.Exp ~sigma2:0.2 ~load:0.95 ~servers:4
       ~n_queries:1_500 ~seed:1201
   in
   let decisions, mismatches =
-    run_dispatcher_memo_oracle ~queries ~servers:4 ()
+    run_dispatcher_tree_oracle ~queries ~servers:4 ()
   in
   check_int "every arrival through both" 1_500 decisions;
   check_int "no target mismatches" 0 mismatches
 
-let test_memo_dispatch_sorted_planners () =
+let test_scan_dispatch_sorted_planners () =
   (* Non-FCFS time-invariant planners exercise the O(log n) sorted
      insertion rank against the oracle's append-and-sort rank. *)
   let queries =
@@ -468,39 +474,39 @@ let test_memo_dispatch_sorted_planners () =
   List.iter
     (fun planner ->
       let _, mismatches =
-        run_dispatcher_memo_oracle ~planner ~queries ~servers:3 ()
+        run_dispatcher_tree_oracle ~planner ~queries ~servers:3 ()
       in
       check_int
         (Printf.sprintf "no mismatches under %s" (Planner.name planner))
         0 mismatches)
     [ Planner.sjf; Planner.edf; Planner.value_edf ]
 
-let test_memo_dispatch_heterogeneous_admission () =
+let test_scan_dispatch_heterogeneous_admission () =
   let queries =
     trace ~kind:Workloads.Pareto ~sigma2:1.0 ~load:1.4 ~servers:3
       ~n_queries:1_200 ~seed:1203
   in
   let _, mismatches =
-    run_dispatcher_memo_oracle ~speeds:[| 1.0; 0.5; 2.0 |] ~admission:true
+    run_dispatcher_tree_oracle ~speeds:[| 1.0; 0.5; 2.0 |] ~admission:true
       ~queries ~servers:3 ()
   in
   check_int "no accept/reject mismatches" 0 mismatches
 
-let test_memo_dispatch_elastic () =
+let test_scan_dispatch_elastic () =
   let queries =
     trace ~kind:Workloads.Exp ~sigma2:0.2 ~load:1.1 ~servers:3
       ~n_queries:1_500 ~seed:1204
   in
   let decisions, mismatches =
-    run_dispatcher_memo_oracle ~ticker:(400.0, scale_script ()) ~queries
+    run_dispatcher_tree_oracle ~ticker:(400.0, scale_script ()) ~queries
       ~servers:3 ()
   in
   check_bool "dispatched (arrivals + redistributions)" true (decisions >= 1_500);
   check_int "no mismatches across scale events" 0 mismatches
 
 (* Fault scenario: a brownout, a crash whose orphans retry through the
-   dispatcher, and two repairs. Crashes void cached probe state, so
-   this is the sharpest test of the generation-keyed memoization. *)
+   dispatcher, and two repairs: the scan must read each server's speed
+   and anchor as they stand after every transition. *)
 let fault_timers () =
   [|
     (250.0, fun sim -> Sim.degrade_server sim 0 ~factor:0.4);
@@ -513,18 +519,18 @@ let fault_timers () =
     (800.0, fun sim -> Sim.restore_server sim 1);
   |]
 
-let test_memo_dispatch_faults () =
+let test_scan_dispatch_faults () =
   let queries =
     trace ~kind:Workloads.Exp ~sigma2:0.2 ~load:1.0 ~servers:3
       ~n_queries:1_500 ~seed:1205
   in
   let decisions, mismatches =
-    run_dispatcher_memo_oracle ~timers:(fault_timers ()) ~queries ~servers:3 ()
+    run_dispatcher_tree_oracle ~timers:(fault_timers ()) ~queries ~servers:3 ()
   in
   check_bool "dispatched (arrivals + retries)" true (decisions >= 1_500);
   check_int "no mismatches across crash/brownout/repair" 0 mismatches
 
-let prop_memo_dispatch_random_seeds =
+let prop_scan_dispatch_random_seeds =
   QCheck.Test.make ~name:"memoized == rebuild, random seeds"
     ~count:8
     QCheck.(triple (int_bound 100_000) bool bool)
@@ -535,28 +541,31 @@ let prop_memo_dispatch_random_seeds =
         trace ~kind ~sigma2:0.2 ~load:1.0 ~servers:3 ~n_queries:800 ~seed
       in
       let _, mismatches =
-        run_dispatcher_memo_oracle ~planner ~queries ~servers:3 ()
+        run_dispatcher_tree_oracle ~planner ~queries ~servers:3 ()
       in
       mismatches = 0)
 
-let test_memo_dispatch_metrics_equal () =
-  (* Whole-trajectory check through the public API: the memoized
-     default must reproduce the no-cache oracle's end-to-end metrics
-     bit-for-bit. *)
+let test_scan_dispatch_metrics_equal () =
+  (* Whole-trajectory check: the scan-priced dispatcher must reproduce
+     the tree-priced oracle's end-to-end metrics bit-for-bit. *)
   let queries =
     trace ~kind:Workloads.Exp ~sigma2:0.2 ~load:1.0 ~servers:3
       ~n_queries:1_500 ~seed:1206
   in
-  let run d =
+  let run dispatch =
     let metrics = Metrics.create ~warmup_id:500 () in
     Sim.run ~queries ~n_servers:3
       ~pick_next:(Schedulers.pick Schedulers.fcfs)
-      ~dispatch:(Dispatchers.instantiate d)
-      ~metrics ();
+      ~dispatch ~metrics ();
     metrics
   in
-  let a = run (Dispatchers.sla_tree Planner.fcfs) in
-  let b = run (Dispatchers.sla_tree ~memo:false Planner.fcfs) in
+  let a = run (Dispatchers.instantiate (Dispatchers.sla_tree Planner.fcfs)) in
+  let b =
+    run
+      (Dispatch_oracle.dispatch
+         ~profit:(Insertion_oracle.insertion_profit Planner.fcfs)
+         ~admission:false)
+  in
   Alcotest.(check (float 0.0))
     "identical avg loss" (Metrics.avg_loss a) (Metrics.avg_loss b);
   Alcotest.(check (float 0.0))
@@ -851,17 +860,17 @@ let () =
         ] );
       ( "flat-vs-boxed",
         [
-          Alcotest.test_case "exp workload" `Quick test_memo_dispatch_exp;
+          Alcotest.test_case "exp workload" `Quick test_scan_dispatch_exp;
           Alcotest.test_case "sorted planners" `Quick
-            test_memo_dispatch_sorted_planners;
+            test_scan_dispatch_sorted_planners;
           Alcotest.test_case "heterogeneous + admission" `Quick
-            test_memo_dispatch_heterogeneous_admission;
-          Alcotest.test_case "elastic pool" `Quick test_memo_dispatch_elastic;
+            test_scan_dispatch_heterogeneous_admission;
+          Alcotest.test_case "elastic pool" `Quick test_scan_dispatch_elastic;
           Alcotest.test_case "faults (crash, brownout, repair)" `Quick
-            test_memo_dispatch_faults;
+            test_scan_dispatch_faults;
           Alcotest.test_case "end-to-end metrics equal" `Quick
-            test_memo_dispatch_metrics_equal;
-          qtest prop_memo_dispatch_random_seeds;
+            test_scan_dispatch_metrics_equal;
+          qtest prop_scan_dispatch_random_seeds;
         ] );
       ( "scan-vs-tree",
         [
