@@ -5,20 +5,28 @@ open Cmdliner
 
 let ppf = Format.std_formatter
 
+let scale_conv =
+  let parse s =
+    match Exp_scale.of_string s with
+    | Some t -> Ok t
+    | None ->
+      Error
+        (`Msg
+          (Printf.sprintf
+             "unknown scale %S (expected paper|default|smoke or a query count \
+              N >= 10)"
+             s))
+  in
+  Arg.conv (parse, fun ppf t -> Fmt.string ppf (Exp_scale.name t))
+
 let scale_arg =
   let doc =
     "Experiment scale: 'paper' (20k queries, 10 repeats), 'default', 'smoke', \
      or a query count. Overrides SLATREE_SCALE."
   in
-  Arg.(value & opt (some string) None & info [ "scale" ] ~docv:"SCALE" ~doc)
+  Arg.(value & opt (some scale_conv) None & info [ "scale" ] ~docv:"SCALE" ~doc)
 
-let resolve_scale = function
-  | None -> Exp_scale.from_env ()
-  | Some s -> begin
-    match Exp_scale.of_string s with
-    | Some t -> t
-    | None -> `Error |> ignore; Exp_scale.default
-  end
+let resolve_scale = function Some t -> t | None -> Exp_scale.from_env ()
 
 (* -j / SLATREE_JOBS. Deliberately prints nothing: report output must
    be byte-identical whatever the worker count (the determinism

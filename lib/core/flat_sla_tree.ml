@@ -483,38 +483,6 @@ let prefix_loss c (mode : Cascade_tree.mode) ~n ~tau =
     go c.root i 0.0
   end
 
-(* The paper's pointer-free O(log^2 M) walk over the flat layout; the
-   ablation baseline and an extra oracle for the fuzz tests. *)
-let prefix_loss_binary_search c (mode : Cascade_tree.mode) ~n ~tau =
-  if c.root < 0 then 0.0
-  else begin
-    let count_left left =
-      let j =
-        Arrayx.find_last_leq_int_range c.c_ids ~off:(c.c_off.(left))
-          ~len:(c.c_len.(left)) n
-      in
-      if j < 0 then 0.0 else c.c_cum.(c.c_off.(left) + j)
-    in
-    let rec go k acc =
-      let right = c.c_rchild.(k) in
-      if right < 0 then begin
-        let key = c.c_split.(k) in
-        let hit = match mode with Lt -> key < tau | Le -> key <= tau in
-        if hit && c.c_ids.(c.c_off.(k)) <= n then acc +. c.c_raw.(c.c_off.(k))
-        else acc
-      end
-      else begin
-        let split = c.c_split.(k) in
-        let descend_left_only =
-          match mode with Lt -> tau <= split | Le -> tau < split
-        in
-        if descend_left_only then go (k + 1) acc
-        else go right (acc +. count_left (k + 1))
-      end
-    in
-    go c.root 0.0
-  end
-
 let prefix_total c ~n =
   if c.root < 0 then 0.0
   else begin

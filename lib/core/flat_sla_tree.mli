@@ -49,11 +49,6 @@ val unit_count : cascade -> int
     comparison against [tau]. O(log M). *)
 val prefix_loss : cascade -> Cascade_tree.mode -> n:int -> tau:float -> float
 
-(** The pointer-free O(log^2 M) walk (ablation baseline / test
-    oracle); same answer as {!prefix_loss}. *)
-val prefix_loss_binary_search :
-  cascade -> Cascade_tree.mode -> n:int -> tau:float -> float
-
 (** Total gain of units with buffer position [<= n]. O(log M). *)
 val prefix_total : cascade -> n:int -> float
 

@@ -574,7 +574,7 @@ let optimality_compute ?(sizes = [ 8; 12 ]) ?(instances = 60) ~seed () =
         let now = 40.0 in
         let optimal, _ = Offline_optimal.solve ~now qs in
         if optimal > 1e-9 then begin
-          let greedy = Offline_optimal.greedy_profit ~now qs in
+          let greedy, _ = Offline_optimal.greedy ~now qs in
           let fcfs =
             Offline_optimal.profit_of_order ~now qs (Array.init n Fun.id)
           in

@@ -15,34 +15,12 @@ let queries () =
   in
   [| mk 0 1.0 1.0 1.0; mk 1 0.5 1.0 0.6; mk 2 0.5 1.0 0.6 |]
 
-(* Execute the SLA-tree greedy policy offline: repeatedly rush the
-   best query, realize its profit, repeat on the remainder. *)
-let greedy_execute qs =
-  let remaining = ref (Array.to_list qs) in
-  let t = ref 0.0 in
-  let profit = ref 0.0 in
-  let kept_head = ref true in
-  while !remaining <> [] do
-    let buf = Array.of_list !remaining in
-    let i =
-      match What_if.best_rush_planned ~now:!t buf with
-      | Some (i, _) -> i
-      | None -> 0
-    in
-    if i <> 0 then kept_head := false;
-    let q = buf.(i) in
-    t := !t +. q.Query.size;
-    profit := !profit +. Query.profit_at q ~completion:!t;
-    remaining := List.filteri (fun k _ -> k <> i) !remaining
-  done;
-  (!profit, !kept_head)
-
 let compute () =
   let qs = queries () in
   let original =
     Schedule.scheduled_profit (Schedule.of_queries ~now:0.0 qs)
   in
-  let greedy_profit, greedy_keeps_head = greedy_execute qs in
+  let greedy_profit, order = Offline_optimal.greedy ~now:0.0 qs in
   let optimal =
     Schedule.scheduled_profit
       (Schedule.of_queries ~now:0.0 [| qs.(1); qs.(2); qs.(0) |])
@@ -51,7 +29,9 @@ let compute () =
     original_profit = original;
     greedy_profit;
     optimal_profit = optimal;
-    greedy_keeps_head;
+    (* Each pick was the head of what remained exactly when the
+       queries ran in their original order. *)
+    greedy_keeps_head = order = Array.init (Array.length qs) Fun.id;
   }
 
 let run ppf () =

@@ -86,14 +86,17 @@ let profit_of_order ~now queries order =
       acc +. Query.profit_at q ~completion:!t)
     0.0 order
 
-(* Profit realized by the SLA-tree greedy policy offline (est = actual
-   assumed, as in Sec 8.2's discussion). *)
-let greedy_profit ~now queries =
-  let remaining = ref (Array.to_list queries) in
+(* The SLA-tree greedy policy offline (est = actual assumed, as in Sec
+   8.2's discussion): rush the best what-if, realize its profit, drop
+   it, repeat on the remainder. Returns the realized profit and the
+   order the queries ran in. *)
+let greedy ~now queries =
+  let remaining = ref (List.init (Array.length queries) Fun.id) in
   let t = ref now in
   let profit = ref 0.0 in
+  let order = ref [] in
   while !remaining <> [] do
-    let buf = Array.of_list !remaining in
+    let buf = Array.of_list (List.map (Array.get queries) !remaining) in
     let i =
       match What_if.best_rush_planned ~now:!t buf with
       | Some (i, _) -> i
@@ -102,6 +105,7 @@ let greedy_profit ~now queries =
     let q = buf.(i) in
     t := !t +. q.Query.size;
     profit := !profit +. Query.profit_at q ~completion:!t;
+    order := List.nth !remaining i :: !order;
     remaining := List.filteri (fun k _ -> k <> i) !remaining
   done;
-  !profit
+  (!profit, Array.of_list (List.rev !order))

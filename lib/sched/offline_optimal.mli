@@ -13,6 +13,8 @@ val solve : now:float -> Query.t array -> float * int array
 (** Profit of a specific execution order. *)
 val profit_of_order : now:float -> Query.t array -> int array -> float
 
-(** Profit realized by the SLA-tree greedy policy (rush the best
-    what-if at every step), assuming perfect size estimates. *)
-val greedy_profit : now:float -> Query.t array -> float
+(** [greedy ~now queries] runs the SLA-tree greedy policy (rush the
+    best what-if at every step), assuming perfect size estimates. It
+    returns the realized profit and the order it ran the queries in (as
+    indices into [queries]). *)
+val greedy : now:float -> Query.t array -> float * int array

@@ -1,8 +1,10 @@
 (* Prints every Table 2 and Table 3 cell's average loss at smoke scale
    as an exact hexadecimal float, one cell per line. The rendered
-   tables round to a few digits; this file pins every bit. *)
+   tables round to a few digits; this file pins every bit. Runs the
+   grids on SLATREE_JOBS worker domains when that is set. *)
 
 let () =
+  Parallel.setup ();
   let scale = Exp_scale.smoke in
   List.iter
     (fun (c : Table2.cell) ->

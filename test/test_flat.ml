@@ -99,10 +99,9 @@ let cascade_matches_boxed arena (units, n, tau) =
        (Flat_sla_tree.prefix_total flat ~n)
   && List.for_all
        (fun mode ->
-         let b = Cascade_tree.prefix_loss boxed mode ~n ~tau in
-         bits_eq b (Flat_sla_tree.prefix_loss flat mode ~n ~tau)
-         && bits_eq b
-              (Flat_sla_tree.prefix_loss_binary_search flat mode ~n ~tau))
+         bits_eq
+           (Cascade_tree.prefix_loss boxed mode ~n ~tau)
+           (Flat_sla_tree.prefix_loss flat mode ~n ~tau))
        [ Cascade_tree.Lt; Cascade_tree.Le ]
 
 let prop_flat_cascade_matches_boxed =

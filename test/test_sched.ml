@@ -498,7 +498,7 @@ let prop_greedy_bounded_by_optimal =
     (fun qs ->
       let n = Array.length qs in
       let optimal, _ = Offline_optimal.solve ~now:0.0 qs in
-      let greedy = Offline_optimal.greedy_profit ~now:0.0 qs in
+      let greedy, _ = Offline_optimal.greedy ~now:0.0 qs in
       let fcfs = Offline_optimal.profit_of_order ~now:0.0 qs (Array.init n Fun.id) in
       greedy <= optimal +. 1e-9 && fcfs <= optimal +. 1e-9
       (* Sec 8.2's induction claim: greedy never loses to the original
