@@ -87,38 +87,44 @@ let incr_rush_tests =
           Incr_sla_tree.reset tree ~now rushed;
           ignore (Incr_sla_tree.postpone tree ~m:0 ~n:(i - 1) ~tau)))
 
-let dispatch_fcfs_tests =
-  (* One FCFS SLA-tree dispatch decision over M servers. The session is
-     warmed to load 0.9 by 20 queries per server through the CLI's
-     default pair, then advanced to the next arrival, which is the
-     probe: the state and the query are fixed per M, and the decision
-     changes neither. *)
-  Test.make_indexed ~name:"dispatch.fcfs" ~fmt:"%s:%d" ~args:[ 4; 16; 64; 256 ]
+(* One dispatch decision over M servers. The session is warmed to load
+   0.9 by 20 queries per server through the CLI's default pair, then
+   advanced to the next arrival, which is the probe: the state and the
+   query are fixed per M, and a decision changes neither. The FCFS
+   SLA-tree and LWL rows each warm the same session (the warm-up is
+   deterministic), so only one is alive at a time. *)
+let warmed m =
+  let n = 20 * m in
+  let queries =
+    Trace.generate
+      (Trace.config ~kind:Workloads.Exp ~profile:Workloads.Sla_b ~load:0.9
+         ~servers:m ~n_queries:(n + 1) ~seed:42 ())
+  in
+  let pick_next, hook = Schedulers.instantiate Schedulers.fcfs_sla_tree_incr in
+  let session =
+    Sim.session ?on_server_event:hook ~n_servers:m ~pick_next
+      ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()))
+      ~metrics:(Metrics.create ~warmup_id:0 ())
+      ()
+  in
+  for i = 0 to n - 1 do
+    Sim.inject session queries.(i)
+  done;
+  let probe = queries.(n) in
+  Sim.advance session ~until:probe.Query.arrival;
+  (Sim.sim session, probe)
+
+let dispatch_row name dispatcher =
+  Test.make_indexed ~name ~fmt:"%s:%d" ~args:[ 4; 16; 64; 256; 1024 ]
     (fun m ->
-      let n = 20 * m in
-      let queries =
-        Trace.generate
-          (Trace.config ~kind:Workloads.Exp ~profile:Workloads.Sla_b ~load:0.9
-             ~servers:m ~n_queries:(n + 1) ~seed:42 ())
-      in
-      let pick_next, hook =
-        Schedulers.instantiate Schedulers.fcfs_sla_tree_incr
-      in
-      let dispatch =
-        Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ())
-      in
-      let session =
-        Sim.session ?on_server_event:hook ~n_servers:m ~pick_next ~dispatch
-          ~metrics:(Metrics.create ~warmup_id:0 ())
-          ()
-      in
-      for i = 0 to n - 1 do
-        Sim.inject session queries.(i)
-      done;
-      let probe = queries.(n) in
-      Sim.advance session ~until:probe.Query.arrival;
-      let sim = Sim.sim session in
+      let sim, probe = warmed m in
+      let dispatch = Dispatchers.instantiate dispatcher in
       Staged.stage (fun () -> ignore (dispatch sim probe)))
+
+let dispatch_fcfs_tests =
+  dispatch_row "dispatch.fcfs" (Dispatchers.fcfs_sla_tree_incr ())
+
+let dispatch_lwl_tests = dispatch_row "dispatch.lwl" Dispatchers.lwl
 
 (* One pick over a fixed buffer of N Pareto SLA-B queries at a fixed
    decision time (the last arrival): plain CBS reads the plan head in
@@ -162,6 +168,7 @@ let run_micro () =
         incr_cycle_tests;
         incr_rush_tests;
         dispatch_fcfs_tests;
+        dispatch_lwl_tests;
         cbs_tests;
         cbs_tree_tests;
       ]
@@ -270,44 +277,51 @@ let run_sim_throughput scale =
   Fmt.pr "@.";
   Jsonx.Arr rows
 
-(* faults: fault-injection hook overhead. Three runs of one steady
-   multi-server workload on the incremental path: no injector at all
+(* Time each arm six times, round by round, rotating which arm runs
+   first so that no arm always pays the warm-up (six rounds put each of
+   two or three arms first equally often); each arm's median
+   milliseconds, in arm order. *)
+let interleaved_medians arms =
+  let rounds = 6 in
+  let n = Array.length arms in
+  let times = Array.make_matrix n rounds 0.0 in
+  for r = 0 to rounds - 1 do
+    Gc.compact ();
+    for i = 0 to n - 1 do
+      let a = (r + i) mod n in
+      times.(a).(r) <- arms.(a) ()
+    done
+  done;
+  Array.map (fun ts -> Stats.percentile ts 50.0) times
+
+(* faults: fault-injection hook overhead. One steady multi-server
+   workload on the incremental path, three arms: no injector at all
    (the pre-existing fast path), an injector over the empty plan
    (timers wired, on_server_event chained — what `--faults none`
    costs), and an active moderate plan. The off-vs-empty delta is the
    price of merely enabling the hooks; it must stay measurement
    noise. *)
 
-let timed_run_faults ~make_injector ~queries ~n_servers =
-  let best = ref infinity in
-  Gc.compact ();
-  for _ = 1 to 3 do
-    let metrics = Metrics.create ~warmup_id:0 () in
-    let pick_next, hook =
-      Schedulers.instantiate Schedulers.fcfs_sla_tree_incr
+let faults_run_ms ~make_injector ~queries ~n_servers () =
+  let metrics = Metrics.create ~warmup_id:0 () in
+  let pick_next, hook = Schedulers.instantiate Schedulers.fcfs_sla_tree_incr in
+  let dispatch = Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()) in
+  let injector = make_injector () in
+  let t0 = Sys.time () in
+  (match injector with
+  | None ->
+    Sim.run ?on_server_event:hook ~queries ~n_servers ~pick_next ~dispatch
+      ~metrics ()
+  | Some inj ->
+    let on_server_event ~sid ~now ev =
+      Fault.on_server_event inj ~sid ~now ev;
+      match hook with Some h -> h ~sid ~now ev | None -> ()
     in
-    let dispatch =
-      Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ())
-    in
-    let injector = make_injector () in
-    let t0 = Sys.time () in
-    (match injector with
-    | None ->
-      Sim.run ?on_server_event:hook ~queries ~n_servers ~pick_next ~dispatch
-        ~metrics ()
-    | Some inj ->
-      let on_server_event ~sid ~now ev =
-        Fault.on_server_event inj ~sid ~now ev;
-        match hook with Some h -> h ~sid ~now ev | None -> ()
-      in
-      Sim.run
-        ~timers:(Fault.timers inj)
-        ~on_server_event ~queries ~n_servers ~pick_next ~dispatch ~metrics ();
-      Fault.finalize inj metrics);
-    let dt = Sys.time () -. t0 in
-    if dt < !best then best := dt
-  done;
-  !best *. 1e3
+    Sim.run
+      ~timers:(Fault.timers inj)
+      ~on_server_event ~queries ~n_servers ~pick_next ~dispatch ~metrics ();
+    Fault.finalize inj metrics);
+  (Sys.time () -. t0) *. 1e3
 
 let run_faults scale =
   let n =
@@ -331,19 +345,19 @@ let run_faults scale =
     "=== faults: injection hook overhead (steady load, %d queries, %d \
      servers) ===@."
     n n_servers;
-  let off_ms =
-    timed_run_faults ~make_injector:(fun () -> None) ~queries ~n_servers
-  in
-  let empty_ms =
-    timed_run_faults
-      ~make_injector:(fun () -> Some (Fault.create ~plan:[] ()))
-      ~queries ~n_servers
-  in
   let active_plan = Fault.plan_of_spec "moderate" ~horizon ~n_servers in
-  let active_ms =
-    timed_run_faults
-      ~make_injector:(fun () -> Some (Fault.create ~plan:active_plan ()))
-      ~queries ~n_servers
+  let arm make_injector = faults_run_ms ~make_injector ~queries ~n_servers in
+  let off_ms, empty_ms, active_ms =
+    match
+      interleaved_medians
+        [|
+          arm (fun () -> None);
+          arm (fun () -> Some (Fault.create ~plan:[] ()));
+          arm (fun () -> Some (Fault.create ~plan:active_plan ()));
+        |]
+    with
+    | [| off; empty; active |] -> (off, empty, active)
+    | _ -> assert false
   in
   let empty_delta_pct = (empty_ms -. off_ms) /. off_ms *. 100.0 in
   Fmt.pr "hooks absent:    %.1f ms@." off_ms;
@@ -454,8 +468,10 @@ let run_forecast ~rows =
 (* swf: the real-trace path. The committed SWF fixture is tiled into a
    ~1M-job stream (smoke: ~50k): streaming parse throughput (MB/s,
    jobs/s), SLA-synthesis throughput, and the end-to-end streamed
-   experiment cell, with the GC's top-of-heap as the proxy showing no
-   pass ever materializes the trace. *)
+   experiment cell. The largest major heap sampled during the passes,
+   each started on a compacted heap, shows no pass ever materializes
+   the trace (the process-wide top of heap would report whatever the
+   earlier sections left). *)
 let run_swf scale =
   let path =
     List.fold_left Filename.concat "test" [ "data"; "pwa_excerpt.swf" ]
@@ -471,13 +487,23 @@ let run_swf scale =
     Float.of_int (Unix.stat path).Unix.st_size /. (1024.0 *. 1024.0)
   in
   Fmt.pr "=== swf: real-trace streaming, %s x %d tiles ===@." path tiles;
+  let peak_words = ref 0 in
+  let sample () =
+    peak_words := max !peak_words (Gc.quick_stat ()).Gc.heap_words
+  in
+  (* Sampled every 4096 items and at the end of each pass. *)
+  let every n = if n land 4095 = 0 then sample () in
   (* Parse only. *)
   Gc.compact ();
   let t0 = Unix.gettimeofday () in
   let file_jobs = ref 0 in
   for _ = 1 to tiles do
-    file_jobs := Swf.fold path ~init:0 ~f:(fun n _ -> n + 1)
+    file_jobs :=
+      Swf.fold path ~init:0 ~f:(fun n _ ->
+          every n;
+          n + 1)
   done;
+  sample ();
   let file_jobs = !file_jobs in
   let parse_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
   let parsed = tiles * file_jobs in
@@ -487,8 +513,15 @@ let run_swf scale =
   (* Parse + SLA synthesis. *)
   let synth_cfg = Sla_synth.config ~time_scale:10.0 () in
   let stats = Sla_synth.stats_create () in
+  Gc.compact ();
   let t0 = Unix.gettimeofday () in
-  Seq.iter ignore (Sla_synth.stream synth_cfg ~tiles ~stats ~path ());
+  let seen = ref 0 in
+  Seq.iter
+    (fun _ ->
+      incr seen;
+      every !seen)
+    (Sla_synth.stream synth_cfg ~tiles ~stats ~path ());
+  sample ();
   let synth_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
   let jobs = stats.Sla_synth.read in
   let synth_jobs_s = Float.of_int jobs /. synth_ms *. 1e3 in
@@ -509,13 +542,20 @@ let run_swf scale =
       ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()))
       ~metrics ()
   in
-  Seq.iter (Sim.inject sess) (Sla_synth.stream synth_cfg ~tiles ~path ());
+  let injected = ref 0 in
+  Seq.iter
+    (fun q ->
+      Sim.inject sess q;
+      incr injected;
+      every !injected)
+    (Sla_synth.stream synth_cfg ~tiles ~path ());
   Sim.drain sess;
   let run_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+  sample ();
   let run_queries = Metrics.completed_count metrics in
   let run_qps = Float.of_int stats.Sla_synth.kept /. run_ms *. 1e3 in
   let peak_heap_mb =
-    Float.of_int (Gc.quick_stat ()).Gc.top_heap_words
+    Float.of_int !peak_words
     *. Float.of_int (Sys.word_size / 8)
     /. (1024.0 *. 1024.0)
   in
@@ -525,7 +565,8 @@ let run_swf scale =
     synth_jobs_s stats.Sla_synth.kept;
   Fmt.pr "streamed run: %7.0f ms %22.0f queries/s (%d completed, %d servers)@."
     run_ms run_qps run_queries n_servers;
-  Fmt.pr "top of heap after streaming %d jobs: %.1f MB@.@." parsed peak_heap_mb;
+  Fmt.pr "largest heap while streaming %d jobs: %.1f MB@.@." parsed
+    peak_heap_mb;
   check "swf: jobs = tiles x file_jobs" (jobs = tiles * file_jobs);
   check "swf: parse_mb_s > 0" (parse_mb_s > 0.0);
   check "swf: parse_jobs_s > 0" (parse_jobs_s > 0.0);
@@ -555,10 +596,11 @@ let run_swf scale =
 
 (* tenancy: what the probe-priced admission controller costs on the
    arrival hot path. One bursty overloaded tenant-tagged workload,
-   identical pool and stack, admission off vs on — the on run pays one
-   pruned append-probe scan ([Dispatchers.fcfs_best]), one plan of the
-   priced server's buffer and up to two postpone questions per arrival,
-   each answered by a scan over the queries the newcomer displaces. *)
+   identical pool and stack, admission off vs on, each the median of
+   six interleaved runs — the on run pays one FCFS pick
+   ([Dispatchers.fcfs_best]), one plan of the priced server's buffer
+   and up to two postpone questions per arrival, each answered by a
+   scan over the queries the newcomer displaces. *)
 let run_tenancy scale =
   let n_queries = max 2_000 (scale.Exp_scale.n_queries / 2) in
   let servers = 4 in
@@ -588,7 +630,6 @@ let run_tenancy scale =
     let pick_next, hook =
       Schedulers.instantiate Schedulers.fcfs_sla_tree_incr
     in
-    Gc.compact ();
     let t0 = Unix.gettimeofday () in
     Sim.run ~admit
       ~on_complete:(Tenancy.Acct.on_complete acct)
@@ -598,8 +639,24 @@ let run_tenancy scale =
     let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
     (ms, Tenancy.report acct, metrics)
   in
-  let off_ms, rep_off, _ = one ~admission_on:false in
-  let on_ms, rep_on, m_on = one ~admission_on:true in
+  (* Every run of an arm reports the same: the runs are deterministic. *)
+  let last_off = ref None and last_on = ref None in
+  let arm ~admission_on last () =
+    let ms, rep, m = one ~admission_on in
+    last := Some (rep, m);
+    ms
+  in
+  let off_ms, on_ms =
+    match
+      interleaved_medians
+        [|
+          arm ~admission_on:false last_off; arm ~admission_on:true last_on;
+        |]
+    with
+    | [| off; on |] -> (off, on)
+    | _ -> assert false
+  in
+  let rep_off, _ = Option.get !last_off and rep_on, m_on = Option.get !last_on in
   let overhead_pct = (on_ms -. off_ms) /. off_ms *. 100.0 in
   let profit_off = rep_off.Tenancy.rep_profit in
   let profit_on = rep_on.Tenancy.rep_profit in

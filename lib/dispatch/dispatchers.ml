@@ -98,18 +98,22 @@ let round_robin =
           { Sim.target = Some sid; est_delta = None });
   }
 
-(* Least-work-left: the server with the smallest estimated backlog. *)
+(* Least-work-left: the server with the smallest estimated backlog,
+   ties to the lowest sid. Each speed class's least-work member is its
+   only candidate ([Sim.least_work]). *)
 let lwl =
   {
     name = "LWL";
     make =
       (fun () sim _q ->
-        let m = Sim.n_servers sim in
+        let champs = Sim.least_work sim in
         let best = ref (-1) and best_work = ref infinity in
-        for sid = 0 to m - 1 do
-          if Sim.dispatchable sim sid then begin
+        for i = 0 to Array.length champs - 1 do
+          let sid = champs.(i) in
+          if sid >= 0 then begin
             let w = Sim.est_work_left sim (Sim.server sim sid) in
-            if w < !best_work then begin
+            if !best < 0 || w < !best_work || (w = !best_work && sid < !best)
+            then begin
               best := sid;
               best_work := w
             end
@@ -254,33 +258,35 @@ let insertion_profit_fcfs sim sid q =
       +. Sim.est_work_left sim srv
       +. (q.Query.est_size /. srv.Sim.speed))
 
-(* [argmax_profit]'s rule over [insertion_profit_fcfs], pruned by an
-   exact bound. The appended profit is a function of the completion
-   time [c] alone and never rises with it ([Sla.make]), so a server
-   with [c >= best_c] earns at most the incumbent's profit, and one
-   that also has [w >= best_work] cannot win the tie: its profit is not
-   asked. [c] is [insertion_profit_fcfs]'s expression, bit for bit. *)
+(* [argmax_profit]'s rule over [insertion_profit_fcfs], asked only of
+   each speed class's least-work member ([Sim.least_work]). The
+   appended profit is a function of the completion time [c] alone and
+   never rises with it ([Sla.make]); within a class [c] never falls as
+   [w] grows, so the least-work member earns the class's most profit
+   and wins its ties. [c] is [insertion_profit_fcfs]'s expression, bit
+   for bit. *)
 let fcfs_best sim q =
-  let m = Sim.n_servers sim in
+  let champs = Sim.least_work sim in
   let now = Sim.now sim and est = q.Query.est_size in
   let best = ref (-1)
   and best_delta = ref neg_infinity
-  and best_work = ref infinity
-  and best_c = ref infinity in
-  for sid = 0 to m - 1 do
-    if Sim.dispatchable sim sid then begin
+  and best_work = ref infinity in
+  for i = 0 to Array.length champs - 1 do
+    let sid = champs.(i) in
+    if sid >= 0 then begin
       let srv = Sim.server sim sid in
       let w = Sim.est_work_left sim srv in
-      let c = now +. w +. (est /. srv.Sim.speed) in
-      if !best < 0 || c < !best_c || w < !best_work then begin
-        let d = Query.profit_at q ~completion:c in
-        if !best < 0 || d > !best_delta || (d = !best_delta && w < !best_work)
-        then begin
-          best := sid;
-          best_delta := d;
-          best_work := w;
-          best_c := c
-        end
+      let d =
+        Query.profit_at q ~completion:(now +. w +. (est /. srv.Sim.speed))
+      in
+      if
+        !best < 0
+        || d > !best_delta
+        || (d = !best_delta && (w < !best_work || (w = !best_work && sid < !best)))
+      then begin
+        best := sid;
+        best_delta := d;
+        best_work := w
       end
     end
   done;

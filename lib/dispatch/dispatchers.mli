@@ -22,7 +22,10 @@ val random : seed:int -> t
 (** Cycle through servers. *)
 val round_robin : t
 
-(** Least-work-left: smallest estimated backlog wins. *)
+(** Least-work-left: smallest estimated backlog wins, ties to the
+    lowest sid. A decision reads {!Sim.least_work} and compares its
+    [k] speed-class champions, so it costs O(k) plus the index's read
+    (no other server is visited). *)
 val lwl : t
 
 (** [insertion_profit planner sim sid q] is the profit delta of
@@ -79,21 +82,18 @@ val sla_tree : ?admission:bool -> Planner.t -> t
     probe and the tests. *)
 val insertion_profit_fcfs : Sim.t -> int -> Query.t -> float
 
-(** The FCFS dispatch scan: [Some (sid, delta)] for the dispatchable
+(** The FCFS dispatch pick: [Some (sid, delta)] for the dispatchable
     server with the highest {!insertion_profit_fcfs}, ties to the least
     work left, then to the lowest sid; [None] when no server accepts
-    work. Every server is visited ({!Sim.dispatchable} promotes booted
-    servers), but profit is asked only of the first one and of servers
-    with [c < c_best || w < w_best] against the incumbent's completion
-    time and work left. The bound is exact: a server that completes no
-    earlier earns no more, and one with no less work left cannot win
-    the tie. Both halves matter on heterogeneous farms, where a faster
-    server with more work may complete earlier and a slower one with
-    less work may complete later yet tie on profit. On a homogeneous
-    farm profit is evaluated only at new minima of work left. Target
-    and delta bits equal the unpruned argmax. Completion times must be
-    finite, which {!Query.make} guarantees. [Tenancy.admit] prices the
-    server this picks. *)
+    work. Within one speed class the completion time never falls as
+    the work left grows, and profit never rises with completion time,
+    so each class's least-work member ({!Sim.least_work}) earns the
+    class's most profit and wins its ties. Profit is asked of those [k]
+    champions only, and the exact rule settles between them: a read
+    costs O(k) profit evaluations plus the index's read, independent
+    of the pool size. Target and delta bits equal the scan of every
+    server. Completion times must be finite, which {!Query.make}
+    guarantees. [Tenancy.admit] prices the server this picks. *)
 val fcfs_best : Sim.t -> Query.t -> (int * float) option
 
 (** [sla_tree Planner.fcfs] without planning or scanning any buffer:

@@ -29,9 +29,10 @@
    Hot-path notes: buffers are array-backed FIFO deques (O(1) append,
    O(1) length) and each server carries [est_backlog], the sum of
    buffered estimated sizes, maintained incrementally on
-   enqueue/start/drop. [est_work_left] — asked once per server per
-   arrival by LWL and the SLA-tree dispatcher — is therefore O(1)
-   instead of a fold over the buffer. *)
+   enqueue/start/drop, so [est_work_left] is O(1). The FCFS SLA-tree
+   and LWL dispatchers do not ask it of every server: they read the
+   least-work index ([least_work], below), which proposes one server
+   per speed class. *)
 
 type running = {
   rquery : Query.t;
@@ -88,6 +89,148 @@ type server_event =
   | Degraded of float  (** the new service rate *)
   | Restored
 
+(* An indexed binary min-heap of server ids keyed by floats, for the
+   least-work index: parallel key/id arrays by heap slot, and
+   [slot.(sid)], the slot holding [sid] (-1 when absent), so any member
+   can be re-keyed or removed in O(log n). Ties go to the lower sid.
+   The sifts move a hole rather than swap. It lives here, not in
+   [lib/util], because [Sim] calls it on every server change, and the
+   dev profile's [-opaque] turns every call into another module into a
+   full call; for the same reason the "strictly before" test is
+   written out at each use (a float passed to a function that is not
+   inlined is boxed). *)
+module Sheap = struct
+  type t = {
+    mutable keys : float array;
+    mutable ids : int array;
+    mutable len : int;
+    mutable slot : int array;
+  }
+
+  let create () = { keys = [||]; ids = [||]; len = 0; slot = [||] }
+  let mem h sid = sid < Array.length h.slot && h.slot.(sid) >= 0
+
+  (* Fill the hole at slot [i] with ([key], [sid]), moving it up past
+     every parent that should follow it. *)
+  let sift_up h i key sid =
+    let i = ref i in
+    while
+      !i > 0
+      &&
+      let pk = h.keys.((!i - 1) / 2) in
+      key < pk || (key = pk && sid < h.ids.((!i - 1) / 2))
+    do
+      let p = (!i - 1) / 2 in
+      h.keys.(!i) <- h.keys.(p);
+      h.ids.(!i) <- h.ids.(p);
+      h.slot.(h.ids.(p)) <- !i;
+      i := p
+    done;
+    h.keys.(!i) <- key;
+    h.ids.(!i) <- sid;
+    h.slot.(sid) <- !i
+
+  (* ... or down past every child that should precede it. *)
+  let sift_down h i key sid =
+    let i = ref i and fin = ref false in
+    while not !fin do
+      let l = (2 * !i) + 1 in
+      let c =
+        if
+          l + 1 < h.len
+          &&
+          let rk = h.keys.(l + 1) and lk = h.keys.(l) in
+          rk < lk || (rk = lk && h.ids.(l + 1) < h.ids.(l))
+        then l + 1
+        else l
+      in
+      if
+        c < h.len
+        &&
+        let ck = h.keys.(c) in
+        ck < key || (ck = key && h.ids.(c) < sid)
+      then begin
+        h.keys.(!i) <- h.keys.(c);
+        h.ids.(!i) <- h.ids.(c);
+        h.slot.(h.ids.(c)) <- !i;
+        i := c
+      end
+      else fin := true
+    done;
+    h.keys.(!i) <- key;
+    h.ids.(!i) <- sid;
+    h.slot.(sid) <- !i
+
+  (* Insert [sid] with [key], or re-key it. *)
+  let set h sid key =
+    if mem h sid then begin
+      let i = h.slot.(sid) in
+      if key < h.keys.(i) then sift_up h i key sid else sift_down h i key sid
+    end
+    else begin
+      if sid >= Array.length h.slot then begin
+        let a = Array.make (max (sid + 1) (2 * Array.length h.slot)) (-1) in
+        Array.blit h.slot 0 a 0 (Array.length h.slot);
+        h.slot <- a
+      end;
+      if h.len = Array.length h.ids then begin
+        let cap = max 8 (2 * h.len) in
+        let keys = Array.make cap 0.0 and ids = Array.make cap 0 in
+        Array.blit h.keys 0 keys 0 h.len;
+        Array.blit h.ids 0 ids 0 h.len;
+        h.keys <- keys;
+        h.ids <- ids
+      end;
+      h.len <- h.len + 1;
+      sift_up h (h.len - 1) key sid
+    end
+
+  let remove h sid =
+    if mem h sid then begin
+      let i = h.slot.(sid) in
+      h.slot.(sid) <- -1;
+      h.len <- h.len - 1;
+      if i < h.len then begin
+        (* The last member fills the hole, moving whichever way it must. *)
+        let key = h.keys.(h.len) and last = h.ids.(h.len) in
+        if
+          i > 0
+          &&
+          let pk = h.keys.((i - 1) / 2) in
+          key < pk || (key = pk && last < h.ids.((i - 1) / 2))
+        then sift_up h i key last
+        else sift_down h i key last
+      end
+    end
+end
+
+(* The least-work index (see [least_work]). One class per speed in
+   use among the indexed servers; a class keeps two heaps of sids. *)
+type klass = {
+  kspeed : float;
+  on_time : Sheap.t;
+      (** running with [est_finish > now], keyed by
+          [est_finish +. est_backlog /. speed]: the time the server's
+          estimated schedule ends, which is its work left plus [now] *)
+  left : Sheap.t;
+      (** idle, or running past [est_finish], keyed by
+          [est_backlog /. speed]: exactly their [est_work_left] *)
+}
+
+type index = {
+  mutable classes : klass array;
+  due : Sheap.t;
+      (** the [on_time] members whose estimate undershoots, keyed by
+          [est_finish]: such a member moves to its class's [left] once
+          the clock passes it *)
+  booting : Sheap.t;  (** [Booting until] servers, keyed by [until] *)
+  (* By sid, sized together past the largest sid: *)
+  mutable class_of : int array;  (** the class in [classes], or -1 *)
+  mutable cands : int array;  (** scratch: one read's candidates *)
+  mutable n_cands : int;
+  mutable champs : int array;  (** the last read's answer, by class *)
+}
+
 type t = {
   mutable servers : server array;
   mutable now : float;
@@ -98,6 +241,7 @@ type t = {
       (** the full arrival path (dispatch + metrics + observers), set
           by [session]; re-entered when a drain redistributes a buffer
           or a crash handler re-injects a retry *)
+  mutable index : index option;  (** built by the first [least_work] *)
 }
 
 (* [pick_next ~now buffer] returns the index (into the arrival-ordered
@@ -129,6 +273,87 @@ let buffer_length s = Deque.length s.buffer
 let emit t s ev =
   match t.on_event with None -> () | Some f -> f ~sid:s.sid ~now:t.now ev
 
+(* ------------------------------------------------------------------ *)
+(* Least-work index upkeep. Once built, every change to a server's
+   [running], [est_backlog], [speed] or [state] re-places it in the same
+   step ([touch]), after the fields are set and before any event is
+   emitted, so a read sees the current pool even from a hook. Only
+   [Active] servers sit in a class; [Booting] ones wait in [booting]
+   (even past their ready time: a read promotes them first); the rest
+   are unindexed. *)
+
+let unplace ix sid =
+  if ix.class_of.(sid) >= 0 then begin
+    let c = ix.classes.(ix.class_of.(sid)) in
+    Sheap.remove c.on_time sid;
+    Sheap.remove c.left sid;
+    Sheap.remove ix.due sid;
+    ix.class_of.(sid) <- -1
+  end;
+  Sheap.remove ix.booting sid
+
+(* The class for [speed], moving [sid] out of its old class first. *)
+let klass ix sid speed =
+  let c = ix.class_of.(sid) in
+  if c >= 0 && ix.classes.(c).kspeed = speed then ix.classes.(c)
+  else begin
+    unplace ix sid;
+    let rec find i =
+      if i = Array.length ix.classes then begin
+        let k = { kspeed = speed; on_time = Sheap.create (); left = Sheap.create () } in
+        ix.classes <- Array.append ix.classes [| k |];
+        i
+      end
+      else if ix.classes.(i).kspeed = speed then i
+      else find (i + 1)
+    in
+    let i = find 0 in
+    ix.class_of.(sid) <- i;
+    ix.classes.(i)
+  end
+
+let place ix ~now s =
+  match s.state with
+  | Active -> (
+    let sid = s.sid in
+    let c = klass ix sid s.speed in
+    let left = s.est_backlog /. s.speed in
+    match s.running with
+    | Some r when r.est_finish > now ->
+      if Sheap.mem c.left sid then Sheap.remove c.left sid;
+      Sheap.set c.on_time sid (r.est_finish +. left);
+      (* Only an estimate that undershoots can run out before its query
+         completes: no read happens past a pending completion. *)
+      if r.act_finish > r.est_finish then Sheap.set ix.due sid r.est_finish
+      else if Sheap.mem ix.due sid then Sheap.remove ix.due sid
+    | Some _ | None ->
+      if Sheap.mem c.on_time sid then Sheap.remove c.on_time sid;
+      if Sheap.mem ix.due sid then Sheap.remove ix.due sid;
+      Sheap.set c.left sid left)
+  | Booting until ->
+    unplace ix s.sid;
+    Sheap.set ix.booting s.sid until
+  | Draining | Down | Retired -> unplace ix s.sid
+
+(* Make room for sids up to [sid] (the pool grew). *)
+let widen ix sid =
+  let n = Array.length ix.class_of in
+  let cap = max (sid + 1) (2 * n) in
+  let ext a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  ix.class_of <- ext ix.class_of (-1);
+  ix.cands <- ext ix.cands 0
+
+let touch t s =
+  match t.index with
+  | None -> ()
+  | Some ix ->
+    if s.sid >= Array.length ix.class_of then widen ix s.sid;
+    place ix ~now:t.now s
+
 (* Whether the server currently accepts dispatches. Booting servers
    whose boot delay has elapsed are promoted to [Active] lazily. *)
 let dispatchable_server t s =
@@ -136,6 +361,7 @@ let dispatchable_server t s =
   | Active -> true
   | Booting ready when ready <= t.now ->
     s.state <- Active;
+    touch t s;
     true
   | Booting _ | Draining | Down | Retired -> false
 
@@ -160,7 +386,7 @@ let dispatchable_count t =
 let est_free_at t s =
   match s.running with
   | None -> t.now
-  | Some r -> Float.max t.now r.est_finish
+  | Some r -> if r.est_finish > t.now then r.est_finish else t.now
 
 (* Estimated time the server still owes: remaining current query plus
    everything buffered, in wall-clock terms (i.e. divided by the
@@ -170,10 +396,111 @@ let est_work_left t s =
   let cur = est_free_at t s -. t.now in
   cur +. (s.est_backlog /. s.speed)
 
+(* ------------------------------------------------------------------ *)
+(* Least-work index reads.
+
+   Within one speed class the appended completion time
+   [now + w + est/speed] never falls as the work left [w] grows, so the
+   member with the least [w] (then the lowest sid) wins both the LWL
+   rule and the FCFS SLA-tree rule (most profit, then least [w], then
+   lowest sid): a dispatcher needs only one server per class.
+
+   A [left] member's key is its [w] exactly ([0. +. b] is [b]). An
+   [on_time] key [fl(e + b)] (for [e = est_finish >= now] and
+   [b = backlog/speed >= 0]) is [w + now] up to rounding, but [w] is
+   computed as [fl(fl(e - now) + b)], and the two orders can disagree
+   in the last bits. Both are within [2.1u (e + b)] of exact
+   ([u = 2^-53]), so a member keyed above [k0 (1 + 2^-48)], for the
+   least key [k0], has a [w] strictly above the least-keyed member's:
+   only the members keyed within that bound are asked their exact [w].
+   A running server whose estimate ran out ([e < now]) has [w = b]
+   while its key understates it, so a read first moves every such
+   server to [left]; only an estimate that undershoots its query's
+   actual time can run out while the query still runs. *)
+
+let push_cand ix sid =
+  ix.cands.(ix.n_cands) <- sid;
+  ix.n_cands <- ix.n_cands + 1
+
+(* Members keyed at most [limit] form a subtree under the root (a
+   child is keyed no lower than its parent): walk only that subtree. *)
+let rec gather ix h limit i =
+  if i < h.Sheap.len && h.Sheap.keys.(i) <= limit then begin
+    push_cand ix h.Sheap.ids.(i);
+    gather ix h limit ((2 * i) + 1);
+    gather ix h limit ((2 * i) + 2)
+  end
+
+(* The class member with the least exact work left, ties to the lowest
+   sid; -1 for an empty class. *)
+let champion t ix c =
+  ix.n_cands <- 0;
+  if c.left.len > 0 then push_cand ix c.left.ids.(0);
+  if c.on_time.len > 0 then begin
+    let k0 = c.on_time.keys.(0) in
+    gather ix c.on_time (k0 +. (k0 *. 0x1p-48)) 0
+  end;
+  if ix.n_cands = 1 then ix.cands.(0)
+  else
+  let best = ref (-1) and best_w = ref infinity in
+  for j = 0 to ix.n_cands - 1 do
+    let sid = ix.cands.(j) in
+    let w = est_work_left t t.servers.(sid) in
+    if !best < 0 || w < !best_w || (w = !best_w && sid < !best) then begin
+      best := sid;
+      best_w := w
+    end
+  done;
+  !best
+
+let build t =
+  let n = Array.length t.servers in
+  let ix =
+    {
+      classes = [||];
+      due = Sheap.create ();
+      booting = Sheap.create ();
+      class_of = Array.make n (-1);
+      cands = Array.make n 0;
+      n_cands = 0;
+      champs = [||];
+    }
+  in
+  t.index <- Some ix;
+  Array.iter (place ix ~now:t.now) t.servers;
+  ix
+
+let least_work t =
+  let ix = match t.index with Some ix -> ix | None -> build t in
+  (* Promote every booted server (as [dispatchable] would; the
+     promotion places it in its class), then move every server whose
+     estimate ran out to its class's [left]. *)
+  while ix.booting.len > 0 && ix.booting.keys.(0) <= t.now do
+    let sid = ix.booting.ids.(0) in
+    Sheap.remove ix.booting sid;
+    ignore (dispatchable_server t t.servers.(sid))
+  done;
+  while ix.due.len > 0 && ix.due.keys.(0) < t.now do
+    place ix ~now:t.now t.servers.(ix.due.ids.(0))
+  done;
+  let k = Array.length ix.classes in
+  if Array.length ix.champs <> k then ix.champs <- Array.make k (-1);
+  for i = 0 to k - 1 do
+    ix.champs.(i) <- champion t ix ix.classes.(i)
+  done;
+  ix.champs
+
 let backlog_add s q = s.est_backlog <- s.est_backlog +. q.Query.est_size
 
+(* Float residue could leave a negative sum over a buffer of near-zero
+   estimates; the backlog never goes below zero, which the index's
+   rounding bound relies on. *)
+let backlog_sub s q =
+  let b = s.est_backlog -. q.Query.est_size in
+  s.est_backlog <- (if b > 0.0 then b else 0.0)
+
 let backlog_remove s q =
-  s.est_backlog <- s.est_backlog -. q.Query.est_size;
+  backlog_sub s q;
   (* Snap accumulated float residue back to exactly zero whenever the
      buffer drains, so idle servers compare equal under LWL. *)
   if Deque.is_empty s.buffer then s.est_backlog <- 0.0
@@ -203,6 +530,7 @@ let start_query t s q =
   in
   s.running <- Some r;
   push_completion t s ~act_finish:r.act_finish;
+  touch t s;
   emit t s (Started q)
 
 let dispatch_to t s q =
@@ -215,6 +543,7 @@ let dispatch_to t s q =
   | Some _ ->
     Deque.push_back s.buffer q;
     backlog_add s q;
+    touch t s;
     emit t s (Enqueued q)
 
 let make_server ~sid ~speed ~state =
@@ -243,6 +572,7 @@ let add_server ?(speed = 1.0) ?(boot_delay = 0.0) t =
   in
   let s = make_server ~sid ~speed ~state in
   t.servers <- Array.append t.servers [| s |];
+  touch t s;
   emit t s Scaled_up;
   sid
 
@@ -267,6 +597,7 @@ let retire_server ?(redistribute = true) t sid =
   | Booting _ | Down ->
     (* Never accepted work / crashed empty; nothing to drain. *)
     s.state <- Retired;
+    touch t s;
     emit t s Retired
   | Active ->
     let others_accept =
@@ -277,6 +608,7 @@ let retire_server ?(redistribute = true) t sid =
     if not others_accept then
       invalid_arg "Sim.retire_server: retiring would empty the pool";
     s.state <- Draining;
+    touch t s;
     emit t s Draining;
     if redistribute && not (Deque.is_empty s.buffer) then begin
       let orphans = Deque.to_array s.buffer in
@@ -317,6 +649,7 @@ let crash_server t sid =
     s.run_token <- 0;
     Deque.clear s.buffer;
     s.est_backlog <- 0.0;
+    touch t s;
     emit t s Crashed;
     (match s.state with
     | Draining ->
@@ -325,7 +658,8 @@ let crash_server t sid =
     | _ ->
       (* Repair brings the machine back at its provisioned rate. *)
       s.speed <- s.nominal;
-      s.state <- Down);
+      s.state <- Down;
+      touch t s);
     orphans
 
 (* Change server [sid]'s service rate mid-run (brownout / recovery).
@@ -359,6 +693,7 @@ let set_speed t sid ~speed =
         s.running <- Some r';
         push_completion t s ~act_finish:r'.act_finish);
       s.speed <- speed;
+      touch t s;
       emit t s (if speed = s.nominal then Restored else Degraded speed)
     end
 
@@ -381,6 +716,7 @@ let restore_server t sid =
   | Down ->
     s.speed <- s.nominal;
     s.state <- Active;
+    touch t s;
     emit t s Restored
   | Active | Draining -> if s.speed <> s.nominal then set_speed t sid ~speed:s.nominal
   | Booting _ | Retired -> ()
@@ -422,6 +758,7 @@ let create ?speeds ~n_servers () =
     token_counter = 0;
     on_event = None;
     arrive = None;
+    index = None;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -488,12 +825,16 @@ let session ?(obs = Obs.noop) ?admit ?on_dispatch ?on_complete
       in
       List.iter
         (fun q ->
-          s.est_backlog <- s.est_backlog -. q.Query.est_size;
+          backlog_sub s q;
+          touch t s;
           Metrics.record_dropped metrics q;
           if obs_on then Obs.Registry.incr c_dropped;
           emit t s (Dropped q))
         dropped;
-      if Deque.is_empty s.buffer then s.est_backlog <- 0.0
+      if Deque.is_empty s.buffer then begin
+        s.est_backlog <- 0.0;
+        touch t s
+      end
   in
   let finish_one s =
     match s.running with
@@ -506,6 +847,7 @@ let session ?(obs = Obs.noop) ?admit ?on_dispatch ?on_complete
           "complete"
       end;
       s.running <- None;
+      touch t s;
       Metrics.record metrics r.rquery ~completion:t.now;
       emit t s (Finished { query = r.rquery; actual = t.now -. r.started });
       (match on_complete with

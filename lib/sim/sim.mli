@@ -13,7 +13,9 @@
 
     Buffers are array-backed FIFO deques and every server maintains
     its estimated backlog incrementally, so dispatch-time probes
-    ([buffer_length], [est_work_left]) are O(1). *)
+    ([buffer_length], [est_work_left]) are O(1). The least-work index
+    ({!least_work}) proposes one server per speed class, so the LWL and
+    FCFS SLA-tree dispatchers visit no other server. *)
 
 type running = {
   rquery : Query.t;
@@ -30,16 +32,21 @@ type running = {
     (give up). *)
 type server_state = Booting of float | Active | Draining | Down | Retired
 
-type server = {
+(** Read-only outside [Sim]: the least-work index ({!least_work})
+    mirrors [running], [est_backlog], [speed] and [state], and [Sim]
+    re-places the server in it in the same step that changes any of
+    them. *)
+type server = private {
   sid : int;
   mutable speed : float;
-      (** current processing rate; execution takes size/speed. Mutated
+      (** current processing rate; execution takes size/speed. Changed
           only through {!set_speed}/{!degrade_server}/{!restore_server}. *)
   nominal : float;  (** the provisioned rate ({!restore_server} returns to it) *)
   mutable running : running option;
   buffer : Query.t Deque.t;  (** arrival order, oldest first *)
   mutable est_backlog : float;
-      (** sum of buffered [est_size] (raw, not speed-scaled) *)
+      (** sum of buffered [est_size] (raw, not speed-scaled), never
+          below zero *)
   mutable state : server_state;
   mutable run_token : int;
       (** internal: completion-heap entry validity token *)
@@ -194,8 +201,48 @@ val reinject : t -> Query.t -> unit
 val est_free_at : t -> server -> float
 
 (** Estimated remaining work: current query remainder plus buffered
-    sizes (LWL's metric). O(1) — maintained incrementally. *)
+    sizes (LWL's metric), computed as
+    [(max now est_finish -. now) +. est_backlog /. speed]. O(1) —
+    maintained incrementally. *)
 val est_work_left : t -> server -> float
+
+(** {2 Least-work index}
+
+    [least_work t] is, for each speed class the index has seen, the
+    dispatchable member with the least {!est_work_left}, ties to the
+    lowest sid, or -1 when the class has none: one entry per class, in
+    no particular order, all -1 when no server accepts work. The array
+    is the index's own, overwritten by the next read: read it, do not
+    keep or change it. Within a class the FCFS appended
+    completion time [now + w + est/speed] never falls as the work left
+    [w] grows, so that member also wins the FCFS SLA-tree rule (most
+    profit, then least [w], then lowest sid): {!Dispatchers.lwl} and
+    {!Dispatchers.fcfs_best} read this instead of visiting every
+    server.
+
+    The index is built at the first read, so a run that never reads it
+    pays one branch per server change. Once built, [Sim] re-places a
+    server in the same step that changes its [running], [est_backlog],
+    [speed] or [state], before any event is emitted; a booting server
+    waits there even past its ready time, and a read first promotes
+    every booted server (as {!dispatchable} does), then moves each
+    server whose estimate ran out while its query still runs to the
+    second order below. Invariant, after that upkeep: each
+    [Active] server sits in its speed class, keyed by
+    [est_finish +. est_backlog /. speed] when it is running and
+    [est_finish >= now], else by [est_backlog /. speed] (its exact
+    work left); each [Booting] server waits by ready time; no other
+    server is indexed. The first order's keys can disagree with the
+    computed work left in the last bits, so a read asks the exact
+    {!est_work_left} of every member keyed within a rounding bound
+    ([2^-48] relative) of the least key; targets and profit bits equal
+    a scan of every server.
+
+    Cost: O(k + c) per read for [k] speed classes and [c] members near
+    the least key, plus O(log m) for each server booted or overrun
+    since the last read; each server change costs O(log m) when it
+    happens. *)
+val least_work : t -> int array
 
 (** The canonical [drop_policy]: abandon queries whose last deadline
     has already passed (their penalty is sunk — footnote 2). *)

@@ -299,13 +299,16 @@ let prop_dispatcher_equiv_random_seeds =
       in
       mismatches = 0)
 
-(* Pruned FCFS dispatch vs the full scan ([Dispatch_oracle]),
-   decision by decision on identical state: the
-   same target and the same [est_delta] bits. The draw covers what the
-   bound's two halves depend on: equal or mixed speeds (the [c] and [w]
-   orders only disagree when speeds differ), integer SLA-A/B gains or
-   tenant tier gains (profit ties), estimation error, admission, and a
-   pool that grows by a booting server and loses another mid-run. *)
+(* FCFS dispatch vs the full scan ([Dispatch_oracle]), decision by
+   decision on identical state: the same target and the same
+   [est_delta] bits. [Dispatchers.fcfs_best] reads the least-work index
+   ([Sim.least_work]) and settles its per-speed-class champions with
+   the exact rule. The draw covers what that rule's tie-breaks depend
+   on: equal or mixed speeds (completion time and work left order
+   servers alike only within a speed class), integer SLA-A/B gains or
+   tenant tier gains (profit ties), estimation error (overrun servers),
+   admission, and a pool that grows by a booting server and loses
+   another mid-run. *)
 type prune_case = {
   p_servers : int;
   p_speeds : float array option;  (* None: all 1.0 *)
@@ -332,11 +335,11 @@ let print_prune_case c =
     (if c.p_heavy then "pareto" else "exp")
     c.p_load c.p_seed
 
-let arbitrary_prune_case =
+let arbitrary_prune_case ~max_servers =
   let speed = QCheck.Gen.oneofl [ 0.5; 1.0; 2.0 ] in
   QCheck.make ~print:print_prune_case
     QCheck.Gen.(
-      let* p_servers = 1 -- 16 in
+      let* p_servers = 1 -- max_servers in
       let* mixed = bool in
       let* speeds = array_repeat p_servers speed in
       let* p_new_speed = speed in
@@ -370,7 +373,67 @@ let boot_and_retire ~speed ~interval =
     | 4 -> retire_lowest sim
     | _ -> ()
 
-let prune_mismatches c =
+let dispatchable_sids sim =
+  List.filter (Sim.dispatchable sim) (List.init (Sim.n_servers sim) Fun.id)
+
+(* A ticker that churns every state the least-work index mirrors, one
+   event per tick: (1) crash the busiest server, so it leaves orphans,
+   and re-inject them; (2) degrade the lowest server by 0.5 and add two
+   booting servers, one whose boot ends exactly at an arrival about 20
+   queries ahead (one that [now + (a - now)] reproduces) and one whose
+   boot ends before the next arrival, so no read sees it booting;
+   (3) restore the crashed server; (4) retire one with redistribution
+   and (5) one without; (6) restore the degraded one. *)
+let churn_ticker ~new_speed queries =
+  let tick = ref 0 and crashed = ref (-1) and degraded = ref (-1) in
+  let work sim sid = Sim.est_work_left sim (Sim.server sim sid) in
+  fun sim ->
+    incr tick;
+    match (!tick, List.rev (dispatchable_sids sim)) with
+    | 1, (first :: _ :: _ as ds) ->
+      let busiest =
+        List.fold_left
+          (fun b sid -> if work sim sid > work sim b then sid else b)
+          first ds
+      in
+      crashed := busiest;
+      List.iter
+        (fun q -> Sim.reinject sim (Query.retried q))
+        (Sim.crash_server sim busiest)
+    | 2, ds ->
+      (match List.rev ds with
+      | low :: _ ->
+        degraded := low;
+        Sim.degrade_server sim low ~factor:0.5
+      | [] -> ());
+      let now = Sim.now sim in
+      let later =
+        List.filter
+          (fun q ->
+            let a = q.Query.arrival in
+            a > now && now +. (a -. now) = a)
+          (Array.to_list queries)
+      in
+      let boot boot_delay =
+        ignore (Sim.add_server ~speed:new_speed ~boot_delay sim)
+      in
+      List.iteri
+        (fun i q ->
+          let gap = q.Query.arrival -. now in
+          if i = 0 then boot (gap /. 2.0) else if i = 20 then boot gap)
+        later
+    | 3, _ -> if !crashed >= 0 then Sim.restore_server sim !crashed
+    | 4, _ -> retire_lowest sim
+    | 5, top :: _ :: _ -> Sim.retire_server ~redistribute:false sim top
+    | 6, _ -> if !degraded >= 0 then Sim.restore_server sim !degraded
+    | _ -> ()
+
+(* With [churn], [churn_ticker] replaces [boot_and_retire], and
+   [Dispatchers.lwl], which reads the same index, is also checked
+   against its oracle at every arrival. The readers run before the
+   oracles, whose [Sim.dispatchable] calls would otherwise promote
+   booted servers for them. *)
+let prune_mismatches ?(churn = false) c =
   let error =
     if c.p_sigma2 > 0.0 then Estimate_error.gaussian ~sigma2:c.p_sigma2 ()
     else Estimate_error.none
@@ -387,22 +450,33 @@ let prune_mismatches c =
       Tenancy.assign (Tenancy.default_registry ()) queries
     else queries
   in
-  let interval = queries.(Array.length queries - 1).Query.arrival /. 6.0 in
-  let pruned =
+  let last = queries.(Array.length queries - 1).Query.arrival in
+  let ticker =
+    if churn then (last /. 8.0, churn_ticker ~new_speed:c.p_new_speed queries)
+    else
+      let interval = last /. 6.0 in
+      (interval, boot_and_retire ~speed:c.p_new_speed ~interval)
+  in
+  let fcfs =
     Dispatchers.instantiate
       (Dispatchers.fcfs_sla_tree_incr ~admission:c.p_admission ())
   in
+  let lwl = Dispatchers.instantiate Dispatchers.lwl in
   let decisions = ref 0 and mismatches = ref 0 in
   let dispatch sim q =
-    let a = pruned sim q in
-    let b = Dispatch_oracle.dispatch ~admission:c.p_admission sim q in
+    let a = fcfs sim q in
+    let b = if churn then Some (lwl sim q) else None in
+    let same =
+      Dispatch_oracle.same a
+        (Dispatch_oracle.dispatch ~admission:c.p_admission sim q)
+      && Option.fold b ~none:true ~some:(fun b ->
+             Dispatch_oracle.same b (Dispatch_oracle.lwl sim q))
+    in
     incr decisions;
-    if not (Dispatch_oracle.same a b) then incr mismatches;
+    if not same then incr mismatches;
     a
   in
-  Sim.run ?speeds:c.p_speeds
-    ~ticker:(interval, boot_and_retire ~speed:c.p_new_speed ~interval)
-    ~queries ~n_servers:c.p_servers
+  Sim.run ?speeds:c.p_speeds ~ticker ~queries ~n_servers:c.p_servers
     ~pick_next:(Schedulers.pick Schedulers.fcfs)
     ~dispatch
     ~metrics:(Metrics.create ~warmup_id:0 ())
@@ -411,9 +485,128 @@ let prune_mismatches c =
 
 let prop_pruned_dispatch_equals_full_scan =
   QCheck.Test.make ~name:"pruned dispatch == full scan (target, delta bits)"
-    ~count:60 arbitrary_prune_case (fun c ->
+    ~count:60 (arbitrary_prune_case ~max_servers:16) (fun c ->
       let decisions, mismatches = prune_mismatches c in
       decisions >= 600 && mismatches = 0)
+
+(* The same contract with up to 64 servers, under [churn_ticker], for
+   both readers of the index. *)
+let prop_index_equals_full_scan =
+  QCheck.Test.make
+    ~name:"least-work index == full scan under churn (fcfs, lwl)" ~count:80
+    (arbitrary_prune_case ~max_servers:64) (fun c ->
+      let decisions, mismatches = prune_mismatches ~churn:true c in
+      decisions >= 600 && mismatches = 0)
+
+(* Fixed cases for what random draws rarely hit. [probe_run] routes
+   query [i] to [route.(i)] while [i] indexes [route]; every later query
+   is a probe: [before] runs, then both readers and both oracles read
+   the same state, and the probe joins the FCFS reader's pick. Returns
+   each probe's (FCFS target, LWL target, both equal their oracles). *)
+let probe_run ?timers ?(before = fun _ _ -> ()) ~n ~route queries =
+  let fcfs = Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()) in
+  let lwl = Dispatchers.instantiate Dispatchers.lwl in
+  let probes = ref [] in
+  let dispatch sim q =
+    let id = q.Query.id in
+    if id < Array.length route then { Sim.target = Some route.(id); est_delta = None }
+    else begin
+      before sim q;
+      let a = fcfs sim q in
+      let b = lwl sim q in
+      let same =
+        Dispatch_oracle.same a (Dispatch_oracle.dispatch ~admission:false sim q)
+        && Dispatch_oracle.same b (Dispatch_oracle.lwl sim q)
+      in
+      probes := (a.Sim.target, b.Sim.target, same) :: !probes;
+      a
+    end
+  in
+  Sim.run ?timers ~queries ~n_servers:n
+    ~pick_next:(Schedulers.pick Schedulers.fcfs)
+    ~dispatch
+    ~metrics:(Metrics.create ~warmup_id:0 ())
+    ();
+  List.rev !probes
+
+let lenient = Sla.single_step ~bound:10_000.0 ~gain:1.0
+
+let q ?est id arrival size =
+  Query.make ?est_size:est ~id ~arrival ~size ~sla:lenient ()
+
+let check_probe label expected (fcfs, lwl, same) =
+  Alcotest.(check (option int)) (label ^ ": FCFS target") (Some expected) fcfs;
+  Alcotest.(check (option int)) (label ^ ": LWL target") (Some expected) lwl;
+  check_bool (label ^ ": readers equal their oracles") true same
+
+let test_index_equal_keys () =
+  (* At [now], server 0 runs until 676.73... with 38.18... buffered and
+     server 1 until 702.17... with 12.75... buffered: their
+     [est_finish + backlog] are equal bit for bit, but server 1's exact
+     work left is 4 ulps smaller. A read that compared keys only would
+     pick server 0. *)
+  let now = 634.3642441124013 in
+  let e0 = 676.7359309592629 and b0 = 38.1887309488307 in
+  let e1 = 702.1712106211224 and b1 = 12.753451286971085 in
+  check_bool "equal keys" true
+    (Int64.bits_of_float (e0 +. b0) = Int64.bits_of_float (e1 +. b1));
+  check_bool "server 1 has less work left" true
+    (e1 -. now +. b1 < e0 -. now +. b0);
+  match
+    probe_run ~n:2 ~route:[| 0; 1; 0; 1 |]
+      [| q 0 0.0 e0; q 1 0.0 e1; q 2 0.0 b0; q 3 0.0 b1; q 4 now 1.0 |]
+  with
+  | [ p ] -> check_probe "equal keys" 1 p
+  | _ -> Alcotest.fail "one probe expected"
+
+let test_index_overrun () =
+  (* Server 0's query is estimated at 1 but runs 100, with 10 buffered
+     behind it; server 1 runs 55 as estimated. A read at 0.5 keys
+     server 0 at 11 and server 1 at 55, and nothing touches either
+     server before the probe at 50: server 0's key still says 11, but
+     its work left is 10 against server 1's 5. *)
+  let timers = [| (0.5, fun sim -> ignore (Sim.least_work sim)) |] in
+  match
+    probe_run ~timers ~n:2 ~route:[| 0; 1; 0 |]
+      [| q ~est:1.0 0 0.0 100.0; q 1 0.0 55.0; q 2 0.0 10.0; q 3 50.0 1.0 |]
+  with
+  | [ p ] -> check_probe "after the overrun" 1 p
+  | _ -> Alcotest.fail "one probe expected"
+
+let test_index_lazy_promotion () =
+  (* Server 1 joins at 1, booting until 10. The read at 5 finds it
+     booting; at 12 [Sim.dispatchable] promotes it before the next read,
+     which must offer it: it is idle, server 0 is busy. *)
+  let timers =
+    [| (1.0, fun sim -> ignore (Sim.add_server ~boot_delay:9.0 sim)) |]
+  in
+  let before sim q =
+    if q.Query.id = 2 then check_bool "promoted" true (Sim.dispatchable sim 1)
+  in
+  match
+    probe_run ~timers ~before ~n:1 ~route:[| 0 |]
+      [| q 0 0.0 100.0; q 1 5.0 0.0; q 2 12.0 1.0 |]
+  with
+  | [ booting; promoted ] ->
+    check_probe "while booting" 0 booting;
+    check_probe "after the promotion" 1 promoted
+  | _ -> Alcotest.fail "two probes expected"
+
+let test_index_boot_ends_unread () =
+  (* The read at 0.5 builds the index. Server 1 joins at 1, booting
+     until 10, and nothing reads before the probe at 12: that read must
+     promote it and offer it (it is idle, server 0 is busy). *)
+  let timers =
+    [|
+      (0.5, fun sim -> ignore (Sim.least_work sim));
+      (1.0, fun sim -> ignore (Sim.add_server ~boot_delay:9.0 sim));
+    |]
+  in
+  match
+    probe_run ~timers ~n:1 ~route:[| 0 |] [| q 0 0.0 100.0; q 1 12.0 1.0 |]
+  with
+  | [ p ] -> check_probe "boot ended unread" 1 p
+  | _ -> Alcotest.fail "one probe expected"
 
 (* ------------------------------------------------------------------ *)
 (* Scan-priced vs tree-priced dispatch: [Dispatchers.sla_tree], which
@@ -857,6 +1050,15 @@ let () =
           Alcotest.test_case "elastic pool" `Quick test_dispatcher_equiv_elastic;
           qtest prop_dispatcher_equiv_random_seeds;
           qtest prop_pruned_dispatch_equals_full_scan;
+          qtest prop_index_equals_full_scan;
+          Alcotest.test_case "index: equal keys, unequal work left" `Quick
+            test_index_equal_keys;
+          Alcotest.test_case "index: an overrun key understates its work"
+            `Quick test_index_overrun;
+          Alcotest.test_case "index: promoted between two reads" `Quick
+            test_index_lazy_promotion;
+          Alcotest.test_case "index: a boot ends with no read" `Quick
+            test_index_boot_ends_unread;
         ] );
       ( "flat-vs-boxed",
         [
