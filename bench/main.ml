@@ -2,10 +2,12 @@
 
    The Bechamel micro rows time the SLA-tree primitives behind Fig 17:
    full build, one postpone question, a whole scheduling decision, and
-   the O(N)-per-question naive baseline the data structure replaces.
-   Six sections time and check whole runs: sim_throughput, faults,
-   elastic, forecast, swf and tenancy. Whole-run throughput, obs
-   overhead, the parallel runner and the socket path are perfbench's.
+   the O(N)-per-question naive baseline the data structure replaces;
+   then the incremental tree's question and pop+append cycle, one pick
+   of the shipped schedulers and one dispatch decision. Six sections
+   time and check whole runs: sim_throughput, faults, elastic,
+   forecast, swf and tenancy. Whole-run throughput, obs overhead, the
+   parallel runner and the socket path are perfbench's.
 
    Scale follows SLATREE_SCALE (see Exp_scale): "smoke" | "default" |
    "paper". Run from the repository root (the swf section reads the
@@ -69,24 +71,6 @@ let incr_cycle_tests =
           Incr_sla_tree.pop_head tree;
           Incr_sla_tree.append tree replacement))
 
-let incr_rush_tests =
-  (* The live tree's side of a rushed pick: reset in post-rush order
-     (query N/2 first), then the one prefix probe that rushing query
-     N/2 asks, postpone(0, N/2 - 1) by its estimate. *)
-  Test.make_indexed ~name:"incr.rush" ~fmt:"%s:%d" ~args:sizes (fun n ->
-      let buffer = buffer_of n in
-      let i = n / 2 in
-      let rushed =
-        Array.init n (fun j ->
-            if j = 0 then buffer.(i) else if j <= i then buffer.(j - 1)
-            else buffer.(j))
-      in
-      let tau = buffer.(i).Query.est_size in
-      let tree = Incr_sla_tree.create ~now buffer in
-      Staged.stage (fun () ->
-          Incr_sla_tree.reset tree ~now rushed;
-          ignore (Incr_sla_tree.postpone tree ~m:0 ~n:(i - 1) ~tau)))
-
 (* One dispatch decision over M servers. The session is warmed to load
    0.9 by 20 queries per server through the CLI's default pair, then
    advanced to the next arrival, which is the probe: the state and the
@@ -100,9 +84,9 @@ let warmed m =
       (Trace.config ~kind:Workloads.Exp ~profile:Workloads.Sla_b ~load:0.9
          ~servers:m ~n_queries:(n + 1) ~seed:42 ())
   in
-  let pick_next, hook = Schedulers.instantiate Schedulers.fcfs_sla_tree_incr in
   let session =
-    Sim.session ?on_server_event:hook ~n_servers:m ~pick_next
+    Sim.session ~n_servers:m
+      ~pick_next:(Schedulers.pick Schedulers.fcfs_sla_tree)
       ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()))
       ~metrics:(Metrics.create ~warmup_id:0 ())
       ()
@@ -114,6 +98,8 @@ let warmed m =
   Sim.advance session ~until:probe.Query.arrival;
   (Sim.sim session, probe)
 
+(* Timed in their own Bechamel pass, without per-sample heap compaction
+   (see [run_micro]). *)
 let dispatch_row name dispatcher =
   Test.make_indexed ~name ~fmt:"%s:%d" ~args:[ 4; 16; 64; 256; 1024 ]
     (fun m ->
@@ -128,9 +114,10 @@ let dispatch_lwl_tests = dispatch_row "dispatch.lwl" Dispatchers.lwl
 
 (* One pick over a fixed buffer of N Pareto SLA-B queries at a fixed
    decision time (the last arrival): plain CBS reads the plan head in
-   one pass; CBS+SLA-tree sorts the plan and builds its tree, into the
-   domain's arena, once some candidate passes the rush bound. *)
-let cbs_pick_row name scheduler =
+   one pass; the SLA-tree variants plan the buffer (CBS sorts it) and
+   price each candidate that passes the rush bound by scanning its
+   predecessors. *)
+let pick_row name scheduler =
   Test.make_indexed ~name ~fmt:"%s:%d" ~args:[ 16; 64; 256 ] (fun n ->
       let buffer =
         Trace.generate
@@ -142,10 +129,12 @@ let cbs_pick_row name scheduler =
       Staged.stage (fun () -> ignore (pick ~now buffer)))
 
 let cbs_rate = Exp_common.cbs_rate Workloads.Pareto
-let cbs_tests = cbs_pick_row "sched.cbs" (Schedulers.cbs ~rate:cbs_rate)
+let cbs_tests = pick_row "sched.cbs" (Schedulers.cbs ~rate:cbs_rate)
 
 let cbs_tree_tests =
-  cbs_pick_row "sched.cbs_tree" (Schedulers.cbs_sla_tree ~rate:cbs_rate)
+  pick_row "sched.cbs_tree" (Schedulers.cbs_sla_tree ~rate:cbs_rate)
+
+let fcfs_tree_tests = pick_row "sched.fcfs_tree" Schedulers.fcfs_sla_tree
 
 (* BENCH_sim.json is strict JSON: a non-finite measurement is written
    as null (Jsonx itself would print nan or inf). *)
@@ -156,9 +145,36 @@ let count n = Jsonx.Num (Float.of_int n)
 let failed = ref []
 let check name ok = if not ok then failed := name :: !failed
 
+(* One Bechamel pass: each row's OLS time per call, by name. *)
+let micro_pass ~stabilize tests =
+  let cfg =
+    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None ~stabilize ()
+  in
+  let raw =
+    Benchmark.all cfg [ Instance.monotonic_clock ]
+      (Test.make_grouped ~name:"slatree" tests)
+  in
+  let ols =
+    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
+  in
+  Hashtbl.fold
+    (fun name ols acc ->
+      let ns =
+        match Analyze.OLS.estimates ols with
+        | Some (e :: _) -> e
+        | Some [] | None -> Float.nan
+      in
+      (name, ns) :: acc)
+    (Analyze.all ols Instance.monotonic_clock raw)
+    []
+
+(* The dispatch rows run in a second pass without Bechamel's per-sample
+   heap compaction: a warmed session at M = 1024 keeps a heap large
+   enough that compacting it before every sample eats the quota, and
+   the row would time the compaction instead of the decision. *)
 let run_micro () =
-  let grouped =
-    Test.make_grouped ~name:"slatree"
+  let rows =
+    micro_pass ~stabilize:true
       [
         build_tests;
         postpone_tests;
@@ -166,29 +182,11 @@ let run_micro () =
         decision_tests;
         incr_question_tests;
         incr_cycle_tests;
-        incr_rush_tests;
-        dispatch_fcfs_tests;
-        dispatch_lwl_tests;
         cbs_tests;
         cbs_tree_tests;
+        fcfs_tree_tests;
       ]
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with
-          | Some (e :: _) -> e
-          | Some [] | None -> Float.nan
-        in
-        (name, ns) :: acc)
-      results []
+    @ micro_pass ~stabilize:false [ dispatch_fcfs_tests; dispatch_lwl_tests ]
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   Fmt.pr "@.=== Bechamel micro-benchmarks (per call) ===@.";
@@ -203,76 +201,54 @@ let run_micro () =
       in
       Fmt.pr "%-36s %14s@." name pretty)
     rows;
-  Fmt.pr "@.";
+  Fmt.pr "(dispatch.* rows: a second pass without per-sample heap compaction)@.@.";
   Jsonx.Arr
     (List.map
        (fun (name, ns) -> Jsonx.Obj [ ("name", Jsonx.Str name); ("ns", num ns) ])
        rows)
 
-(* sim_throughput: whole simulator runs through the FCFS SLA-tree
-   scheduling+dispatching pair, the rebuild scheduler with the
-   scan-priced dispatcher vs the incremental fast path. An overloaded
-   single server grows its buffer into the hundreds, which is exactly
-   where the rebuild path's per-decision tree build and per-arrival
-   plan of the buffer dominate the event loop. *)
+(* sim_throughput: whole simulator runs of one overloaded server (load
+   4.0) through the shipped FCFS SLA-tree pair, best of three. The
+   buffer grows into the hundreds and past a thousand, the depth the
+   paper built its tree for: every rush probe scans the candidate's
+   predecessors, so a decision costs time linear in the buffer. *)
 
-let timed_run ~queries ~scheduler ~dispatcher =
+let timed_run queries =
   let max_buffer = ref 0 in
   let best = ref infinity in
   Gc.compact ();
   for _ = 1 to 3 do
     let metrics = Metrics.create ~warmup_id:0 () in
-    let pick_next, hook = Schedulers.instantiate scheduler in
+    let pick_next = Schedulers.pick Schedulers.fcfs_sla_tree in
     let pick ~now buffer =
       if Array.length buffer > !max_buffer then max_buffer := Array.length buffer;
       pick_next ~now buffer
     in
     let t0 = Sys.time () in
-    Sim.run ?on_server_event:hook ~queries ~n_servers:1 ~pick_next:pick
-      ~dispatch:(Dispatchers.instantiate dispatcher)
+    Sim.run ~queries ~n_servers:1 ~pick_next:pick
+      ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()))
       ~metrics ();
     let dt = Sys.time () -. t0 in
     if dt < !best then best := dt
   done;
   (!best *. 1e3, !max_buffer)
 
-let run_sim_throughput scale =
-  let sizes =
-    if scale.Exp_scale.n_queries <= Exp_scale.smoke.Exp_scale.n_queries then
-      [ 700 ]
-    else [ 700; 1_400; 2_800 ]
-  in
-  Fmt.pr "=== sim.throughput: rebuild vs incremental FCFS SLA-tree ===@.";
-  Fmt.pr "%-9s %-11s %12s %12s %9s@." "queries" "peak buffer" "rebuild"
-    "incremental" "speedup";
+let run_sim_throughput () =
+  Fmt.pr "=== sim.throughput: FCFS SLA-tree, one server at load 4.0 ===@.";
+  Fmt.pr "%-9s %-11s %12s@." "queries" "peak buffer" "run";
   let rows =
     List.map
       (fun n ->
-        let queries =
-          Trace.generate
-            (Trace.config ~kind:Workloads.Exp ~profile:Workloads.Sla_b
-               ~load:4.0 ~servers:1 ~n_queries:n ~seed:42 ())
+        let ms, peak =
+          timed_run
+            (Trace.generate
+               (Trace.config ~kind:Workloads.Exp ~profile:Workloads.Sla_b
+                  ~load:4.0 ~servers:1 ~n_queries:n ~seed:42 ()))
         in
-        let rebuild_ms, peak =
-          timed_run ~queries ~scheduler:Schedulers.fcfs_sla_tree
-            ~dispatcher:(Dispatchers.sla_tree Planner.fcfs)
-        in
-        let incr_ms, _ =
-          timed_run ~queries ~scheduler:Schedulers.fcfs_sla_tree_incr
-            ~dispatcher:(Dispatchers.fcfs_sla_tree_incr ())
-        in
-        let speedup = rebuild_ms /. incr_ms in
-        Fmt.pr "%-9d %-11d %9.1f ms %9.1f ms %8.1fx@." n peak rebuild_ms incr_ms
-          speedup;
+        Fmt.pr "%-9d %-11d %9.1f ms@." n peak ms;
         Jsonx.Obj
-          [
-            ("queries", count n);
-            ("peak_buffer", count peak);
-            ("rebuild_ms", num rebuild_ms);
-            ("incremental_ms", num incr_ms);
-            ("speedup", num speedup);
-          ])
-      sizes
+          [ ("queries", count n); ("peak_buffer", count peak); ("ms", num ms) ])
+      [ 700; 1_400; 2_800 ]
   in
   Fmt.pr "@.";
   Jsonx.Arr rows
@@ -295,31 +271,26 @@ let interleaved_medians arms =
   Array.map (fun ts -> Stats.percentile ts 50.0) times
 
 (* faults: fault-injection hook overhead. One steady multi-server
-   workload on the incremental path, three arms: no injector at all
-   (the pre-existing fast path), an injector over the empty plan
-   (timers wired, on_server_event chained — what `--faults none`
-   costs), and an active moderate plan. The off-vs-empty delta is the
-   price of merely enabling the hooks; it must stay measurement
-   noise. *)
+   workload on the shipped FCFS SLA-tree pair, three arms: no injector
+   at all (the pre-existing fast path), an injector over the empty
+   plan (timers wired, on_server_event installed — what `--faults
+   none` costs), and an active moderate plan. The off-vs-empty delta
+   is the price of merely enabling the hooks; it must stay
+   measurement noise. *)
 
 let faults_run_ms ~make_injector ~queries ~n_servers () =
   let metrics = Metrics.create ~warmup_id:0 () in
-  let pick_next, hook = Schedulers.instantiate Schedulers.fcfs_sla_tree_incr in
+  let pick_next = Schedulers.pick Schedulers.fcfs_sla_tree in
   let dispatch = Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()) in
   let injector = make_injector () in
   let t0 = Sys.time () in
   (match injector with
-  | None ->
-    Sim.run ?on_server_event:hook ~queries ~n_servers ~pick_next ~dispatch
-      ~metrics ()
+  | None -> Sim.run ~queries ~n_servers ~pick_next ~dispatch ~metrics ()
   | Some inj ->
-    let on_server_event ~sid ~now ev =
-      Fault.on_server_event inj ~sid ~now ev;
-      match hook with Some h -> h ~sid ~now ev | None -> ()
-    in
     Sim.run
       ~timers:(Fault.timers inj)
-      ~on_server_event ~queries ~n_servers ~pick_next ~dispatch ~metrics ();
+      ~on_server_event:(Fault.on_server_event inj)
+      ~queries ~n_servers ~pick_next ~dispatch ~metrics ();
     Fault.finalize inj metrics);
   (Sys.time () -. t0) *. 1e3
 
@@ -525,20 +496,18 @@ let run_swf scale =
   let synth_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
   let jobs = stats.Sla_synth.read in
   let synth_jobs_s = Float.of_int jobs /. synth_ms *. 1e3 in
-  (* End-to-end: the streamed experiment cell (incremental SLA-tree
-     scheduling and dispatching) over the full tiled stream. *)
+  (* End-to-end: the streamed experiment cell (FCFS SLA-tree scheduling
+     and dispatching) over the full tiled stream. *)
   let n_servers = 20 in
   let metrics =
     Metrics.create ~response_cap:65_536 ~warmup_id:(stats.Sla_synth.kept / 10)
       ()
   in
-  let pick_next, hook =
-    Schedulers.instantiate Schedulers.fcfs_sla_tree_incr
-  in
   Gc.compact ();
   let t0 = Unix.gettimeofday () in
   let sess =
-    Sim.session ?on_server_event:hook ~n_servers ~pick_next
+    Sim.session ~n_servers
+      ~pick_next:(Schedulers.pick Schedulers.fcfs_sla_tree)
       ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()))
       ~metrics ()
   in
@@ -594,13 +563,17 @@ let run_swf scale =
       ("peak_heap_mb", num peak_heap_mb);
     ]
 
-(* tenancy: what the probe-priced admission controller costs on the
-   arrival hot path. One bursty overloaded tenant-tagged workload,
-   identical pool and stack, admission off vs on, each the median of
-   six interleaved runs — the on run pays one FCFS pick
+(* tenancy: what the probe-priced admission controller costs and
+   earns. One bursty overloaded tenant-tagged workload over one pool
+   and stack. The economics come from two runs, admission off and on.
+   The cost is [Tenancy.admit] itself, timed call by call on the
+   admission-off run: every arrival is also priced (one FCFS pick
    ([Dispatchers.fcfs_best]), one plan of the priced server's buffer
-   and up to two postpone questions per arrival, each answered by a
-   scan over the queries the newcomer displaces. *)
+   and up to two postpone questions, each a scan over the queries the
+   newcomer displaces) and the verdict is dropped, so every call sees
+   the state the admission-off run reaches. Timing the two runs
+   instead would net the probe against the work its rejections save.
+   The per-call mean is the median of six runs. *)
 let run_tenancy scale =
   let n_queries = max 2_000 (scale.Exp_scale.n_queries / 2) in
   let servers = 4 in
@@ -617,69 +590,71 @@ let run_tenancy scale =
   in
   Fmt.pr "=== tenancy: admission-probe cost, %d queries x %d servers ===@."
     n_queries servers;
-  let one ~admission_on =
-    let acct = Tenancy.Acct.create reg ~warmup_id in
-    let admit =
-      if admission_on then Tenancy.admit (Tenancy.admission reg ~acct ())
-      else fun _sim q ->
-        Tenancy.Acct.on_offered acct q;
-        Tenancy.Acct.on_admitted acct q;
-        Sim.Admit
-    in
+  let run ~admit acct =
     let metrics = Metrics.create ~warmup_id () in
-    let pick_next, hook =
-      Schedulers.instantiate Schedulers.fcfs_sla_tree_incr
-    in
-    let t0 = Unix.gettimeofday () in
     Sim.run ~admit
       ~on_complete:(Tenancy.Acct.on_complete acct)
-      ?on_server_event:hook ~queries ~n_servers:servers ~pick_next
+      ~queries ~n_servers:servers
+      ~pick_next:(Schedulers.pick Schedulers.fcfs_sla_tree)
       ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()))
       ~metrics ();
-    let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-    (ms, Tenancy.report acct, metrics)
+    metrics
   in
-  (* Every run of an arm reports the same: the runs are deterministic. *)
-  let last_off = ref None and last_on = ref None in
-  let arm ~admission_on last () =
-    let ms, rep, m = one ~admission_on in
-    last := Some (rep, m);
-    ms
+  let wave_through acct _sim q =
+    Tenancy.Acct.on_offered acct q;
+    Tenancy.Acct.on_admitted acct q;
+    Sim.Admit
   in
-  let off_ms, on_ms =
-    match
-      interleaved_medians
-        [|
-          arm ~admission_on:false last_off; arm ~admission_on:true last_on;
-        |]
-    with
-    | [| off; on |] -> (off, on)
-    | _ -> assert false
+  let acct_off = Tenancy.Acct.create reg ~warmup_id in
+  let m_off = run ~admit:(wave_through acct_off) acct_off in
+  let acct_on = Tenancy.Acct.create reg ~warmup_id in
+  let m_on =
+    run ~admit:(Tenancy.admit (Tenancy.admission reg ~acct:acct_on ())) acct_on
   in
-  let rep_off, _ = Option.get !last_off and rep_on, m_on = Option.get !last_on in
-  let overhead_pct = (on_ms -. off_ms) /. off_ms *. 100.0 in
-  let profit_off = rep_off.Tenancy.rep_profit in
+  (* The admission-off run, with every arrival priced on the side. *)
+  let timed_calls () =
+    let acct = Tenancy.Acct.create reg ~warmup_id in
+    let probe = Tenancy.admit (Tenancy.admission reg ~acct ()) in
+    let ns = ref 0L and calls = ref 0 in
+    let admit sim q =
+      let t0 = Obs.now_ns () in
+      ignore (Sys.opaque_identity (probe sim q));
+      ns := Int64.add !ns (Int64.sub (Obs.now_ns ()) t0);
+      incr calls;
+      wave_through acct sim q
+    in
+    Gc.compact ();
+    let m = run ~admit acct in
+    (Int64.to_float !ns /. Float.of_int (max 1 !calls), m)
+  in
+  let samples = Array.init 6 (fun _ -> timed_calls ()) in
+  let admit_ns = Stats.percentile (Array.map fst samples) 50.0 in
+  let m_timed = snd samples.(0) in
+  let profit_off = (Tenancy.report acct_off).Tenancy.rep_profit in
+  let rep_on = Tenancy.report acct_on in
   let profit_on = rep_on.Tenancy.rep_profit in
   let rejected = Metrics.rejected_count m_on in
   let degraded =
     List.fold_left (fun a r -> a + r.Tenancy.r_degraded) 0 rep_on.Tenancy.rows
   in
-  Fmt.pr "admission off: %8.1f ms  profit $%.1f@." off_ms profit_off;
-  Fmt.pr
-    "admission on:  %8.1f ms  profit $%.1f  (%d rejected, %d degraded, \
-     %+.1f%% time)@.@."
-    on_ms profit_on rejected degraded overhead_pct;
+  Fmt.pr "Tenancy.admit: %8.0f ns per call (median of %d runs)@." admit_ns
+    (Array.length samples);
+  Fmt.pr "admission off: profit $%.1f@." profit_off;
+  Fmt.pr "admission on:  profit $%.1f  (%d rejected, %d degraded)@.@." profit_on
+    rejected degraded;
   check "tenancy: queries > 0" (n_queries > 0);
-  check "tenancy: off_ms > 0" (off_ms > 0.0);
-  check "tenancy: on_ms > 0" (on_ms > 0.0);
+  check "tenancy: admit_ns > 0" (admit_ns > 0.0);
+  check "tenancy: timed run = admission-off run"
+    (Metrics.completed_count m_timed = Metrics.completed_count m_off
+    && Int64.equal
+         (Int64.bits_of_float (Metrics.avg_loss m_timed))
+         (Int64.bits_of_float (Metrics.avg_loss m_off)));
   check "tenancy: rejected > 0" (rejected > 0);
   check "tenancy: profit_on > profit_off" (profit_on > profit_off);
   Jsonx.Obj
     [
       ("queries", count n_queries);
-      ("off_ms", num off_ms);
-      ("on_ms", num on_ms);
-      ("overhead_pct", num overhead_pct);
+      ("admit_ns", num admit_ns);
       ("profit_off", num profit_off);
       ("profit_on", num profit_on);
       ("rejected", count rejected);
@@ -695,7 +670,7 @@ let () =
   (* Timed before the bechamel pass: its measurement loops leave the
      process in a state (heap shape, GC tuning) that skews wall-clock
      numbers taken afterwards. *)
-  let sim_throughput = run_sim_throughput scale in
+  let sim_throughput = run_sim_throughput () in
   let faults = run_faults scale in
   let elastic_rows, elastic = run_elastic scale in
   let forecast = run_forecast ~rows:elastic_rows in

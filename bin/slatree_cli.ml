@@ -269,7 +269,6 @@ let scheduler_of_string ~rate = function
   | "value-edf" -> Ok Schedulers.value_edf
   | "cbs" -> Ok (Schedulers.cbs ~rate)
   | "fcfs+tree" -> Ok Schedulers.fcfs_sla_tree
-  | "fcfs+tree-incr" -> Ok Schedulers.fcfs_sla_tree_incr
   | "sjf+tree" -> Ok Schedulers.sjf_sla_tree
   | "edf+tree" -> Ok Schedulers.edf_sla_tree
   | "value-edf+tree" -> Ok Schedulers.value_edf_sla_tree
@@ -325,8 +324,8 @@ let run_trace_replay file scheduler_name dispatcher_name servers warmup =
     | Error e, _ | _, Error e -> `Error (false, e)
     | Ok scheduler, Ok dispatcher ->
       let metrics = Metrics.create ~warmup_id:warmup () in
-      let pick_next, hook = Schedulers.instantiate scheduler in
-      Sim.run ?on_server_event:hook ~queries ~n_servers:servers ~pick_next
+      Sim.run ~queries ~n_servers:servers
+        ~pick_next:(Schedulers.pick scheduler)
         ~dispatch:(Dispatchers.instantiate dispatcher)
         ~metrics ();
       Fmt.pf ppf "replayed %d queries (%s / %s, %d server(s), warm-up %d)@."
@@ -402,7 +401,7 @@ let run_sim kind profile load servers n seed sigma2 scheduler_name
     | Ok scheduler, Ok dispatcher ->
       let obs = obs_of_outputs ~trace ~metrics:metrics_out in
       let metrics = Metrics.create ~warmup_id:warmup () in
-      let pick_next, hook = Schedulers.instantiate ~obs scheduler in
+      let pick_next, _ = Schedulers.instantiate ~obs scheduler in
       let dispatch = Dispatchers.instantiate ~obs dispatcher in
       let injector =
         match faults with
@@ -419,10 +418,6 @@ let run_sim kind profile load servers n seed sigma2 scheduler_name
       (match injector with
       | Error e -> `Error (false, e)
       | Ok injector ->
-        let on_server_event ~sid ~now ev =
-          Option.iter (fun i -> Fault.on_server_event i ~sid ~now ev) injector;
-          match hook with Some h -> h ~sid ~now ev | None -> ()
-        in
         (* Sample roughly 200 rows over the arrival span (at least one
            mean execution time apart, so a degenerate span cannot make
            the ticker spin). *)
@@ -438,7 +433,8 @@ let run_sim kind profile load servers n seed sigma2 scheduler_name
             let interval = Float.max mean (span /. 200.0) in
             Some (ts, (interval, fun sim -> sample_sim ts metrics sim))
         in
-        Sim.run ~obs ~on_server_event
+        Sim.run ~obs
+          ?on_server_event:(Option.map Fault.on_server_event injector)
           ?ticker:(Option.map snd ts_ticker)
           ?timers:(Option.map Fault.timers injector)
           ~queries ~n_servers:servers ~pick_next ~dispatch ~metrics ();
@@ -628,10 +624,8 @@ let sim_cmd =
            ~doc:"Estimation error variance (Sec 7.5); 0 = perfect estimates")
   in
   let scheduler =
-    Arg.(value & opt string "fcfs+tree-incr" & info [ "scheduler" ] ~docv:"SCHED"
-           ~doc:
-             "fcfs | sjf | edf | value-edf | cbs, each optionally +tree; \
-              fcfs+tree-incr for the incremental SLA-tree fast path")
+    Arg.(value & opt string "fcfs+tree" & info [ "scheduler" ] ~docv:"SCHED"
+           ~doc:"fcfs | sjf | edf | value-edf | cbs, each optionally +tree")
   in
   let dispatcher =
     Arg.(value & opt string "tree-fcfs" & info [ "dispatcher" ] ~docv:"DISP"
@@ -720,9 +714,7 @@ let trace_replay_cmd =
   in
   let scheduler =
     Arg.(value & opt string "cbs+tree" & info [ "scheduler" ] ~docv:"SCHED"
-           ~doc:
-             "fcfs | sjf | edf | value-edf | cbs, each optionally +tree; \
-              fcfs+tree-incr for the incremental SLA-tree fast path")
+           ~doc:"fcfs | sjf | edf | value-edf | cbs, each optionally +tree")
   in
   let dispatcher =
     Arg.(value & opt string "lwl" & info [ "dispatcher" ] ~docv:"DISP"
@@ -1119,10 +1111,8 @@ let serve_cmd =
                 HTTP on ADDR")
   in
   let scheduler =
-    Arg.(value & opt string "fcfs+tree-incr" & info [ "scheduler" ] ~docv:"SCHED"
-           ~doc:
-             "fcfs | sjf | edf | value-edf | cbs, each optionally +tree; \
-              fcfs+tree-incr for the incremental SLA-tree fast path")
+    Arg.(value & opt string "fcfs+tree" & info [ "scheduler" ] ~docv:"SCHED"
+           ~doc:"fcfs | sjf | edf | value-edf | cbs, each optionally +tree")
   in
   let dispatcher =
     Arg.(value & opt string "tree-fcfs" & info [ "dispatcher" ] ~docv:"DISP"

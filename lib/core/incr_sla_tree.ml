@@ -29,25 +29,23 @@
 
    3. BUILD ONLY WHAT THE PROBES PAY FOR. The live buffer is a base the
       tree was built over, followed by an overflow on the same planned
-      timeline that probes scan unit by unit. Appends, post-rush
-      [reset]s and pops past the base only touch the overflow. A build
-      (the "fold") costs about n log n for n live queries, so the
-      overflow is folded into the tree once the scans since the last
-      build, reset or drain have visited more than
-      n * (floor(log2 n) + 1) entries: rent until the rent paid equals
-      the price, then buy.
-      Scanning thus costs at most one extra build, and a schedule that
-      is reset at every rush, as [Incr_sched] does, is rarely built at
-      all. Folds run in [append] and [pop_head] only, never inside a
-      probe, so every probe of one decision reads one representation.
+      timeline that probes scan unit by unit. Appends and pops past the
+      base only touch the overflow. A build (the "fold") costs about
+      n log n for n live queries, so the overflow is folded into the
+      tree once the scans since the last build or drain have visited
+      more than n * (floor(log2 n) + 1) entries: rent until the rent
+      paid equals the price, then buy.
+      Scanning thus costs at most one extra build. Folds run in
+      [append] and [pop_head] only, never inside a probe, so every
+      probe of one decision reads one representation.
 
    Each tree owns one flat arena: [create] and every fold build through
    it, so a long-lived tree stops allocating tree storage once the
    arena has grown to its working set.
 
-   Costs: pop O(1) plus folds; append O(1) plus folds; reset O(n); a
-   question O(log NK) on the tree plus O(K) per overflow entry in its
-   range, the scans amortized against the folds they trigger. *)
+   Costs: pop O(1) plus folds; append O(1) plus folds; a question
+   O(log NK) on the tree plus O(K) per overflow entry in its range, the
+   scans amortized against the folds they trigger. *)
 
 (* Observability handles, resolved once per [create] against the run's
    registry (absent on the noop sink, so the hot paths pay a single
@@ -71,8 +69,8 @@ type t = {
       (** the overflow: live queries past the base, in schedule order,
           with planned starts *)
   mutable scanned : int;
-      (** overflow entries visited by probes since the last build,
-          reset or drain *)
+      (** overflow entries visited by probes since the last build or
+          drain *)
   mutable tail_time : float;  (** planned end of the current schedule *)
   mutable rebuilds : int;
   stats : stats option;
@@ -87,17 +85,15 @@ let rebuild_count t = t.rebuilds
 let pending_count t = Deque.length t.pending
 let delay t = t.delay
 
-let planned t i =
-  let lb = live_base t in
-  if i < 0 || i >= length t then
-    invalid_arg "Incr_sla_tree.planned: index out of bounds";
-  if i < lb then t.base_entries.(t.head + i) else Deque.get t.pending (i - lb)
-
 (* The current live schedule with true starts — also the oracle the
    test suite compares against. *)
 let to_entries t =
+  let lb = live_base t in
   Array.init (length t) (fun i ->
-      let e = planned t i in
+      let e =
+        if i < lb then t.base_entries.(t.head + i)
+        else Deque.get t.pending (i - lb)
+      in
       { e with Schedule.start = e.Schedule.start +. t.delay })
 
 (* The one build routine: build the tree over [entries] (true starts)
@@ -120,24 +116,6 @@ let fold t =
   load t (to_entries t);
   t.rebuilds <- t.rebuilds + 1;
   bump t.stats (fun s -> s.s_rebuilds)
-
-(* Schedule [query] at the planned tail, in the overflow. *)
-let push t query =
-  let start = t.tail_time in
-  Deque.push_back t.pending { Schedule.query; start };
-  t.tail_time <- start +. query.Query.est_size
-
-(* The whole new order goes into the overflow, its starts accumulated
-   from [now] exactly as [Schedule.of_queries] does; the tree left in
-   the arena is stale until the next fold overwrites it. *)
-let reset t ~now queries =
-  t.base_entries <- [||];
-  t.head <- 0;
-  t.delay <- 0.0;
-  t.scanned <- 0;
-  t.tail_time <- now;
-  Deque.clear t.pending;
-  Array.iter (push t) queries
 
 let create ?(obs = Obs.noop) ~now queries =
   let stats =
@@ -181,10 +159,13 @@ let maybe_fold t =
   let n = length t in
   if t.scanned > n * (log2 n + 1) then fold t
 
-(* FCFS arrival: the query starts when the current schedule ends. *)
+(* FCFS arrival: the query starts when the current schedule ends, in
+   the overflow. *)
 let append t query =
   bump t.stats (fun s -> s.s_appends);
-  push t query;
+  let start = t.tail_time in
+  Deque.push_back t.pending { Schedule.query; start };
+  t.tail_time <- start +. query.Query.est_size;
   maybe_fold t
 
 (* The head of the buffer was executed, taking [actual] time (defaults
@@ -217,22 +198,6 @@ let pop_head ?actual t =
     t.scanned <- 0
   end
   else maybe_fold t
-
-(* Next query to execute: head of the live base, or of the overflow
-   once the base is used up. *)
-let peek t =
-  if live_base t > 0 then Some t.base_entries.(t.head).Schedule.query
-  else Option.map (fun e -> e.Schedule.query) (Deque.peek_front t.pending)
-
-(* The server idled past the schedule's end (a gap in arrivals): the
-   next query starts at [now] instead. Only meaningful when empty.
-   [now] may sit an ulp *before* the drained anchor — the caller's
-   clock and the planned timeline accumulate rounding differently —
-   so no monotonicity check. *)
-let reset_origin t ~now =
-  if length t > 0 then
-    invalid_arg "Incr_sla_tree.reset_origin: buffer must be empty";
-  t.tail_time <- now
 
 type question = Postpone | Expedite
 

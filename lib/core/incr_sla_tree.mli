@@ -4,12 +4,12 @@
     change. The live buffer is a base a flat tree was built over,
     followed by an overflow that questions scan unit by unit. Popping
     the executed head is O(1): schedule drift is absorbed into a single
-    delay offset applied to the questions, not the tree. Appends and
-    {!reset} only fill the overflow. The overflow is folded into a new
-    tree (a rebuild) once the scans since the last build, reset or
-    drain have visited more than [n * (floor(log2 n) + 1)] entries for
-    [n] live queries, so scanning costs at most one extra build. Folds
-    run in {!append} and {!pop_head} only, never inside a question.
+    delay offset applied to the questions, not the tree. Appends only
+    fill the overflow. The overflow is folded into a new tree (a
+    rebuild) once the scans since the last build or drain have visited
+    more than [n * (floor(log2 n) + 1)] entries for [n] live queries,
+    so scanning costs at most one extra build. Folds run in {!append}
+    and {!pop_head} only, never inside a question.
 
     Questions use positions into the *current* live buffer (0 = next
     to execute), not the original build order. Answers equal a fresh
@@ -26,18 +26,8 @@ type t
     pops and what-if probe calls into it ([sla_tree.*], [whatif.*]). *)
 val create : ?obs:Obs.t -> now:float -> Query.t array -> t
 
-(** [reset t ~now queries] makes [t] hold the schedule
-    [create ~now queries] would, with the same start times, but builds
-    nothing: the whole buffer goes into the overflow in one O(n) pass.
-    [t] keeps its arena, [obs] handles and rebuild count. *)
-val reset : t -> now:float -> Query.t array -> unit
-
 (** Live queries currently buffered. *)
 val length : t -> int
-
-(** Next query to execute (the buffer head), without removing it.
-    O(1). *)
-val peek : t -> Query.t option
 
 (** FCFS arrival: schedule the query at the current tail, in the
     overflow. O(1), plus a fold when the scans have paid for one. *)
@@ -46,13 +36,11 @@ val append : t -> Query.t -> unit
 (** The buffer head was executed, taking [actual] time (default: its
     estimate); everything downstream shifts by the difference. The
     head comes from the base while it lasts, then from the overflow; a
-    fully popped base is dropped, not rebuilt. O(1), plus a fold when
-    the scans have paid for one. Raises on an empty buffer. *)
+    fully popped base is dropped, not rebuilt. Once the buffer drains,
+    the next append starts when the last head finished. O(1), plus a
+    fold when the scans have paid for one. Raises on an empty
+    buffer. *)
 val pop_head : ?actual:float -> t -> unit
-
-(** After the buffer drained, restart the schedule at [now] (the
-    server sat idle). Raises if the buffer is non-empty. *)
-val reset_origin : t -> now:float -> unit
 
 (** Profit lost if live queries [m..n] are postponed by [tau]: the
     tree answers the base part in O(log NK), a scan the overflow part
@@ -65,17 +53,11 @@ val postpone : t -> m:int -> n:int -> tau:float -> float
     as {!postpone}. *)
 val expedite : t -> m:int -> n:int -> tau:float -> float
 
-(** [planned t i]: live query [i] with its start on the planned
-    timeline, without copying; its true start is that start plus
-    {!delay}. Raises [Invalid_argument] out of range. O(1). *)
-val planned : t -> int -> Schedule.entry
-
 (** The live schedule with true start times (for oracles/debugging). *)
 val to_entries : t -> Schedule.entry array
 
 (** Introspection for tests and benchmarks: folds since [create]
-    (every build after it, since {!reset} builds nothing), and
-    queries in the overflow. *)
+    (every build after it), and queries in the overflow. *)
 val rebuild_count : t -> int
 
 val pending_count : t -> int

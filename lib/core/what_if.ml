@@ -27,29 +27,30 @@ let rush_net_gain tree i =
     own_rush_gain tree i -. loss
   end
 
-(* The rush scan behind every entry point below. Candidate [i] of [n]
-   nets its own gain — the profit change from completing at
-   [origin + est_i] instead of at [completion (entry i)] — minus
-   [loss ~n:(i - 1) ~tau:est_i], the postpone loss of its predecessors.
-   The head seeds the incumbent at 0.0 (rushing it changes nothing) and
-   only a strictly better gain replaces the incumbent, so ties keep the
-   earliest position.
+(* The rush scan behind both entry points below. Candidate [i] of the
+   scheduled [entries] nets its own gain — the profit change from
+   completing at [origin + est_i] instead of at [completion entries.(i)]
+   — minus [loss ~n:(i - 1) ~tau:est_i], the postpone loss of its
+   predecessors. The head seeds the incumbent at 0.0 (rushing it
+   changes nothing) and only a strictly better gain replaces the
+   incumbent, so ties keep the earliest position.
 
    Bound: the loss is a sum of non-negative unit gains, so a candidate
    nets at most its own gain. One whose own gain does not beat the
    incumbent cannot win, and its probe is skipped; the argmax and the
    returned gain are those of the scan that probes every candidate. *)
-let scan n ~entry ~origin ~completion ~loss =
+let scan entries ~origin ~loss =
+  let n = Array.length entries in
   if n = 0 then None
   else begin
     let best_i = ref 0 and best_gain = ref 0.0 in
     for i = 1 to n - 1 do
-      let e = entry i in
+      let e = entries.(i) in
       let q = e.Schedule.query in
       let tau = q.Query.est_size in
       let own =
         Query.profit_at q ~completion:(origin +. tau)
-        -. Query.profit_at q ~completion:(completion e)
+        -. Query.profit_at q ~completion:(Schedule.completion e)
       in
       if own > !best_gain then begin
         let g = own -. if tau = 0.0 then 0.0 else loss ~n:(i - 1) ~tau in
@@ -63,46 +64,33 @@ let scan n ~entry ~origin ~completion ~loss =
   end
 
 let best_rush tree =
-  scan (Sla_tree.length tree) ~entry:(Sla_tree.entry tree)
-    ~origin:(Sla_tree.now tree) ~completion:Schedule.completion
+  scan (Sla_tree.entries tree) ~origin:(Sla_tree.now tree)
     ~loss:(Sla_tree.postpone tree ~m:0)
 
-(* One build arena per domain for [best_rush_planned]. Its tree never
-   leaves the call and the scan calls nothing that could re-enter it,
-   so the arena holds at most one live tree (nothing here runs
-   systhreads, which would share it). Once grown to the largest buffer
-   seen, a build into it allocates no tree storage. *)
-let arena_key = Domain.DLS.new_key Sla_tree.create_arena
+(* [postpone(0, n, tau)] by scanning: the gains of the SLA components
+   of entries [0..n] whose slack lies in [0, tau), added in entry
+   order, then component order. These are the units, the order and the
+   sum of [Naive_whatif.postpone_by_units]. *)
+let postpone_prefix entries ~n ~tau =
+  let acc = ref 0.0 in
+  for j = 0 to n do
+    let e = entries.(j) in
+    let comps = Sla.components e.Schedule.query.Query.sla in
+    for c = 0 to Array.length comps - 1 do
+      let s = Schedule.slack e ~bound:comps.(c).Sla.comp_bound in
+      if s >= 0.0 && s < tau then acc := !acc +. comps.(c).Sla.comp_gain
+    done
+  done;
+  !acc
 
-(* The static decision without a tree in hand: the tree over [planned]
-   is built on the first candidate that passes the bound, and not at
-   all when none does. *)
-let best_rush_planned ~now planned =
+(* The static decision without a tree: a rush decision probes about
+   one candidate past the bound, and a probe scans only that
+   candidate's predecessors, so no build would pay for itself. *)
+let best_rush_planned ?probes ~now planned =
   let entries = Schedule.of_queries ~now planned in
-  let tree =
-    lazy (Sla_tree.of_entries ~arena:(Domain.DLS.get arena_key) ~now entries)
-  in
-  scan (Array.length entries) ~entry:(Array.get entries) ~origin:now
-    ~completion:Schedule.completion ~loss:(fun ~n ~tau ->
-      Sla_tree.postpone (Lazy.force tree) ~m:0 ~n ~tau)
-
-(* Against a live incremental tree, reading the live schedule in place:
-   a true start is the planned start plus the tree's delay. The rush
-   origin is the head's true start, which at a scheduling point equals
-   the decision time (the head was just popped there). A probe never
-   folds the tree's overflow, so the delay and the entries read here
-   stay valid across every probe of the scan. *)
-let best_rush_incr tree =
-  let n = Incr_sla_tree.length tree in
-  if n = 0 then None
-  else begin
-    let d = Incr_sla_tree.delay tree in
-    scan n ~entry:(Incr_sla_tree.planned tree)
-      ~origin:((Incr_sla_tree.planned tree 0).Schedule.start +. d)
-      ~completion:(fun e ->
-        e.Schedule.start +. d +. e.Schedule.query.Query.est_size)
-      ~loss:(Incr_sla_tree.postpone tree ~m:0)
-  end
+  scan entries ~origin:now ~loss:(fun ~n ~tau ->
+      (match probes with Some c -> Obs.Registry.incr c | None -> ());
+      postpone_prefix entries ~n ~tau)
 
 (* Net profit change of inserting [query] at buffer position [pos]
    (Sec 6.2): the newcomer's own profit at its would-be completion,

@@ -17,16 +17,17 @@ val rush_net_gain : Sla_tree.t -> int -> float
     position gives. *)
 val best_rush : Sla_tree.t -> (int * float) option
 
-(** [best_rush_planned ~now planned] is
-    [best_rush (Sla_tree.build ~now planned)], but builds the tree only
-    when some candidate's own gain passes the bound, at the first such
-    candidate. The tree is built into the calling domain's own arena,
-    reused from call to call, and never escapes the call. *)
-val best_rush_planned : now:float -> Query.t array -> (int * float) option
-
-(** {!best_rush} over a live {!Incr_sla_tree} — identical answers and
-    tie-breaking, without the per-decision rebuild. *)
-val best_rush_incr : Incr_sla_tree.t -> (int * float) option
+(** [best_rush_planned ~now planned] makes the decision of
+    [best_rush (Sla_tree.build ~now planned)] without a tree: each
+    probe [postpone(0, i-1, est_i)] scans the predecessors' SLA
+    components over [Schedule.of_queries ~now planned] and adds the
+    gains of those whose slack [s] has [0 <= s < est_i], in position
+    order, as {!Naive_whatif.postpone_by_units} does. A gain may differ
+    from the tree's in the last bits, so the two picks can differ only
+    where two candidates tie within rounding. When given, [probes]
+    counts every probe. *)
+val best_rush_planned :
+  ?probes:Obs.Registry.counter -> now:float -> Query.t array -> (int * float) option
 
 (** Net profit change of inserting [query] at buffer position [pos]:
     the newcomer's own profit minus the displaced queries' postpone

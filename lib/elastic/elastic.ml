@@ -685,10 +685,10 @@ let summary c =
   }
 
 (* ------------------------------------------------------------------ *)
-(* One-call harness: incremental FCFS SLA-tree scheduling and
-   dispatching (the O(1) fast path, whose [est_delta] feeds the margin
-   probe), the controller on the ticker, the drop policy of footnote 2
-   unless overridden. *)
+(* One-call harness: FCFS SLA-tree scheduling and dispatching (the
+   least-work dispatch path, whose [est_delta] feeds the margin probe),
+   the controller on the ticker, the drop policy of footnote 2 unless
+   overridden. *)
 
 let timeseries_columns =
   [|
@@ -738,9 +738,7 @@ let run ?(obs = Obs.noop) ?timeseries ?(policy = sla_tree_policy) ?drop_policy
     ~config:cfg ~queries ~n_servers ~warmup_id () =
   let c = create ~obs cfg policy ~initial_servers:n_servers in
   let metrics = Metrics.create ~warmup_id () in
-  let pick_next, hook =
-    Schedulers.instantiate ~obs Schedulers.fcfs_sla_tree_incr
-  in
+  let pick_next, _ = Schedulers.instantiate ~obs Schedulers.fcfs_sla_tree in
   let dispatch =
     Dispatchers.instantiate ~obs (Dispatchers.fcfs_sla_tree_incr ())
   in
@@ -748,8 +746,7 @@ let run ?(obs = Obs.noop) ?timeseries ?(policy = sla_tree_policy) ?drop_policy
   let on_server_event ~sid ~now ev =
     if now > !last_event then last_event := now;
     on_server_event c ~sid ~now ev;
-    extra_hook ~sid ~now ev;
-    match hook with Some h -> h ~sid ~now ev | None -> ()
+    extra_hook ~sid ~now ev
   in
   let ticker_body =
     match timeseries with

@@ -205,10 +205,10 @@ val timeseries_columns : string array
 (** A fresh sampler over {!timeseries_columns}. *)
 val timeseries : unit -> Obs.Timeseries.t
 
-(** One-call harness: incremental FCFS SLA-tree scheduling and
-    dispatching, the controller on the ticker. [n_servers] is the
-    initial pool. Returns the run metrics and the controller summary
-    (net value = [Metrics.total_profit] − [summary.cost]).
+(** One-call harness: FCFS SLA-tree scheduling and dispatching, the
+    controller on the ticker. [n_servers] is the initial pool. Returns
+    the run metrics and the controller summary (net value =
+    [Metrics.total_profit] − [summary.cost]).
 
     [obs] (default {!Obs.noop}) threads one sink through the whole
     run: the simulator core, the scheduler/dispatcher decision timers
@@ -218,9 +218,9 @@ val timeseries : unit -> Obs.Timeseries.t
     cumulative profit), sampled before the decision.
 
     [timers] and [on_server_event] pass through to {!Sim.run} (the
-    latter runs {e in addition to} the controller's own accounting
-    hook, before the scheduler hook) — fault injectors wire in here
-    without the controller depending on them. *)
+    latter runs {e in addition to}, and after, the controller's own
+    accounting hook) — fault injectors wire in here without the
+    controller depending on them. *)
 val run :
   ?obs:Obs.t ->
   ?timeseries:Obs.Timeseries.t ->

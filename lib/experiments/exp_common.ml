@@ -37,14 +37,11 @@ let dispatch_setup kind wl =
   | Lwl_tree_sched -> (Dispatchers.lwl, Schedulers.cbs_sla_tree ~rate)
   | Tree_tree -> (Dispatchers.sla_tree planner, Schedulers.cbs_sla_tree ~rate)
 
-(* One simulation run; returns the metrics. Stateful schedulers (the
-   incremental SLA-tree variant) get their per-run server-event hook
-   installed here. *)
+(* One simulation run; returns the metrics. *)
 let run_once ~trace_cfg ~n_servers ~scheduler ~dispatcher ~warmup_id =
   let queries = Trace.generate trace_cfg in
   let metrics = Metrics.create ~warmup_id () in
-  let pick_next, hook = Schedulers.instantiate scheduler in
-  Sim.run ?on_server_event:hook ~queries ~n_servers ~pick_next
+  Sim.run ~queries ~n_servers ~pick_next:(Schedulers.pick scheduler)
     ~dispatch:(Dispatchers.instantiate dispatcher)
     ~metrics ();
   metrics

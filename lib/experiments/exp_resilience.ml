@@ -54,30 +54,25 @@ let dispatchers =
     ("SLA-tree", fun () -> Dispatchers.fcfs_sla_tree_incr ());
   ]
 
-(* One static-pool run: fixed scheduler (incremental FCFS SLA-tree),
-   the dispatcher under test, the fault plan wired in through the
+(* One static-pool run: fixed scheduler (FCFS SLA-tree), the
+   dispatcher under test, the fault plan wired in through the
    simulator's timers. *)
 let run_static ?obs ~queries ~warmup_id ~plan ~dispatcher () =
   let injector = Fault.create ?obs ~plan () in
   let metrics = Metrics.create ~warmup_id () in
-  let pick_next, hook =
-    Schedulers.instantiate ?obs Schedulers.fcfs_sla_tree_incr
-  in
-  let on_server_event ~sid ~now ev =
-    Fault.on_server_event injector ~sid ~now ev;
-    match hook with Some h -> h ~sid ~now ev | None -> ()
-  in
+  let pick_next, _ = Schedulers.instantiate ?obs Schedulers.fcfs_sla_tree in
   Sim.run ?obs
     ~timers:(Fault.timers injector)
-    ~on_server_event ~queries ~n_servers:servers ~pick_next
+    ~on_server_event:(Fault.on_server_event injector)
+    ~queries ~n_servers:servers ~pick_next
     ~dispatch:(Dispatchers.instantiate ?obs dispatcher)
     ~metrics ();
   Fault.finalize injector metrics;
   (metrics, Fault.stats injector)
 
 (* The autoscaled variant: same plan against the elastic harness
-   (which owns dispatcher and scheduler — incremental SLA-tree), the
-   injector riding its [timers]/[on_server_event] passthrough. *)
+   (which owns dispatcher and scheduler — FCFS SLA-tree), the injector
+   riding its [timers]/[on_server_event] passthrough. *)
 let elastic_config ~(scale : Exp_scale.t) =
   let interval = horizon ~scale /. 120.0 in
   Elastic.config ~interval ~cost_per_interval:(0.0225 *. interval)

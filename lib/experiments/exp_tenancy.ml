@@ -98,10 +98,6 @@ let run_cell c reg ~queries ~speeds ~admission_on =
   let span_est = queries.(Array.length queries - 1).Query.arrival in
   let sample_every = Float.max 1e-6 (span_est /. 240.0) in
   let metrics = Metrics.create ~response_cap ~warmup_id () in
-  let pick_next, hook = Schedulers.instantiate Schedulers.fcfs_sla_tree_incr in
-  let on_server_event ~sid ~now ev =
-    match hook with Some h -> h ~sid ~now ev | None -> ()
-  in
   let admit =
     if admission_on then Tenancy.admit (Tenancy.admission ~theta:c.theta reg ~acct ())
     else fun _sim q ->
@@ -114,9 +110,10 @@ let run_cell c reg ~queries ~speeds ~admission_on =
   let sess =
     Sim.session ~admit
       ~on_complete:(Tenancy.Acct.on_complete acct)
-      ~on_server_event ~speeds
+      ~speeds
       ~ticker:(sample_every, fun sim -> Tenancy.Acct.sample acct ts ~now:(Sim.now sim))
-      ~n_servers:c.servers ~pick_next
+      ~n_servers:c.servers
+      ~pick_next:(Schedulers.pick Schedulers.fcfs_sla_tree)
       ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()))
       ~metrics ()
   in
@@ -215,12 +212,10 @@ let run_typed c =
   let ctl = Elastic.create ecfg Elastic.sla_tree_policy ~initial_servers:c.servers in
   let acct = Tenancy.Acct.create reg ~warmup_id in
   let metrics = Metrics.create ~response_cap ~warmup_id () in
-  let pick_next, hook = Schedulers.instantiate Schedulers.fcfs_sla_tree_incr in
   let last_event = ref 0.0 in
   let on_server_event ~sid ~now ev =
     if now > !last_event then last_event := now;
-    Elastic.on_server_event ctl ~sid ~now ev;
-    match hook with Some h -> h ~sid ~now ev | None -> ()
+    Elastic.on_server_event ctl ~sid ~now ev
   in
   let sess =
     Sim.session
@@ -229,7 +224,8 @@ let run_typed c =
       ~on_complete:(Tenancy.Acct.on_complete acct)
       ~on_server_event
       ~ticker:(ecfg.Elastic.interval, Elastic.tick ctl)
-      ~n_servers:c.servers ~pick_next
+      ~n_servers:c.servers
+      ~pick_next:(Schedulers.pick Schedulers.fcfs_sla_tree)
       ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()))
       ~metrics ()
   in

@@ -5,17 +5,13 @@
    The SLA-tree enhancement (paper Sec 6.1) rushes the query with the
    best net profit gain over the planned order:
      argmax_i  own_gain(q_i) - postpone(0, i-1, est_size_i),
-   building the SLA-tree only once some candidate can win
-   ([What_if.best_rush_planned]).
-
-   Stateless schedulers share one closure; the incremental FCFS
-   variant carries per-run state (one live Incr_sla_tree per server)
-   and must be wired to [Sim.run]'s [on_server_event] — hence the
-   [instantiate] pattern below. *)
+   pricing each probe by a scan over the candidate's predecessors
+   ([What_if.best_rush_planned]). Every scheduler is stateless: a pick
+   reads the buffer it is handed and nothing else. *)
 
 type hook = sid:int -> now:float -> Sim.server_event -> unit
 
-type t = { name : string; make : Obs.t -> Sim.pick_next * hook option }
+type t = { name : string; make : Obs.t -> Sim.pick_next }
 
 let name t = t.name
 
@@ -36,39 +32,33 @@ let timed obs pick =
       i
   end
 
-let instantiate ?(obs = Obs.noop) t =
-  let pick, hook = t.make obs in
-  (timed obs pick, hook)
-
-let pick t = fst (t.make Obs.noop)
-
-let stateless name pick = { name; make = (fun _obs -> (pick, None)) }
+let instantiate ?(obs = Obs.noop) t = (timed obs (t.make obs), None)
+let pick t = t.make Obs.noop
 
 let of_planner planner =
-  stateless (Planner.name planner) (Planner.head planner)
+  let head = Planner.head planner in
+  { name = Planner.name planner; make = (fun _obs -> head) }
 
+(* With an enabled sink, every rush probe counts into
+   [whatif.postpone_calls]; the handle is resolved once, when the pick
+   function is made. *)
 let with_sla_tree planner =
-  stateless
-    (Planner.name planner ^ "+SLA-tree")
-    (fun ~now buffer ->
-      let perm = Planner.plan planner ~now buffer in
-      let planned = Array.map (fun i -> buffer.(i)) perm in
-      match What_if.best_rush_planned ~now planned with
-      | None -> invalid_arg "Schedulers.with_sla_tree: empty buffer"
-      | Some (i, _gain) -> perm.(i))
-
-(* The incremental fast path: FCFS keeps the planned order equal to
-   the buffer order, so a per-server Incr_sla_tree tracks the schedule
-   across decisions (pop on completion, append on dispatch) and the
-   rush decision skips the per-decision rebuild. Picks are identical
-   to [with_sla_tree Planner.fcfs]. *)
-let fcfs_sla_tree_incr =
   {
-    name = "FCFS+SLA-tree(incr)";
+    name = Planner.name planner ^ "+SLA-tree";
     make =
       (fun obs ->
-        let st = Incr_sched.create ~obs () in
-        (Incr_sched.pick st, Some (Incr_sched.hook st)));
+        let probes =
+          if Obs.enabled obs then
+            Some
+              (Obs.Registry.counter (Obs.registry obs) "whatif.postpone_calls")
+          else None
+        in
+        fun ~now buffer ->
+          let perm = Planner.plan planner ~now buffer in
+          let planned = Array.map (fun i -> buffer.(i)) perm in
+          match What_if.best_rush_planned ?probes ~now planned with
+          | None -> invalid_arg "Schedulers.with_sla_tree: empty buffer"
+          | Some (i, _gain) -> perm.(i));
   }
 
 let fcfs = of_planner Planner.fcfs
@@ -77,6 +67,7 @@ let edf = of_planner Planner.edf
 let value_edf = of_planner Planner.value_edf
 let cbs ~rate = of_planner (Planner.cbs ~rate)
 let fcfs_sla_tree = with_sla_tree Planner.fcfs
+let fcfs_sla_tree_incr = fcfs_sla_tree
 let sjf_sla_tree = with_sla_tree Planner.sjf
 let edf_sla_tree = with_sla_tree Planner.edf
 let value_edf_sla_tree = with_sla_tree Planner.value_edf

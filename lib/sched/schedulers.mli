@@ -2,32 +2,28 @@
 
     Baselines execute the head of their planner's order; SLA-tree
     variants re-rank the whole buffer through the what-if analysis of
-    paper Sec 6.1 on every decision.
-
-    Stateless policies can be used through {!pick} directly. Stateful
-    ones (the incremental SLA-tree variant) must go through
-    {!instantiate}, which returns a fresh pick function per run plus
-    the server-event hook to pass as [Sim.run]'s [on_server_event]. *)
-
-type hook = sid:int -> now:float -> Sim.server_event -> unit
+    paper Sec 6.1 on every decision. Every scheduler is stateless: a
+    pick reads only the buffer it is handed, so one pick function may
+    serve any number of servers. *)
 
 type t
 
 val name : t -> string
 
-(** Fresh per-run pick function, plus the event hook the run must
-    install when present ([None] for stateless schedulers). When [obs]
-    is an enabled sink, the pick is wrapped to record per-decision
-    latency ([sched.decision_ns] histogram, [sched.decisions] counter)
-    and the incremental variant reports its SLA-tree and what-if probe
-    counters; over the default {!Obs.noop} the unwrapped pick is
-    returned. *)
+(** A server-event hook. No scheduler has one any more; the type stays
+    only because perfbench names it. *)
+type hook = sid:int -> now:float -> Sim.server_event -> unit
+
+(** A pick function for one run, and [None]. When [obs] is an enabled
+    sink, the pick records per-decision latency ([sched.decision_ns]
+    histogram, [sched.decisions] counter) and an SLA-tree variant
+    counts each rush probe into [whatif.postpone_calls]; over the
+    default {!Obs.noop} the unwrapped pick is returned. The
+    always-[None] hook half stays only because perfbench destructures
+    it. *)
 val instantiate : ?obs:Obs.t -> t -> Sim.pick_next * hook option
 
-(** Convenience for stateless schedulers: [fst (instantiate t)].
-    For {!fcfs_sla_tree_incr} this still makes correct decisions —
-    without its hook every decision reconstructs the tree, i.e. it
-    degrades to the rebuild-per-decision path. *)
+(** [fst (instantiate t)]: the pick over {!Obs.noop}. *)
 val pick : t -> Sim.pick_next
 
 (** Run the head of the planner's order. The head is found in one
@@ -35,14 +31,8 @@ val pick : t -> Sim.pick_next
 val of_planner : Planner.t -> t
 
 (** Rush [argmax_i (own_gain_i - postpone(0, i-1, est_size_i))] over
-    the planner's order. *)
+    the planner's order ({!What_if.best_rush_planned}). *)
 val with_sla_tree : Planner.t -> t
-
-(** [with_sla_tree Planner.fcfs] without the per-decision rebuild: one
-    live [Incr_sla_tree] per server follows the buffer across
-    decisions ([pop_head] on completion, [append] on dispatch,
-    [reset_origin] on idle gaps). Identical picks, amortized cost. *)
-val fcfs_sla_tree_incr : t
 
 val fcfs : t
 val sjf : t
@@ -50,6 +40,11 @@ val edf : t
 val value_edf : t
 val cbs : rate:float -> t
 val fcfs_sla_tree : t
+
+(** [fcfs_sla_tree] under its former name, kept only because perfbench
+    names it. *)
+val fcfs_sla_tree_incr : t
+
 val sjf_sla_tree : t
 val edf_sla_tree : t
 val value_edf_sla_tree : t

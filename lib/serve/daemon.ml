@@ -72,7 +72,7 @@ module Engine = struct
 
   let create ?(obs = Obs.noop) ?(warmup = 0) ?admit ?speeds ?drop_policy
       ?ticker ~clock ~scheduler ~dispatcher ~n_servers () =
-    let pick_next, hook = Schedulers.instantiate ~obs scheduler in
+    let pick_next, _ = Schedulers.instantiate ~obs scheduler in
     let dispatch = Dispatchers.instantiate ~obs dispatcher in
     let metrics = Metrics.create ~warmup_id:warmup () in
     let owners = Hashtbl.create 1024 in
@@ -115,8 +115,7 @@ module Engine = struct
              { qid = q.Query.id; vnow = completion;
                profit = Query.profit_at q ~completion })
     in
-    let on_server_event ~sid ~now ev =
-      (match hook with Some h -> h ~sid ~now ev | None -> ());
+    let on_server_event ~sid:_ ~now ev =
       match ev with
       | Sim.Dropped q -> (
         let t = the () in

@@ -65,17 +65,16 @@ type server = {
           whose token no longer matches are stale and skipped *)
 }
 
-(* Per-server life-cycle notifications, consumed by incremental
-   scheduler state (one live Incr_sla_tree per server). Within one
+(* Per-server life-cycle notifications, consumed by the fault
+   injector, the elastic controller and the serving daemon. Within one
    completion the order is: Finished, Dropped*, [pick_next], Started;
    an arrival emits Enqueued (busy server) or Started (idle server).
    Pool membership changes emit Scaled_up (server added), Draining
    (retirement initiated; a redistributed buffer re-enters through the
    dispatcher, emitting fresh Enqueued/Started events on the targets)
    and Retired (the server left the pool for good). Fault transitions
-   emit Crashed (all per-server scheduler state is garbage — the
-   orphans leave through [crash_server]'s return value, not through
-   Dropped events), Degraded (service rate changed mid-run) and
+   emit Crashed (the orphans leave through [crash_server]'s return
+   value, not through Dropped events), Degraded (service rate changed mid-run) and
    Restored (rate back to nominal, or a Down server repaired). *)
 type server_event =
   | Started of Query.t

@@ -52,9 +52,9 @@ type server = private {
       (** internal: completion-heap entry validity token *)
 }
 
-(** Per-server life-cycle notifications (consumed by incremental
-    scheduler state, e.g. one live [Incr_sla_tree] per server).
-    Within one completion the order is: [Finished], zero or more
+(** Per-server life-cycle notifications (consumed by the fault
+    injector, the elastic controller's accounting and the serving
+    daemon's drop notices). Within one completion the order is: [Finished], zero or more
     [Dropped], the [pick_next] call, then [Started] for the chosen
     query. An arrival emits [Enqueued] (busy server) or [Started]
     (idle server, which begins executing immediately). Pool changes
@@ -62,8 +62,8 @@ type server = private {
     begins (a redistributed buffer re-enters through the dispatcher,
     emitting fresh [Enqueued]/[Started] on the targets) and [Retired]
     when the server leaves for good. Fault transitions emit [Crashed]
-    (any per-server scheduler state is void; orphans leave through
-    {!crash_server}'s return value, without [Dropped] events),
+    (orphans leave through {!crash_server}'s return value, without
+    [Dropped] events),
     [Degraded] (mid-run service-rate change) and [Restored]. *)
 type server_event =
   | Started of Query.t
@@ -253,8 +253,8 @@ val drop_past_last_deadline : now:float -> Query.t -> bool
     every dispatch decision (capacity planning and the elastic
     controller hook in here); [on_complete] observes every completion
     (per-class breakdowns hook in here). [on_server_event] observes the
-    per-server buffer life cycle (incremental scheduler state hooks in
-    here — see {!Schedulers.instantiate}). [speeds] makes the initial
+    per-server buffer life cycle (fault injectors and the elastic
+    controller hook in here). [speeds] makes the initial
     farm heterogeneous (Sec 6.2's claim): one positive rate per server,
     execution takes [size/speed]. [drop_policy ~now q = true] abandons
     buffered query [q] at a scheduling point instead of ever executing

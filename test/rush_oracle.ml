@@ -1,7 +1,8 @@
-(* The rush scans as they ran before the bound prune, probing every
-   candidate. Kept only here, as the oracle the pruned scans in
-   [What_if] must match: same index, same gain bits. *)
+(* The rush scans without the bound prune, probing every candidate.
+   Kept only here, as the oracles of the pruned scans in [What_if]. *)
 
+(* Every probe answered by the tree: [What_if.best_rush] must match it
+   bit for bit, and [What_if.best_rush_planned] on the index. *)
 let best_rush tree =
   let n = Sla_tree.length tree in
   let best = ref None in
@@ -13,33 +14,30 @@ let best_rush tree =
   done;
   !best
 
-let best_rush_incr tree =
-  let n = Incr_sla_tree.length tree in
-  if n = 0 then None
-  else begin
-    let entries = Incr_sla_tree.to_entries tree in
-    let origin = entries.(0).Schedule.start in
-    let best_i = ref 0 and best_gain = ref 0.0 in
-    for i = 1 to n - 1 do
-      let e = entries.(i) in
+(* Every probe answered by the naive unit scan over
+   [Schedule.of_queries ~now planned]: [What_if.best_rush_planned] must
+   match it bit for bit. *)
+let best_rush_units ~now planned =
+  let entries = Schedule.of_queries ~now planned in
+  let best = ref None in
+  Array.iteri
+    (fun i e ->
       let q = e.Schedule.query in
-      let own =
-        Query.profit_at q ~completion:(origin +. q.Query.est_size)
-        -. Query.profit_at q ~completion:(Schedule.completion e)
-      in
       let tau = q.Query.est_size in
-      let loss =
-        if tau = 0.0 then 0.0
-        else Incr_sla_tree.postpone tree ~m:0 ~n:(i - 1) ~tau
+      let g =
+        if i = 0 then 0.0
+        else
+          Query.profit_at q ~completion:(now +. tau)
+          -. Query.profit_at q ~completion:(Schedule.completion e)
+          -.
+          if tau = 0.0 then 0.0
+          else Naive_whatif.postpone_by_units entries ~m:0 ~n:(i - 1) ~tau
       in
-      let g = own -. loss in
-      if g > !best_gain then begin
-        best_i := i;
-        best_gain := g
-      end
-    done;
-    Some (!best_i, !best_gain)
-  end
+      match !best with
+      | Some (_, bg) when g <= bg -> ()
+      | Some _ | None -> best := Some (i, g))
+    entries;
+  !best
 
 (* Same index and the same gain, bit for bit. *)
 let same a b =
@@ -47,6 +45,16 @@ let same a b =
   | None, None -> true
   | Some (i, g), Some (j, h) ->
     i = j && Int64.equal (Int64.bits_of_float g) (Int64.bits_of_float h)
+  | Some _, None | None, Some _ -> false
+
+(* The same index, and gains within 1e-12 (relative, once they exceed
+   1): what a scan and a tree that sum the same gains in different
+   orders agree on. *)
+let close a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (i, g), Some (j, h) ->
+    i = j && Float.abs (g -. h) <= 1e-12 *. Float.max 1.0 (Float.abs h)
   | Some _, None | None, Some _ -> false
 
 let to_string = function

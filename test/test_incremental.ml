@@ -148,7 +148,7 @@ let test_fold_when_scans_paid () =
   agree t ~msg:"after the paid fold";
   (* Scans of exactly the budget have not paid yet; one entry more has. *)
   let t = Incr_sla_tree.create ~now:0.0 [||] in
-  Incr_sla_tree.reset t ~now:0.0 (initial_buffer 9);
+  Array.iter (Incr_sla_tree.append t) (initial_buffer 9);
   for _ = 1 to 4 do
     ignore (Incr_sla_tree.postpone t ~m:0 ~n:7 ~tau:25.0)
   done;
@@ -166,12 +166,14 @@ let test_drain_and_restart () =
   Incr_sla_tree.pop_head t;
   Incr_sla_tree.pop_head t;
   check_int "empty" 0 (Incr_sla_tree.length t);
-  (* Server idles, then traffic resumes. *)
-  Incr_sla_tree.reset_origin t ~now:500.0;
-  Incr_sla_tree.append t (mk 50 500.0 10.0);
+  (* Traffic resumes: the next query starts when the last head
+     finished, at 10 + 6 + 6 + 7 = 29 (the first ran 1 over). *)
+  Incr_sla_tree.append t (mk 50 29.0 10.0);
   agree t ~msg:"restarted after drain";
-  (* The restarted query starts at 500: completion 510; unit slacks 20
-     (decomposed gain g1 - g2 = 1) and 70 (gain g2 + p = 2). *)
+  check_float "starts at the drain" 29.0
+    (Incr_sla_tree.to_entries t).(0).Schedule.start;
+  (* The restarted query completes at 39; unit slacks 20 (decomposed
+     gain g1 - g2 = 1) and 70 (gain g2 + p = 2). *)
   check_float "first unit lost" 1.0 (Incr_sla_tree.postpone t ~m:0 ~n:0 ~tau:20.5);
   check_float "both units lost" 3.0 (Incr_sla_tree.postpone t ~m:0 ~n:0 ~tau:70.5)
 
@@ -196,10 +198,6 @@ let test_errors () =
     | exception Invalid_argument _ -> true
     | _ -> false);
   Incr_sla_tree.append t (mk 0 0.0 1.0);
-  check_bool "reset non-empty raises" true
-    (match Incr_sla_tree.reset_origin t ~now:10.0 with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
   check_bool "bad range raises" true
     (match Incr_sla_tree.postpone t ~m:0 ~n:5 ~tau:1.0 with
     | exception Invalid_argument _ -> true
@@ -212,18 +210,6 @@ type op =
   | Append of float * float
   | Pop of float
   | Check of float
-  | Reset of int  (* a rush: reset in the order [q_k; the rest] *)
-
-(* The live buffer with entry [k mod n] moved to the front, as a rush
-   reorders it, and the head's true start. *)
-let rushed_order t k =
-  let entries = Incr_sla_tree.to_entries t in
-  let n = Array.length entries in
-  let k = k mod n in
-  let qs = Array.map (fun e -> e.Schedule.query) entries in
-  ( entries.(0).Schedule.start,
-    Array.init n (fun j ->
-        if j = 0 then qs.(k) else if j <= k then qs.(j - 1) else qs.(j)) )
 
 let gen_ops =
   QCheck.Gen.(
@@ -233,7 +219,6 @@ let gen_ops =
           (3, map2 (fun s b -> Append (s, b)) (float_range 0.5 20.0) (float_range 2.0 120.0));
           (3, map (fun f -> Pop f) (float_range 0.1 2.5));
           (2, map (fun tau -> Check tau) (float_range 0.0 150.0));
-          (1, map (fun k -> Reset k) (0 -- 40));
         ]
     in
     list_size (5 -- 60) op)
@@ -246,8 +231,7 @@ let arb_ops =
            (function
              | Append (s, b) -> Printf.sprintf "A(%.2f,%.2f)" s b
              | Pop f -> Printf.sprintf "P(%.2f)" f
-             | Check tau -> Printf.sprintf "C(%.2f)" tau
-             | Reset k -> Printf.sprintf "R(%d)" k)
+             | Check tau -> Printf.sprintf "C(%.2f)" tau)
            ops))
     gen_ops
 
@@ -289,34 +273,18 @@ let prop_random_ops_match_oracle =
                   && close e
                        (Naive_whatif.expedite_by_units entries ~m:0 ~n:hi ~tau))
               then ok := false
-            end
-          | Reset k ->
-            if Incr_sla_tree.length t > 0 then begin
-              let now, order = rushed_order t k in
-              Incr_sla_tree.reset t ~now order;
-              (* The same starts, bit for bit, as the static schedule. *)
-              if
-                not
-                  (Array.for_all2
-                     (fun a b ->
-                       a.Schedule.query == b.Schedule.query
-                       && Float.equal a.Schedule.start b.Schedule.start)
-                     (Incr_sla_tree.to_entries t)
-                     (Schedule.of_queries ~now order))
-              then ok := false
             end)
         ops;
       !ok)
 
 (* ------------------------------------------------------------------ *)
 (* Live trees as a server drives them: arrivals with estimation error
-   and tenancy-tier gains (0.6/1.3/1.5 make them non-dyadic), pops with
-   random actual times (drift), and post-rush resets. *)
+   and tenancy-tier gains (0.6/1.3/1.5 make them non-dyadic), and pops
+   with random actual times (drift). *)
 
 type live_op =
   | Arrive of float * float * int  (* size, est / size, tier index *)
   | Run of float  (* actual / est of the head *)
-  | Rush of int  (* reset in the order [q_k; the rest] *)
   | Probe
 
 let tiers = [| 0.6; 1.0; 1.3; 1.5 |]
@@ -339,7 +307,6 @@ let gen_live_ops =
               (oneof [ return 1.0; float_range 0.4 2.5 ])
               (0 -- 3) );
           (3, map (fun f -> Run f) (float_range 0.1 3.0));
-          (1, map (fun k -> Rush k) (0 -- 40));
           (2, return Probe);
         ]
     in
@@ -353,7 +320,6 @@ let arb_live_ops =
            (function
              | Arrive (s, e, k) -> Printf.sprintf "A(%h,%h,%d)" s e k
              | Run f -> Printf.sprintf "R(%h)" f
-             | Rush k -> Printf.sprintf "U(%d)" k
              | Probe -> "P")
            ops))
     gen_live_ops
@@ -377,15 +343,7 @@ let drive_live ops ~probe =
           let head = (Incr_sla_tree.to_entries t).(0) in
           let actual = head.Schedule.query.Query.est_size *. factor in
           clock := head.Schedule.start +. actual;
-          Incr_sla_tree.pop_head ~actual t;
-          if Incr_sla_tree.length t = 0 then
-            Incr_sla_tree.reset_origin t ~now:!clock
-        end;
-        true
-      | Rush k ->
-        if Incr_sla_tree.length t > 1 then begin
-          let now, order = rushed_order t k in
-          Incr_sla_tree.reset t ~now order
+          Incr_sla_tree.pop_head ~actual t
         end;
         true
       | Probe -> probe t)
@@ -412,18 +370,6 @@ let prop_probes_never_negative =
                 (List.init n (fun i -> (0, i))
                 @ List.init n (fun m -> (m, n - 1))))
             taus))
-
-let prop_pruned_rush_matches_unpruned =
-  QCheck.Test.make ~name:"pruned best_rush_incr == unpruned (bitwise)"
-    ~count:300 arb_live_ops
-    (fun ops ->
-      drive_live ops ~probe:(fun t ->
-          let pruned = What_if.best_rush_incr t
-          and unpruned = Rush_oracle.best_rush_incr t in
-          Rush_oracle.same pruned unpruned
-          || QCheck.Test.fail_reportf "pruned %s, unpruned %s"
-               (Rush_oracle.to_string pruned)
-               (Rush_oracle.to_string unpruned)))
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -453,6 +399,5 @@ let () =
         [
           qtest prop_random_ops_match_oracle;
           qtest prop_probes_never_negative;
-          qtest prop_pruned_rush_matches_unpruned;
         ] );
     ]

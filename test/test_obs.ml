@@ -241,11 +241,10 @@ let small_queries ?(n = 400) ?(seed = 1234) () =
 let test_sched_decision_latency_recorded () =
   let obs = Obs.create () in
   let queries = small_queries () in
-  let pick_next, hook = Schedulers.instantiate ~obs Schedulers.fcfs_sla_tree_incr in
+  let pick_next, _ = Schedulers.instantiate ~obs Schedulers.fcfs_sla_tree in
   let dispatch = Dispatchers.instantiate ~obs (Dispatchers.fcfs_sla_tree_incr ()) in
   let metrics = Metrics.create ~warmup_id:0 () in
-  Sim.run ~obs ?on_server_event:hook ~queries ~n_servers:2 ~pick_next ~dispatch
-    ~metrics ();
+  Sim.run ~obs ~queries ~n_servers:2 ~pick_next ~dispatch ~metrics ();
   let reg = Obs.registry obs in
   let counters = Obs.Registry.counters reg in
   let count name = try List.assoc name counters with Not_found -> 0 in
@@ -253,7 +252,7 @@ let test_sched_decision_latency_recorded () =
   check_int "completions" 400 (count "sim.completions");
   check_bool "sched decisions" true (count "sched.decisions" > 0);
   check_bool "dispatch decisions" true (count "dispatch.decisions" > 0);
-  check_bool "tree appends" true (count "sla_tree.appends" > 0);
+  check_bool "rush probes" true (count "whatif.postpone_calls" > 0);
   let lat = Obs.Registry.histogram reg "sched.decision_ns" in
   check_bool "latency observed" true (Obs.Registry.observations lat > 0);
   let p50 = Obs.Registry.histogram_percentile lat 50.0 in

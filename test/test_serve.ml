@@ -23,14 +23,14 @@ type dec = { d_qid : int; d_now : float; d_target : int option; d_delta : float 
 let run_serial ?drop_policy ~warmup ~dispatcher ~queries ~servers () =
   let decisions = ref [] in
   let metrics = Metrics.create ~warmup_id:warmup () in
-  let pick_next, hook = Schedulers.instantiate Schedulers.fcfs_sla_tree_incr in
   Sim.run
     ~on_dispatch:(fun ~now q (d : Sim.decision) ->
       decisions :=
         { d_qid = q.Query.id; d_now = now; d_target = d.target;
           d_delta = d.est_delta }
         :: !decisions)
-    ?on_server_event:hook ?drop_policy ~queries ~n_servers:servers ~pick_next
+    ?drop_policy ~queries ~n_servers:servers
+    ~pick_next:(Schedulers.pick Schedulers.fcfs_sla_tree)
     ~dispatch:(Dispatchers.instantiate dispatcher)
     ~metrics ();
   (List.rev !decisions, metrics)
@@ -38,7 +38,7 @@ let run_serial ?drop_policy ~warmup ~dispatcher ~queries ~servers () =
 let run_served ?drop_policy ~warmup ~dispatcher ~queries ~servers () =
   let engine =
     Daemon.Engine.create ~warmup ?drop_policy ~clock:(Vclock.manual ())
-      ~scheduler:Schedulers.fcfs_sla_tree_incr ~dispatcher ~n_servers:servers
+      ~scheduler:Schedulers.fcfs_sla_tree ~dispatcher ~n_servers:servers
       ()
   in
   let decisions = ref [] in
@@ -216,7 +216,7 @@ let test_socket_end_to_end () =
   let obs = Obs.create ~trace_capacity:0 () in
   let engine =
     Daemon.Engine.create ~obs ~clock:(Vclock.manual ())
-      ~scheduler:Schedulers.fcfs_sla_tree_incr
+      ~scheduler:Schedulers.fcfs_sla_tree
       ~dispatcher:(Dispatchers.fcfs_sla_tree_incr ())
       ~n_servers:4 ()
   in
