@@ -20,6 +20,9 @@ open Toolkit
 let sizes = [ 100; 500; 1000; 2000 ]
 let now = 200.0
 
+(* The Bechamel group: every row's name is [group ^ "/" ^ row]. *)
+let group = "slatree"
+
 let buffer_of n = Fig17.make_buffer ~seed:42 n
 
 let build_tests =
@@ -114,27 +117,55 @@ let dispatch_lwl_tests = dispatch_row "dispatch.lwl" Dispatchers.lwl
 
 (* One pick over a fixed buffer of N Pareto SLA-B queries at a fixed
    decision time (the last arrival): plain CBS reads the plan head in
-   one pass; the SLA-tree variants plan the buffer (CBS sorts it) and
-   price each candidate that passes the rush bound by scanning its
-   predecessors. *)
+   one pass; CBS+SLA-tree sorts the buffer into its plan, FCFS+SLA-tree
+   reads it in place, and both price each candidate that passes the
+   rush bound by scanning its predecessors. *)
+let pick_sizes = [ 16; 64; 256 ]
+
+let pick_case scheduler n =
+  let buffer =
+    Trace.generate
+      (Trace.config ~kind:Workloads.Pareto ~profile:Workloads.Sla_b ~load:0.9
+         ~servers:1 ~n_queries:n ~seed:42 ())
+  in
+  (Schedulers.pick scheduler, buffer.(n - 1).Query.arrival, buffer)
+
 let pick_row name scheduler =
-  Test.make_indexed ~name ~fmt:"%s:%d" ~args:[ 16; 64; 256 ] (fun n ->
-      let buffer =
-        Trace.generate
-          (Trace.config ~kind:Workloads.Pareto ~profile:Workloads.Sla_b
-             ~load:0.9 ~servers:1 ~n_queries:n ~seed:42 ())
-      in
-      let now = buffer.(n - 1).Query.arrival in
-      let pick = Schedulers.pick scheduler in
+  Test.make_indexed ~name ~fmt:"%s:%d" ~args:pick_sizes (fun n ->
+      let pick, now, buffer = pick_case scheduler n in
       Staged.stage (fun () -> ignore (pick ~now buffer)))
 
 let cbs_rate = Exp_common.cbs_rate Workloads.Pareto
+let cbs_tree = Schedulers.cbs_sla_tree ~rate:cbs_rate
 let cbs_tests = pick_row "sched.cbs" (Schedulers.cbs ~rate:cbs_rate)
-
-let cbs_tree_tests =
-  pick_row "sched.cbs_tree" (Schedulers.cbs_sla_tree ~rate:cbs_rate)
-
+let cbs_tree_tests = pick_row "sched.cbs_tree" cbs_tree
 let fcfs_tree_tests = pick_row "sched.fcfs_tree" Schedulers.fcfs_sla_tree
+
+(* The words one pick of a [sched.*_tree:N] row allocates: the
+   [Gc.minor_words] of 100 picks after a warm-up pick, outside
+   Bechamel. A pick over at most 256 queries makes no block too large
+   for the minor heap, so these are all its words. *)
+let minor_words_per_pick scheduler n =
+  let pick, now, buffer = pick_case scheduler n in
+  ignore (pick ~now buffer);
+  let picks = 100 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to picks do
+    ignore (Sys.opaque_identity (pick ~now buffer))
+  done;
+  (Gc.minor_words () -. w0) /. Float.of_int picks
+
+let pick_words () =
+  List.concat_map
+    (fun (name, scheduler) ->
+      List.map
+        (fun n ->
+          ( Printf.sprintf "%s/%s:%d" group name n,
+            minor_words_per_pick scheduler n ))
+        pick_sizes)
+    [
+      ("sched.cbs_tree", cbs_tree); ("sched.fcfs_tree", Schedulers.fcfs_sla_tree);
+    ]
 
 (* BENCH_sim.json is strict JSON: a non-finite measurement is written
    as null (Jsonx itself would print nan or inf). *)
@@ -152,7 +183,7 @@ let micro_pass ~stabilize tests =
   in
   let raw =
     Benchmark.all cfg [ Instance.monotonic_clock ]
-      (Test.make_grouped ~name:"slatree" tests)
+      (Test.make_grouped ~name:group tests)
   in
   let ols =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
@@ -171,8 +202,13 @@ let micro_pass ~stabilize tests =
 (* The dispatch rows run in a second pass without Bechamel's per-sample
    heap compaction: a warmed session at M = 1024 keeps a heap large
    enough that compacting it before every sample eats the quota, and
-   the row would time the compaction instead of the decision. *)
+   the row would time the compaction instead of the decision. The
+   SLA-tree pick rows also carry their words per pick. An FCFS pick
+   over 256 queries must allocate at most 16 words per buffered query:
+   the scan's float array of starts and the boxed floats of two profit
+   calls per candidate, and no copy or boxed entry per query. *)
 let run_micro () =
+  let words = pick_words () in
   let rows =
     micro_pass ~stabilize:true
       [
@@ -190,7 +226,7 @@ let run_micro () =
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   Fmt.pr "@.=== Bechamel micro-benchmarks (per call) ===@.";
-  Fmt.pr "%-36s %14s@." "benchmark" "time";
+  Fmt.pr "%-36s %14s %12s@." "benchmark" "time" "words/call";
   List.iter
     (fun (name, ns) ->
       let pretty =
@@ -199,12 +235,31 @@ let run_micro () =
         else if ns >= 1e3 then Printf.sprintf "%10.3f us" (ns /. 1e3)
         else Printf.sprintf "%10.1f ns" ns
       in
-      Fmt.pr "%-36s %14s@." name pretty)
+      let w =
+        match List.assoc_opt name words with
+        | Some w -> Printf.sprintf " %12.0f" w
+        | None -> ""
+      in
+      Fmt.pr "%-36s %14s%s@." name pretty w)
     rows;
   Fmt.pr "(dispatch.* rows: a second pass without per-sample heap compaction)@.@.";
+  let fcfs_256 =
+    Option.value ~default:Float.nan
+      (List.assoc_opt (group ^ "/sched.fcfs_tree:256") words)
+    /. 256.0
+  in
+  check "micro: sched.fcfs_tree:256 minor words per buffered query <= 16"
+    (fcfs_256 <= 16.0);
   Jsonx.Arr
     (List.map
-       (fun (name, ns) -> Jsonx.Obj [ ("name", Jsonx.Str name); ("ns", num ns) ])
+       (fun (name, ns) ->
+         Jsonx.Obj
+           (("name", Jsonx.Str name)
+           :: ("ns", num ns)
+           ::
+           (match List.assoc_opt name words with
+           | Some w -> [ ("minor_words_per_pick", num w) ]
+           | None -> [])))
        rows)
 
 (* sim_throughput: whole simulator runs of one overloaded server (load

@@ -27,19 +27,20 @@ let rush_net_gain tree i =
     own_rush_gain tree i -. loss
   end
 
-(* The rush scan behind both entry points below. Candidate [i] of the
-   scheduled [entries] nets its own gain — the profit change from
-   completing at [origin + est_i] instead of at [completion entries.(i)]
-   — minus [loss ~n:(i - 1) ~tau:est_i], the postpone loss of its
-   predecessors. The head seeds the incumbent at 0.0 (rushing it
-   changes nothing) and only a strictly better gain replaces the
-   incumbent, so ties keep the earliest position.
+(* The rush decision of Sec 6.1 over the tree's schedule. Candidate
+   [i] nets its own gain — the profit change from completing at
+   [now + est_i] instead of at its scheduled completion — minus the
+   postpone loss [postpone(0, i-1, est_i)] of its predecessors. The
+   head seeds the incumbent at 0.0 (rushing it changes nothing) and
+   only a strictly better gain replaces the incumbent, so ties keep the
+   earliest position.
 
    Bound: the loss is a sum of non-negative unit gains, so a candidate
    nets at most its own gain. One whose own gain does not beat the
    incumbent cannot win, and its probe is skipped; the argmax and the
    returned gain are those of the scan that probes every candidate. *)
-let scan entries ~origin ~loss =
+let best_rush tree =
+  let entries = Sla_tree.entries tree and now = Sla_tree.now tree in
   let n = Array.length entries in
   if n = 0 then None
   else begin
@@ -49,11 +50,16 @@ let scan entries ~origin ~loss =
       let q = e.Schedule.query in
       let tau = q.Query.est_size in
       let own =
-        Query.profit_at q ~completion:(origin +. tau)
+        Query.profit_at q ~completion:(now +. tau)
         -. Query.profit_at q ~completion:(Schedule.completion e)
       in
       if own > !best_gain then begin
-        let g = own -. if tau = 0.0 then 0.0 else loss ~n:(i - 1) ~tau in
+        let g =
+          own
+          -.
+          if tau = 0.0 then 0.0
+          else Sla_tree.postpone tree ~m:0 ~n:(i - 1) ~tau
+        in
         if g > !best_gain then begin
           best_i := i;
           best_gain := g
@@ -63,34 +69,66 @@ let scan entries ~origin ~loss =
     Some (!best_i, !best_gain)
   end
 
-let best_rush tree =
-  scan (Sla_tree.entries tree) ~origin:(Sla_tree.now tree)
-    ~loss:(Sla_tree.postpone tree ~m:0)
+(* The same decision without a tree: a decision probes about one
+   candidate past the bound, and a probe scans only that candidate's
+   predecessors, so no build would pay for itself.
 
-(* [postpone(0, n, tau)] by scanning: the gains of the SLA components
-   of entries [0..n] whose slack lies in [0, tau), added in entry
-   order, then component order. These are the units, the order and the
-   sum of [Naive_whatif.postpone_by_units]. *)
-let postpone_prefix entries ~n ~tau =
-  let acc = ref 0.0 in
-  for j = 0 to n do
-    let e = entries.(j) in
-    let comps = Sla.components e.Schedule.query.Query.sla in
-    for c = 0 to Array.length comps - 1 do
-      let s = Schedule.slack e ~bound:comps.(c).Sla.comp_bound in
-      if s >= 0.0 && s < tau then acc := !acc +. comps.(c).Sla.comp_gain
-    done
-  done;
-  !acc
-
-(* The static decision without a tree: a rush decision probes about
-   one candidate past the bound, and a probe scans only that
-   candidate's predecessors, so no build would pay for itself. *)
+   [starts] holds the scheduled starts, summed from [now] as
+   [Schedule.of_queries] sums them. A completion is [start + est], a
+   response [completion - arrival] and a slack
+   [(arrival + bound) - completion]: the float operations of
+   [Schedule.completion], [Query.profit_at] and [Schedule.slack]. A
+   probe adds the gains of the predecessors' SLA components whose slack
+   lies in [0, tau), in position order, then component order: the
+   units, the order and the sum of [Naive_whatif.postpone_by_units].
+   A float passed to or returned from a call is boxed, so everything
+   but the candidate's two [Sla.profit] calls is written out in this
+   one body: per buffered query a decision allocates its slot of
+   [starts] and the boxed floats of those two calls. *)
 let best_rush_planned ?probes ~now planned =
-  let entries = Schedule.of_queries ~now planned in
-  scan entries ~origin:now ~loss:(fun ~n ~tau ->
-      (match probes with Some c -> Obs.Registry.incr c | None -> ());
-      postpone_prefix entries ~n ~tau)
+  let n = Array.length planned in
+  if n = 0 then None
+  else begin
+    let starts = Array.create_float n in
+    let t = ref now in
+    for j = 0 to n - 1 do
+      starts.(j) <- !t;
+      t := !t +. planned.(j).Query.est_size
+    done;
+    let best_i = ref 0 and best_gain = ref 0.0 in
+    for i = 1 to n - 1 do
+      let q = planned.(i) in
+      let tau = q.Query.est_size and arrival = q.Query.arrival in
+      let own =
+        Sla.profit q.Query.sla ~response:((now +. tau) -. arrival)
+        -. Sla.profit q.Query.sla ~response:((starts.(i) +. tau) -. arrival)
+      in
+      if own > !best_gain then begin
+        let loss = ref 0.0 in
+        if tau <> 0.0 then begin
+          (match probes with Some c -> Obs.Registry.incr c | None -> ());
+          for j = 0 to i - 1 do
+            let p = planned.(j) in
+            let completion = starts.(j) +. p.Query.est_size in
+            let comps = Sla.components p.Query.sla in
+            for c = 0 to Array.length comps - 1 do
+              let s =
+                (p.Query.arrival +. comps.(c).Sla.comp_bound) -. completion
+              in
+              if s >= 0.0 && s < tau then
+                loss := !loss +. comps.(c).Sla.comp_gain
+            done
+          done
+        end;
+        let g = own -. !loss in
+        if g > !best_gain then begin
+          best_i := i;
+          best_gain := g
+        end
+      end
+    done;
+    Some (!best_i, !best_gain)
+  end
 
 (* Net profit change of inserting [query] at buffer position [pos]
    (Sec 6.2): the newcomer's own profit at its would-be completion,

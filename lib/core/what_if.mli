@@ -20,12 +20,14 @@ val best_rush : Sla_tree.t -> (int * float) option
 (** [best_rush_planned ~now planned] makes the decision of
     [best_rush (Sla_tree.build ~now planned)] without a tree: each
     probe [postpone(0, i-1, est_i)] scans the predecessors' SLA
-    components over [Schedule.of_queries ~now planned] and adds the
-    gains of those whose slack [s] has [0 <= s < est_i], in position
-    order, as {!Naive_whatif.postpone_by_units} does. A gain may differ
-    from the tree's in the last bits, so the two picks can differ only
-    where two candidates tie within rounding. When given, [probes]
-    counts every probe. *)
+    components over the schedule [Schedule.of_queries ~now planned]
+    gives and adds the gains of those whose slack [s] has
+    [0 <= s < est_i], in position order, as
+    {!Naive_whatif.postpone_by_units} does. It reads [planned] in place,
+    keeps the scheduled starts in one unboxed float array and builds no
+    [Schedule.entry]. A gain may differ from the tree's in the last
+    bits, so the two picks can differ only where two candidates tie
+    within rounding. When given, [probes] counts every probe. *)
 val best_rush_planned :
   ?probes:Obs.Registry.counter -> now:float -> Query.t array -> (int * float) option
 

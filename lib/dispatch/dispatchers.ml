@@ -149,7 +149,9 @@ let scale_query speed query =
    Starts accumulate from [free_at] exactly as [Schedule.of_queries]
    does, so the newcomer's own profit is the tree path's float. The
    loss counts the displaced units with [0 <= slack < tau], the slack
-   tree's postpone test, summed in rank order.
+   tree's postpone test, summed in rank order; each slack is written
+   out as [(arrival + bound) - completion], the float operations of
+   [Schedule.slack], so that no float is boxed for a call.
 
    The rank is a binary search of the plan whenever the scaled plan
    stays sorted under the planner's key: always at speed 1.0, and for
@@ -194,7 +196,7 @@ let insertion_profit planner sim sid =
           let comps = Sla.components p.Query.sla in
           for c = 0 to Array.length comps - 1 do
             let s =
-              Query.deadline p ~bound:comps.(c).Sla.comp_bound -. completion
+              (p.Query.arrival +. comps.(c).Sla.comp_bound) -. completion
             in
             if s >= 0.0 && s < tau then lost := !lost +. comps.(c).Sla.comp_gain
           done;

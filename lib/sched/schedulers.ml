@@ -41,7 +41,10 @@ let of_planner planner =
 
 (* With an enabled sink, every rush probe counts into
    [whatif.postpone_calls]; the handle is resolved once, when the pick
-   function is made. *)
+   function is made. The FCFS plan is the identity, so over
+   [Planner.fcfs] the arrival-ordered buffer is handed to the scan as
+   it is: no permutation, no planned copy. A sorting planner's pick
+   maps the scan's index back through its permutation. *)
 let with_sla_tree planner =
   {
     name = Planner.name planner ^ "+SLA-tree";
@@ -53,12 +56,15 @@ let with_sla_tree planner =
               (Obs.Registry.counter (Obs.registry obs) "whatif.postpone_calls")
           else None
         in
-        fun ~now buffer ->
-          let perm = Planner.plan planner ~now buffer in
-          let planned = Array.map (fun i -> buffer.(i)) perm in
+        let rush ~now planned =
           match What_if.best_rush_planned ?probes ~now planned with
           | None -> invalid_arg "Schedulers.with_sla_tree: empty buffer"
-          | Some (i, _gain) -> perm.(i));
+          | Some (i, _gain) -> i
+        in
+        if planner == Planner.fcfs then rush
+        else fun ~now buffer ->
+          let perm = Planner.plan planner ~now buffer in
+          perm.(rush ~now (Array.map (fun i -> buffer.(i)) perm)));
   }
 
 let fcfs = of_planner Planner.fcfs

@@ -31,7 +31,9 @@ val pick : t -> Sim.pick_next
 val of_planner : Planner.t -> t
 
 (** Rush [argmax_i (own_gain_i - postpone(0, i-1, est_size_i))] over
-    the planner's order ({!What_if.best_rush_planned}). *)
+    the planner's order ({!What_if.best_rush_planned}). Over
+    {!Planner.fcfs}, whose order is the buffer's, the pick reads the
+    buffer in place and copies nothing. *)
 val with_sla_tree : Planner.t -> t
 
 val fcfs : t

@@ -78,15 +78,18 @@ let first_deadline t = t.levels.(0).bound
 let last_deadline t = t.levels.(Array.length t.levels - 1).bound
 
 (* Profit for a query answered [response] after it arrived. On-time is
-   inclusive: response = bound still earns the level's gain. *)
+   inclusive: response = bound still earns the level's gain. The walk
+   stops only on [response <= bound], so a NaN response earns the
+   penalty. A loop, not a local recursive function: the function would
+   capture the float [response] and be allocated on every call. *)
 let profit t ~response =
-  let n = Array.length t.levels in
-  let rec loop i =
-    if i >= n then -.t.penalty
-    else if response <= t.levels.(i).bound then t.levels.(i).gain
-    else loop (i + 1)
-  in
-  loop 0
+  let levels = t.levels in
+  let n = Array.length levels in
+  let i = ref 0 in
+  while !i < n && not (response <= levels.(!i).bound) do
+    incr i
+  done;
+  if !i < n then levels.(!i).gain else -.t.penalty
 
 (* Loss relative to the ideal world in which the first deadline is met
    (the paper's reported metric, Sec 7.1). *)

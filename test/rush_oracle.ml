@@ -39,6 +39,35 @@ let best_rush_units ~now planned =
     entries;
   !best
 
+(* The probes the pruned scan makes over [planned]: the candidates
+   whose own gain beats the incumbent and whose estimate is non-zero.
+   A skipped candidate cannot raise the incumbent, so the unpruned
+   incumbent, the running best of the unit scan's gains, is the pruned
+   scan's at every position. *)
+let probes ~now planned =
+  let entries = Schedule.of_queries ~now planned in
+  let best = ref 0.0 and count = ref 0 in
+  for i = 1 to Array.length entries - 1 do
+    let e = entries.(i) in
+    let q = e.Schedule.query in
+    let tau = q.Query.est_size in
+    let own =
+      Query.profit_at q ~completion:(now +. tau)
+      -. Query.profit_at q ~completion:(Schedule.completion e)
+    in
+    if own > !best then begin
+      if tau <> 0.0 then incr count;
+      let g =
+        own
+        -.
+        if tau = 0.0 then 0.0
+        else Naive_whatif.postpone_by_units entries ~m:0 ~n:(i - 1) ~tau
+      in
+      if g > !best then best := g
+    end
+  done;
+  !count
+
 (* Same index and the same gain, bit for bit. *)
 let same a b =
   match (a, b) with

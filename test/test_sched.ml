@@ -239,6 +239,26 @@ let prop_head_is_plan_head =
           Planner.cbs ~rate:2.0;
         ])
 
+(* [n] queries arriving in [0, 50) with two-level SLAs; each estimate
+   is zero with probability [zero]. *)
+let random_buffer ?(zero = 0.1) rng n =
+  Array.init n (fun id ->
+      let size = 0.1 +. (Prng.float rng *. 30.0) in
+      let est =
+        if Prng.float rng < zero then 0.0 else size *. (0.5 +. Prng.float rng)
+      in
+      let bound = 1.0 +. (Prng.float rng *. 60.0) in
+      let sla =
+        Sla.make
+          ~levels:
+            [
+              { bound; gain = 1.0 +. Prng.float rng };
+              { bound = 3.0 *. bound; gain = 0.5 };
+            ]
+          ~penalty:(Prng.float rng)
+      in
+      mk ~sla ~est id (Prng.float rng *. 50.0) size)
+
 (* The one static entry point, which prices each candidate that passes
    the bound by scanning its predecessors, decides exactly like the
    scan without the prune whose probes the naive unit scan answers:
@@ -255,26 +275,7 @@ let prop_best_rush_planned_matches_unpruned =
            Gen.(frequency [ (3, int_range 0 30); (1, int_range 100 400) ]))
         (int_range 0 1_000_000))
     (fun (n, seed) ->
-      let rng = Prng.create seed in
-      let b =
-        Array.init n (fun id ->
-            let size = 0.1 +. (Prng.float rng *. 30.0) in
-            let est =
-              if Prng.float rng < 0.1 then 0.0
-              else size *. (0.5 +. Prng.float rng)
-            in
-            let bound = 1.0 +. (Prng.float rng *. 60.0) in
-            let sla =
-              Sla.make
-                ~levels:
-                  [
-                    { bound; gain = 1.0 +. Prng.float rng };
-                    { bound = 3.0 *. bound; gain = 0.5 };
-                  ]
-                ~penalty:(Prng.float rng)
-            in
-            mk ~sla ~est id (Prng.float rng *. 50.0) size)
-      in
+      let b = random_buffer (Prng.create seed) n in
       let now = 60.0 in
       List.for_all
         (fun planner ->
@@ -292,6 +293,79 @@ let prop_best_rush_planned_matches_unpruned =
           Planner.edf;
           Planner.value_edf;
           Planner.cbs ~rate:0.05;
+        ])
+
+(* A predecessor whose slack is zero only under the slack's own float
+   operations. Arrival 0.1 and bound 0.2 put its deadline at
+   [0.1 +. 0.2]; starting at [now] = 0.1 with estimate 0.2, it completes
+   then. [(arrival +. bound) -. completion] is 0.0, so rushing the
+   next query past it loses its gain of 1; [arrival +. (bound -.
+   completion)] is about -2.8e-17 and would lose nothing. The rushed
+   query earns 5 on time instead of 0 late. *)
+let test_best_rush_planned_zero_slack () =
+  let now = 0.1 in
+  let planned =
+    [|
+      mk ~sla:(sla ~bound:0.2 ()) 0 0.1 0.2;
+      mk ~sla:(sla ~bound:0.5 ~gain:5.0 ()) 1 0.0 0.3;
+    |]
+  in
+  let want = Some (1, 4.0) in
+  let got = What_if.best_rush_planned ~now planned in
+  check_bool
+    (Printf.sprintf "rush gain %s" (Rush_oracle.to_string got))
+    true
+    (Rush_oracle.same got want
+    && Rush_oracle.same got (Rush_oracle.best_rush_units ~now planned))
+
+(* Every SLA-tree scheduler picks [perm.(i)], where [i] is the unit
+   scan's answer over its planner's plan: over FCFS, whose pick reads
+   the buffer in place, this pins the direct path to the planned one.
+   Under an enabled sink the pick counts one probe per candidate that
+   passes the bound with a non-zero estimate. Buffers hold one query
+   in about one case in six and 100-400 in one in six; every estimate
+   is zero in one case in four. *)
+let prop_sla_tree_pick_maps_plan_index =
+  QCheck.Test.make
+    ~name:"SLA-tree pick == perm.(unit scan index), probes counted" ~count:200
+    QCheck.(
+      triple
+        (make ~print:string_of_int
+           Gen.(
+             frequency
+               [ (1, return 1); (4, int_range 2 30); (1, int_range 100 400) ]))
+        (make ~print:string_of_float
+           Gen.(frequency [ (3, return 0.1); (1, return 1.0) ]))
+        (int_range 0 1_000_000))
+    (fun (n, zero, seed) ->
+      let b = random_buffer ~zero (Prng.create seed) n in
+      let now = 60.0 in
+      List.for_all
+        (fun (s, planner) ->
+          let perm = Planner.plan planner ~now b in
+          let planned = Array.map (fun i -> b.(i)) perm in
+          let want =
+            match Rush_oracle.best_rush_units ~now planned with
+            | Some (i, _) -> perm.(i)
+            | None -> -1
+          in
+          let obs = Obs.create () in
+          let counted, _ = Schedulers.instantiate ~obs s in
+          let got = Schedulers.pick s ~now b and got_counted = counted ~now b in
+          let probes =
+            Obs.Registry.count
+              (Obs.Registry.counter (Obs.registry obs) "whatif.postpone_calls")
+          and want_probes = Rush_oracle.probes ~now planned in
+          (got = want && got_counted = want && probes = want_probes)
+          || QCheck.Test.fail_reportf
+               "%s: pick %d (counted %d), want %d; %d probes, want %d"
+               (Schedulers.name s) got got_counted want probes want_probes)
+        [
+          (Schedulers.fcfs_sla_tree, Planner.fcfs);
+          (Schedulers.sjf_sla_tree, Planner.sjf);
+          (Schedulers.edf_sla_tree, Planner.edf);
+          (Schedulers.value_edf_sla_tree, Planner.value_edf);
+          (Schedulers.cbs_sla_tree ~rate:0.05, Planner.cbs ~rate:0.05);
         ])
 
 (* ------------------------------------------------------------------ *)
@@ -548,7 +622,10 @@ let () =
             test_sla_tree_over_cbs_maps_back;
           qtest prop_pick_in_range;
           qtest prop_head_is_plan_head;
+          Alcotest.test_case "zero slack at a rounding edge" `Quick
+            test_best_rush_planned_zero_slack;
           qtest prop_best_rush_planned_matches_unpruned;
+          qtest prop_sla_tree_pick_maps_plan_index;
         ] );
       ( "frontend",
         [

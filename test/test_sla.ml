@@ -68,6 +68,37 @@ let test_profit_steps () =
   check_float "boundary inclusive t2" 2.0 (Sla.profit general_sla ~response:20.0);
   check_float "after everything" (-3.0) (Sla.profit general_sla ~response:20.01)
 
+(* Each level's bound is inclusive and the next float past it is not;
+   a NaN response meets no bound and earns the penalty. The loop's
+   test must stay [response <= bound]: walking on [response > bound]
+   would stop at the first level for NaN. *)
+let test_profit_bound_edges () =
+  let sla =
+    Sla.make
+      ~levels:
+        [
+          { bound = 0.1; gain = 4.0 };
+          { bound = 7.3; gain = 1.5 };
+          { bound = 20.0; gain = -0.25 };
+        ]
+      ~penalty:2.0
+  in
+  let exactly what want got =
+    Alcotest.(check int64) what (Int64.bits_of_float want)
+      (Int64.bits_of_float got)
+  in
+  exactly "NaN earns the penalty" (-2.0) (Sla.profit sla ~response:Float.nan);
+  let after = [| 1.5; -0.25; -2.0 |] in
+  List.iteri
+    (fun k { Sla.bound; gain } ->
+      exactly (Printf.sprintf "at bound %d" k) gain
+        (Sla.profit sla ~response:bound);
+      exactly
+        (Printf.sprintf "just past bound %d" k)
+        after.(k)
+        (Sla.profit sla ~response:(Float.succ bound)))
+    (Sla.levels sla)
+
 let test_one_zero () =
   let sla = Sla.one_zero ~bound:4.0 in
   check_float "on time" 1.0 (Sla.profit sla ~response:4.0);
@@ -370,6 +401,7 @@ let () =
       ( "profit",
         [
           Alcotest.test_case "steps" `Quick test_profit_steps;
+          Alcotest.test_case "bound edges and NaN" `Quick test_profit_bound_edges;
           Alcotest.test_case "1/0" `Quick test_one_zero;
           Alcotest.test_case "g/0" `Quick test_single_step;
           Alcotest.test_case "loss vs ideal" `Quick test_loss_vs_ideal;
