@@ -6,8 +6,9 @@
    then the incremental tree's question and pop+append cycle, one pick
    of the shipped schedulers and one dispatch decision. Six sections
    time and check whole runs: sim_throughput, faults, elastic,
-   forecast, swf and tenancy. Whole-run throughput, obs overhead, the
-   parallel runner and the socket path are perfbench's.
+   forecast, swf and tenancy; a seventh, wire, times the streaming
+   decoder per message. Whole-run throughput, obs overhead, the parallel
+   runner and the socket path are perfbench's.
 
    Scale follows SLATREE_SCALE (see Exp_scale): "smoke" | "default" |
    "paper". Run from the repository root (the swf section reads the
@@ -716,6 +717,66 @@ let run_tenancy scale =
       ("degraded", count degraded);
     ]
 
+(* wire: the streaming decoder, per message. It is fed the binary
+   Submit frames of a 20 000-query trace in reads of 128 B and of
+   64 KiB, the daemon's read size, and drained after each read; each
+   figure is the median of five rounds. A decoder that copied its
+   pending bytes on every message would pay more per message the larger
+   the reads; the check holds the 64 KiB figure within 2x of the 128 B
+   one. A stream that loses a message reads NaN, and fails the check.
+   One-shot encode and decode per message are perfbench's (the traced
+   serve round's wire.encode_ns and wire.decode_ns). *)
+let run_wire () =
+  let n = 20_000 in
+  let queries =
+    Trace.generate
+      (Trace.config ~kind:Workloads.Exp ~profile:Workloads.Sla_b ~load:0.9
+         ~servers:8 ~n_queries:n ~seed:42 ())
+  in
+  Fmt.pr "=== wire: streaming decoder, %d Submit frames ===@." n;
+  let stream =
+    String.concat ""
+      (Array.to_list
+         (Array.map (fun q -> Wire.encode Wire.Binary (Wire.Submit q)) queries))
+  in
+  let streamed read =
+    let len = String.length stream in
+    let pieces =
+      Array.init ((len + read - 1) / read) (fun i ->
+          String.sub stream (i * read) (min read (len - (i * read))))
+    in
+    let round () =
+      Gc.compact ();
+      let t0 = Obs.now_ns () in
+      let dec = Wire.Decoder.create ~framing:Wire.Binary () in
+      let got = ref 0 in
+      Array.iter
+        (fun p ->
+          Wire.Decoder.feed dec p;
+          let more = ref true in
+          while !more do
+            match Wire.Decoder.next dec with
+            | Ok (Some _) -> incr got
+            | Ok None | Error _ -> more := false
+          done)
+        pieces;
+      let ns = Int64.to_float (Int64.sub (Obs.now_ns ()) t0) in
+      if !got = n then ns /. Float.of_int n else Float.nan
+    in
+    Stats.percentile (Array.init 5 (fun _ -> round ())) 50.0
+  in
+  let small = streamed 128 and large = streamed 65_536 in
+  Fmt.pr "%.1f ns per message at 128 B reads, %.1f ns at 64 KiB reads@.@."
+    small large;
+  check "wire: decode per message at 64 KiB reads <= 2x at 128 B reads"
+    (large <= 2.0 *. small);
+  Jsonx.Obj
+    [
+      ("messages", count n);
+      ( "stream_decode_ns",
+        Jsonx.Obj [ ("read_128", num small); ("read_65536", num large) ] );
+    ]
+
 let () =
   let scale = Exp_scale.from_env () in
   Fmt.pr
@@ -731,6 +792,7 @@ let () =
   let forecast = run_forecast ~rows:elastic_rows in
   let swf = run_swf scale in
   let tenancy = run_tenancy scale in
+  let wire = run_wire () in
   let micro = run_micro () in
   let path = "BENCH_sim.json" in
   let json =
@@ -746,6 +808,7 @@ let () =
         ("forecast", forecast);
         ("swf", swf);
         ("tenancy", tenancy);
+        ("wire", wire);
       ]
   in
   Out_channel.with_open_text path (fun oc ->

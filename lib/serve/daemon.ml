@@ -34,15 +34,24 @@ let pp_addr ppf = function
 (* Engine *)
 
 module Engine = struct
+  (* Query ids and tenants are ints: hashing and comparing them as ints
+     skips the polymorphic primitives on every lookup. *)
+  module Itbl = Hashtbl.Make (Int)
+
+  type tenant_tally = {
+    mutable t_completed : int;
+    mutable t_rejected : int;
+    mutable t_profit : float;
+  }
+
   type t = {
     clock : Vclock.t;
     sess : Sim.session;
     metrics : Metrics.t;
     o : Obs.t;
-    owners : (int, int) Hashtbl.t;  (** qid -> client *)
-    tally : (int, int * int * float) Hashtbl.t;
-        (** tenant -> (completed, rejected, profit); tenant 0
-            (untagged) is not tallied *)
+    owners : int Itbl.t;  (** qid -> client *)
+    tally : tenant_tally Itbl.t;
+        (** per tenant; tenant 0 (untagged) is not tallied *)
     pending : Query.t Heap.t;
         (** realtime mode: submissions stamped in the future, held
             until due *)
@@ -75,28 +84,31 @@ module Engine = struct
     let pick_next, _ = Schedulers.instantiate ~obs scheduler in
     let dispatch = Dispatchers.instantiate ~obs dispatcher in
     let metrics = Metrics.create ~warmup_id:warmup () in
-    let owners = Hashtbl.create 1024 in
+    let owners = Itbl.create 1024 in
     (* The engine record is needed inside the session callbacks;
        tie the knot through a forward ref. *)
     let self = ref None in
     let the () = Option.get !self in
-    let tally_on t q ~rejected ~profit =
+    (* The tenant's row, made on its first use; [None] for tenant 0. *)
+    let tally_row t q =
       let tn = q.Query.tenant in
-      if tn > 0 then begin
-        let c, r, p =
-          Option.value (Hashtbl.find_opt t.tally tn) ~default:(0, 0, 0.0)
-        in
-        if rejected then Hashtbl.replace t.tally tn (c, r + 1, p)
-        else Hashtbl.replace t.tally tn (c + 1, r, p +. profit)
-      end
+      if tn <= 0 then None
+      else
+        match Itbl.find_opt t.tally tn with
+        | Some _ as row -> row
+        | None ->
+          let row = { t_completed = 0; t_rejected = 0; t_profit = 0.0 } in
+          Itbl.add t.tally tn row;
+          Some row
     in
     let on_dispatch ~now q (d : Sim.decision) =
       let t = the () in
-      if d.target = None then tally_on t q ~rejected:true ~profit:0.0;
-      match Hashtbl.find_opt t.owners q.Query.id with
+      if d.target = None then
+        Option.iter (fun r -> r.t_rejected <- r.t_rejected + 1) (tally_row t q);
+      match Itbl.find_opt t.owners q.Query.id with
       | None -> ()
       | Some client ->
-        if d.target = None then Hashtbl.remove t.owners q.Query.id;
+        if d.target = None then Itbl.remove t.owners q.Query.id;
         t.emit ~client
           (Wire.Decision
              { qid = q.Query.id; vnow = now; target = d.target;
@@ -105,24 +117,27 @@ module Engine = struct
     let on_complete q ~completion =
       let t = the () in
       t.completed <- t.completed + 1;
-      tally_on t q ~rejected:false ~profit:(Query.profit_at q ~completion);
-      match Hashtbl.find_opt t.owners q.Query.id with
+      let profit = Query.profit_at q ~completion in
+      (match tally_row t q with
+      | Some r ->
+        r.t_completed <- r.t_completed + 1;
+        r.t_profit <- r.t_profit +. profit
+      | None -> ());
+      match Itbl.find_opt t.owners q.Query.id with
       | None -> ()
       | Some client ->
-        Hashtbl.remove t.owners q.Query.id;
+        Itbl.remove t.owners q.Query.id;
         t.emit ~client
-          (Wire.Completion
-             { qid = q.Query.id; vnow = completion;
-               profit = Query.profit_at q ~completion })
+          (Wire.Completion { qid = q.Query.id; vnow = completion; profit })
     in
     let on_server_event ~sid:_ ~now ev =
       match ev with
       | Sim.Dropped q -> (
         let t = the () in
-        match Hashtbl.find_opt t.owners q.Query.id with
+        match Itbl.find_opt t.owners q.Query.id with
         | None -> ()
         | Some client ->
-          Hashtbl.remove t.owners q.Query.id;
+          Itbl.remove t.owners q.Query.id;
           t.emit ~client (Wire.Dropped { qid = q.Query.id; vnow = now }))
       | _ -> ()
     in
@@ -139,7 +154,7 @@ module Engine = struct
         metrics;
         o = obs;
         owners;
-        tally = Hashtbl.create 16;
+        tally = Itbl.create 16;
         pending =
           Heap.create (fun a b ->
               Float.compare a.Query.arrival b.Query.arrival);
@@ -169,10 +184,10 @@ module Engine = struct
       avg_response = Metrics.avg_response m;
       vnow = Sim.now (Sim.sim t.sess);
       tenants =
-        Hashtbl.fold
-          (fun tn (c, r, p) acc ->
-            { Wire.tr_tenant = tn; tr_completed = c; tr_rejected = r;
-              tr_profit = p }
+        Itbl.fold
+          (fun tn r acc ->
+            { Wire.tr_tenant = tn; tr_completed = r.t_completed;
+              tr_rejected = r.t_rejected; tr_profit = r.t_profit }
             :: acc)
           t.tally []
         |> List.sort (fun a b ->
@@ -225,7 +240,7 @@ module Engine = struct
     | Wire.Submit q ->
       t.submitted <- t.submitted + 1;
       if Obs.enabled t.o then Obs.Registry.incr t.c_submitted;
-      Hashtbl.replace t.owners q.Query.id client;
+      Itbl.replace t.owners q.Query.id client;
       if Vclock.is_realtime t.clock then begin
         let vnow = Vclock.now t.clock in
         (* Traces stamp arrivals from 0 but the virtual clock has
@@ -261,12 +276,9 @@ module Engine = struct
       t.emit ~client (Wire.Error_msg "unexpected daemon-to-client message")
 
   let client_gone t ~client =
-    let stale =
-      Hashtbl.fold
-        (fun qid c acc -> if c = client then qid :: acc else acc)
-        t.owners []
-    in
-    List.iter (Hashtbl.remove t.owners) stale
+    Itbl.filter_map_inplace
+      (fun _ c -> if c = client then None else Some c)
+      t.owners
 end
 
 (* ------------------------------------------------------------------ *)
@@ -402,7 +414,7 @@ let serve ?(stop = ref false) ?(exit_on_idle = false) ?on_ready
     (try
        let n = Unix.read c.fd rbuf 0 (Bytes.length rbuf) in
        if n = 0 then died := true
-       else Wire.Decoder.feed c.dec (Bytes.sub_string rbuf 0 n)
+       else Wire.Decoder.feed_subbytes c.dec rbuf 0 n
      with
     | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | Unix.Unix_error (Unix.ECONNRESET, _, _) -> died := true);

@@ -76,7 +76,7 @@ let run_stream ?(framing = Wire.Binary) ?(speed = 1.0) ?client ?on_progress ~fd
       | 0 ->
         a.closed <- true;
         again := false
-      | n -> Wire.Decoder.feed dec (Bytes.sub_string rbuf 0 n)
+      | n -> Wire.Decoder.feed_subbytes dec rbuf 0 n
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         again := false
       | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->

@@ -8,8 +8,14 @@
    netcat and for eyeballing captures; finite floats still round-trip
    exactly ([%.17g]).
 
-   Frames are size-capped (1 MiB) so a garbage length field cannot
-   make a decoder buffer unboundedly. *)
+   Frames are size-capped (1 MiB), a binary payload by its length
+   field and a Json line by its length with or without its newline, so
+   neither a garbage length field nor an endless line can make a
+   decoder buffer unboundedly.
+
+   A binary frame is written once, into a buffer of its exact size.
+   Decoding reads a frame where it lies: [decode] at the head of a
+   string, [Decoder] in its pending-bytes buffer between two cursors. *)
 
 let protocol_version = 2
 let magic = '\xA7'
@@ -132,104 +138,127 @@ let tag_of_msg = function
   | Summary _ -> 7
   | Error_msg _ -> 8
 
-let add_i64 b n = Buffer.add_int64_be b (Int64.of_int n)
-let add_f b f = Buffer.add_int64_be b (Int64.bits_of_float f)
+(* The payload's exact size, so a frame is written once into a buffer
+   of its final length. Scalars are 8 bytes, an option flag 1, a
+   string its 8-byte length and its bytes. *)
+let str_len s = 8 + String.length s
+let opt_len = function None -> 1 | Some _ -> 9
 
-let add_str b s =
-  add_i64 b (String.length s);
-  Buffer.add_string b s
+(* id, arrival, size, est_size, retries, tenant, n_levels; a bound
+   and a gain per level; the penalty. *)
+let query_len (q : Query.t) = 8 * (8 + (2 * Sla.num_levels q.sla))
 
-let add_opt b add = function
-  | None -> Buffer.add_uint8 b 0
-  | Some v ->
-    Buffer.add_uint8 b 1;
-    add b v
+let payload_len = function
+  | Hello { client; _ } -> 8 + str_len client
+  | Submit q -> query_len q
+  | Eof -> 0
+  | Decision { target; est_delta; _ } -> 16 + opt_len target + opt_len est_delta
+  | Completion _ -> 24
+  | Dropped _ -> 16
+  | Summary s -> 80 + (32 * List.length s.tenants)
+  | Error_msg e -> str_len e
 
-let add_query b (q : Query.t) =
-  add_i64 b q.id;
-  add_f b q.arrival;
-  add_f b q.size;
-  add_f b q.est_size;
-  add_i64 b q.retries;
-  add_i64 b q.tenant;
-  let levels = Sla.levels q.sla in
-  add_i64 b (List.length levels);
-  List.iter
-    (fun (l : Sla.level) ->
-      add_f b l.bound;
-      add_f b l.gain)
-    levels;
-  add_f b (Sla.penalty q.sla)
+(* Writers take the write position and return the next one. *)
+let set_i64 b pos n =
+  Bytes.set_int64_be b pos (Int64.of_int n);
+  pos + 8
 
-let payload_of_msg m =
-  let b = Buffer.create 64 in
-  (match m with
-  | Hello { version; client } ->
-    add_i64 b version;
-    add_str b client
-  | Submit q -> add_query b q
-  | Eof -> ()
-  | Decision { qid; vnow; target; est_delta } ->
-    add_i64 b qid;
-    add_f b vnow;
-    add_opt b add_i64 target;
-    add_opt b add_f est_delta
+let set_f b pos f =
+  Bytes.set_int64_be b pos (Int64.bits_of_float f);
+  pos + 8
+
+let set_str b pos s =
+  let pos = set_i64 b pos (String.length s) in
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+let set_flag b pos present =
+  Bytes.set_uint8 b pos (if present then 1 else 0);
+  pos + 1
+
+let set_query b pos (q : Query.t) =
+  let pos = set_i64 b pos q.id in
+  let pos = set_f b pos q.arrival in
+  let pos = set_f b pos q.size in
+  let pos = set_f b pos q.est_size in
+  let pos = set_i64 b pos q.retries in
+  let pos = set_i64 b pos q.tenant in
+  let n = Sla.num_levels q.sla in
+  let pos = ref (set_i64 b pos n) in
+  for i = 0 to n - 1 do
+    let l = Sla.level q.sla i in
+    pos := set_f b (set_f b !pos l.bound) l.gain
+  done;
+  set_f b !pos (Sla.penalty q.sla)
+
+let set_payload b pos = function
+  | Hello { version; client } -> set_str b (set_i64 b pos version) client
+  | Submit q -> set_query b pos q
+  | Eof -> pos
+  | Decision { qid; vnow; target; est_delta } -> (
+    let pos = set_f b (set_i64 b pos qid) vnow in
+    let pos =
+      match target with
+      | None -> set_flag b pos false
+      | Some t -> set_i64 b (set_flag b pos true) t
+    in
+    match est_delta with
+    | None -> set_flag b pos false
+    | Some d -> set_f b (set_flag b pos true) d)
   | Completion { qid; vnow; profit } ->
-    add_i64 b qid;
-    add_f b vnow;
-    add_f b profit
-  | Dropped { qid; vnow } ->
-    add_i64 b qid;
-    add_f b vnow
+    set_f b (set_f b (set_i64 b pos qid) vnow) profit
+  | Dropped { qid; vnow } -> set_f b (set_i64 b pos qid) vnow
   | Summary s ->
-    add_i64 b s.completed;
-    add_i64 b s.rejected;
-    add_i64 b s.dropped;
-    add_i64 b s.measured;
-    add_i64 b s.late;
-    add_f b s.total_profit;
-    add_f b s.avg_loss;
-    add_f b s.avg_response;
-    add_f b s.vnow;
-    add_i64 b (List.length s.tenants);
-    List.iter
-      (fun tr ->
-        add_i64 b tr.tr_tenant;
-        add_i64 b tr.tr_completed;
-        add_i64 b tr.tr_rejected;
-        add_f b tr.tr_profit)
-      s.tenants
-  | Error_msg e -> add_str b e);
-  Buffer.contents b
+    let pos = set_i64 b pos s.completed in
+    let pos = set_i64 b pos s.rejected in
+    let pos = set_i64 b pos s.dropped in
+    let pos = set_i64 b pos s.measured in
+    let pos = set_i64 b pos s.late in
+    let pos = set_f b pos s.total_profit in
+    let pos = set_f b pos s.avg_loss in
+    let pos = set_f b pos s.avg_response in
+    let pos = set_f b pos s.vnow in
+    let pos = set_i64 b pos (List.length s.tenants) in
+    List.fold_left
+      (fun pos tr ->
+        let pos = set_i64 b pos tr.tr_tenant in
+        let pos = set_i64 b pos tr.tr_completed in
+        let pos = set_i64 b pos tr.tr_rejected in
+        set_f b pos tr.tr_profit)
+      pos s.tenants
+  | Error_msg e -> set_str b pos e
 
+(* One exactly sized buffer per frame, written once and handed out as
+   the string it becomes. *)
 let encode_binary m =
-  let payload = payload_of_msg m in
-  let b = Buffer.create (7 + String.length payload) in
-  Buffer.add_char b magic;
-  Buffer.add_uint8 b protocol_version;
-  Buffer.add_uint8 b (tag_of_msg m);
-  Buffer.add_int32_be b (Int32.of_int (String.length payload));
-  Buffer.add_string b payload;
-  Buffer.contents b
+  let plen = payload_len m in
+  let b = Bytes.create (7 + plen) in
+  Bytes.set b 0 magic;
+  Bytes.set_uint8 b 1 protocol_version;
+  Bytes.set_uint8 b 2 (tag_of_msg m);
+  Bytes.set_int32_be b 3 (Int32.of_int plen);
+  let stop = set_payload b 7 m in
+  assert (stop = 7 + plen);
+  Bytes.unsafe_to_string b
 
-(* Payload reader: a cursor over the payload slice. A malformed
-   payload (underrun, bad option flag, absurd list length, invalid
-   query) raises [Bad]. *)
+(* Payload reader: a cursor over the payload slice [pos, stop) of a
+   byte buffer, read in place. A malformed payload (underrun, bad
+   option flag, absurd list length, invalid query) raises [Bad]. *)
 exception Bad of string
 
-type reader = { s : string; mutable pos : int; stop : int }
+type reader = { b : Bytes.t; mutable pos : int; stop : int }
 
-let need r n = if r.pos + n > r.stop then raise (Bad "payload underrun")
+let need r n = if n > r.stop - r.pos then raise (Bad "payload underrun")
 
 let rd_i64 r =
   need r 8;
-  let v = Int64.to_int (String.get_int64_be r.s r.pos) in
+  let v = Int64.to_int (Bytes.get_int64_be r.b r.pos) in
   r.pos <- r.pos + 8;
   v
 
 let rd_f r =
   need r 8;
-  let v = Int64.float_of_bits (String.get_int64_be r.s r.pos) in
+  let v = Int64.float_of_bits (Bytes.get_int64_be r.b r.pos) in
   r.pos <- r.pos + 8;
   v
 
@@ -237,17 +266,17 @@ let rd_str r =
   let n = rd_i64 r in
   if n < 0 || n > max_payload then raise (Bad "bad string length");
   need r n;
-  let v = String.sub r.s r.pos n in
+  let v = Bytes.sub_string r.b r.pos n in
   r.pos <- r.pos + n;
   v
 
-let rd_opt r rd =
+let rd_flag r =
   need r 1;
-  let flag = Char.code r.s.[r.pos] in
+  let flag = Bytes.get_uint8 r.b r.pos in
   r.pos <- r.pos + 1;
   match flag with
-  | 0 -> None
-  | 1 -> Some (rd r)
+  | 0 -> false
+  | 1 -> true
   | _ -> raise (Bad "bad option flag")
 
 let rd_query r =
@@ -259,14 +288,15 @@ let rd_query r =
   let tenant = rd_i64 r in
   let n_levels = rd_i64 r in
   if n_levels < 0 || n_levels > 4096 then raise (Bad "bad level count");
+  need r ((16 * n_levels) + 8);
   let levels =
-    List.init n_levels (fun _ ->
+    Array.init n_levels (fun _ ->
         let bound = rd_f r in
         let gain = rd_f r in
         { Sla.bound; gain })
   in
   let penalty = rd_f r in
-  match Sla.make ~levels ~penalty with
+  match Sla.of_array ~levels ~penalty with
   | sla -> (
     try Query.make ~est_size ~retries ~tenant ~id ~arrival ~size ~sla ()
     with Invalid_argument e -> raise (Bad ("invalid query: " ^ e)))
@@ -284,8 +314,8 @@ let msg_of_payload tag r =
     | 4 ->
       let qid = rd_i64 r in
       let vnow = rd_f r in
-      let target = rd_opt r rd_i64 in
-      let est_delta = rd_opt r rd_f in
+      let target = if rd_flag r then Some (rd_i64 r) else None in
+      let est_delta = if rd_flag r then Some (rd_f r) else None in
       Decision { qid; vnow; target; est_delta }
     | 5 ->
       let qid = rd_i64 r in
@@ -336,22 +366,23 @@ let msg_of_payload tag r =
   if r.pos <> r.stop then raise (Bad "trailing payload bytes");
   m
 
-let decode_binary s =
-  let len = String.length s in
+(* The frame at [pos] of [b], which holds valid bytes up to [stop]. *)
+let decode_binary b ~pos ~stop =
+  let len = stop - pos in
   if len < 1 then Error Truncated
-  else if s.[0] <> magic then Error (Malformed "bad magic")
+  else if Bytes.get b pos <> magic then Error (Malformed "bad magic")
   else if len < 7 then Error Truncated
   else
-    let version = Char.code s.[1] in
-    let tag = Char.code s.[2] in
-    let plen = Int32.to_int (String.get_int32_be s 3) in
+    let version = Bytes.get_uint8 b (pos + 1) in
+    let tag = Bytes.get_uint8 b (pos + 2) in
+    let plen = Int32.to_int (Bytes.get_int32_be b (pos + 3)) in
     if version <> protocol_version then
       Error (Malformed (Printf.sprintf "unsupported version %d" version))
     else if plen < 0 || plen > max_payload then
       Error (Malformed "payload too large")
     else if len < 7 + plen then Error Truncated
     else
-      let r = { s; pos = 7; stop = 7 + plen } in
+      let r = { b; pos = pos + 7; stop = pos + 7 + plen } in
       match msg_of_payload tag r with
       | m -> Ok (m, 7 + plen)
       | exception Bad e -> Error (Malformed e)
@@ -543,20 +574,29 @@ let msg_of_json j =
   | "error" -> Error_msg (jstr j "msg")
   | t -> raise (Bad (Printf.sprintf "unknown message type %S" t))
 
-let decode_json s =
-  match String.index_opt s '\n' with
-  | None ->
-    if String.length s > max_payload then Error (Malformed "line too long")
+(* The first newline in [from, stop) of [b], or -1. *)
+let rec find_nl b from stop =
+  if from >= stop then -1
+  else if Bytes.unsafe_get b from = '\n' then from
+  else find_nl b (from + 1) stop
+
+(* The line at [pos] of [b], which holds valid bytes up to [stop]; its
+   newline is searched for from [from], the bytes before it being known
+   to hold none. A line longer than [max_payload] is refused unparsed,
+   as a binary frame over the cap is, and before its newline arrives
+   once the bytes held pass the cap. *)
+let decode_json b ~pos ?(from = pos) ~stop () =
+  match find_nl b from stop with
+  | -1 ->
+    if stop - pos > max_payload then Error (Malformed "line too long")
     else Error Truncated
-  | Some nl -> (
-    let line =
-      if nl > 0 && s.[nl - 1] = '\r' then String.sub s 0 (nl - 1)
-      else String.sub s 0 nl
-    in
-    match Jsonx.parse line with
+  | nl when nl - pos > max_payload -> Error (Malformed "line too long")
+  | nl -> (
+    let last = if nl > pos && Bytes.get b (nl - 1) = '\r' then nl - 1 else nl in
+    match Jsonx.parse (Bytes.sub_string b pos (last - pos)) with
     | j -> (
       match msg_of_json j with
-      | m -> Ok (m, nl + 1)
+      | m -> Ok (m, nl + 1 - pos)
       | exception Bad e -> Error (Malformed e))
     | exception Jsonx.Parse_error e -> Error (Malformed ("bad json: " ^ e)))
 
@@ -564,38 +604,106 @@ let decode_json s =
 (* Public codec *)
 
 let encode = function Binary -> encode_binary | Json -> encode_json
-let decode = function Binary -> decode_binary | Json -> decode_json
 
+(* The string is only read: viewing it as bytes shares it safely. *)
+let decode framing s =
+  let b = Bytes.unsafe_of_string s and stop = String.length s in
+  match framing with
+  | Binary -> decode_binary b ~pos:0 ~stop
+  | Json -> decode_json b ~pos:0 ~stop ()
+
+(* The pending bytes live in [buf] between the cursors [lo] and [hi]
+   and are decoded where they lie. A feed that does not fit after [hi]
+   first moves the live bytes to the front, and doubles the buffer only
+   if they still do not fit; a buffer emptied by [next] rewinds both
+   cursors to 0 for free. So each byte is copied in once and moved
+   O(1) times on average, whatever the read size. A buffer grown past
+   [keep] bytes by a large frame is dropped once it empties: an idle
+   connection holds [initial] bytes, not the largest frame it ever
+   sent. *)
 module Decoder = struct
-  type t = { mutable fr : framing option; mutable acc : string }
+  let initial = 4096
+  let keep = 1 lsl 18
 
-  let create ?framing () = { fr = framing; acc = "" }
+  type t = {
+    mutable fr : framing option;
+    mutable buf : Bytes.t;
+    mutable lo : int;  (* first unconsumed byte *)
+    mutable hi : int;  (* one past the last fed byte *)
+    mutable scanned : int;
+        (* Json: bytes from [lo] already searched for a newline *)
+  }
+
+  let create ?framing () =
+    { fr = framing; buf = Bytes.create initial; lo = 0; hi = 0; scanned = 0 }
+
   let framing t = t.fr
-  let feed t s = if s <> "" then t.acc <- (if t.acc = "" then s else t.acc ^ s)
-  let buffered t = String.length t.acc
+  let buffered t = t.hi - t.lo
+
+  let reserve t n =
+    if n > Bytes.length t.buf - t.hi then begin
+      let live = t.hi - t.lo in
+      let dst =
+        if live + n <= Bytes.length t.buf then t.buf
+        else Bytes.create (max (2 * Bytes.length t.buf) (live + n))
+      in
+      Bytes.blit t.buf t.lo dst 0 live;
+      t.buf <- dst;
+      t.lo <- 0;
+      t.hi <- live
+    end
+
+  let feed_subbytes t b off n =
+    if off < 0 || n < 0 || off > Bytes.length b - n then
+      invalid_arg "Wire.Decoder.feed_subbytes";
+    reserve t n;
+    Bytes.blit b off t.buf t.hi n;
+    t.hi <- t.hi + n
+
+  (* [s] is only read. *)
+  let feed t s = feed_subbytes t (Bytes.unsafe_of_string s) 0 (String.length s)
+
+  let consume t n =
+    t.scanned <- 0;
+    if t.lo + n = t.hi then begin
+      t.lo <- 0;
+      t.hi <- 0;
+      if Bytes.length t.buf > keep then t.buf <- Bytes.create initial
+    end
+    else t.lo <- t.lo + n
+
+  (* A Json line is searched for its newline from where the last
+     search stopped, so a line trickled in many feeds is scanned
+     once. *)
+  let decode_next t fr =
+    match fr with
+    | Binary -> decode_binary t.buf ~pos:t.lo ~stop:t.hi
+    | Json ->
+      let r =
+        decode_json t.buf ~pos:t.lo ~from:(t.lo + t.scanned) ~stop:t.hi ()
+      in
+      (match r with Error Truncated -> t.scanned <- t.hi - t.lo | _ -> ());
+      r
 
   let next t =
-    if t.acc = "" then Ok None
+    if t.lo = t.hi then Ok None
     else begin
       (match t.fr with
       | Some _ -> ()
       | None ->
         t.fr <-
-          (match t.acc.[0] with
+          (match Bytes.get t.buf t.lo with
           | '{' -> Some Json
           | c when c = magic -> Some Binary
           | _ -> None));
       match t.fr with
       | None -> Error "unknown framing (bad first byte)"
       | Some fr -> (
-        match decode fr t.acc with
+        match decode_next t fr with
         | Ok (m, n) ->
-          t.acc <- String.sub t.acc n (String.length t.acc - n);
+          consume t n;
           Ok (Some m)
-        | Error Truncated ->
-          if String.length t.acc > 7 + max_payload then
-            Error "frame exceeds size cap"
-          else Ok None
+        | Error Truncated -> Ok None
         | Error (Malformed e) -> Error e)
     end
 end

@@ -69,7 +69,8 @@ val equal : msg -> msg -> bool
 
 val pp : Format.formatter -> msg -> unit
 
-(** One complete frame, newline included in the Json framing. *)
+(** One complete frame, newline included in the Json framing. A binary
+    frame is written once, into a buffer of its exact size. *)
 val encode : framing -> msg -> string
 
 type decode_error =
@@ -77,11 +78,15 @@ type decode_error =
   | Malformed of string  (** unrecoverable; close the connection *)
 
 (** Decode one message from the head of [s]; on success also returns
-    the number of bytes consumed. *)
+    the number of bytes consumed. A Json line longer than 1 MiB is
+    [Malformed], whether or not [s] holds its newline, as a binary
+    frame whose length field passes 1 MiB is. *)
 val decode : framing -> string -> (msg * int, decode_error) result
 
 (** Incremental decoder over an arbitrary chunking of the byte
-    stream. *)
+    stream. It keeps the pending bytes in one buffer behind two
+    cursors and decodes each message where it lies, so its cost per
+    message does not grow with the size of the reads fed to it. *)
 module Decoder : sig
   type t
 
@@ -93,10 +98,16 @@ module Decoder : sig
 
   val feed : t -> string -> unit
 
+  (** [feed_subbytes t b off len] feeds [len] bytes of [b] from [off]:
+      a read buffer goes in with one copy. Raises [Invalid_argument]
+      on a range outside [b]. *)
+  val feed_subbytes : t -> Bytes.t -> int -> int -> unit
+
   (** Next complete message, if any: [Ok None] means feed more bytes;
       [Error _] means the stream is malformed (bad magic, unknown
-      framing or tag, oversized or unparseable frame) and the
-      connection should be closed. *)
+      framing or tag, oversized or unparseable frame, a Json line
+      past 1 MiB without its newline) and the connection should be
+      closed. *)
   val next : t -> (msg option, string) result
 
   (** Unconsumed bytes held. *)

@@ -46,8 +46,7 @@ let components_of levels penalty =
   done;
   comps
 
-let make ~levels ~penalty =
-  let levels = Array.of_list levels in
+let of_array ~levels ~penalty =
   if Array.length levels = 0 then invalid "SLA needs at least one level";
   if not (Float.is_finite penalty) then invalid "penalty must be finite";
   if penalty < 0.0 then invalid "penalty must be non-negative";
@@ -67,11 +66,14 @@ let make ~levels ~penalty =
     invalid "last gain must be >= -penalty (profit is non-increasing)";
   { levels; penalty; comps = components_of levels penalty }
 
+let make ~levels ~penalty = of_array ~levels:(Array.of_list levels) ~penalty
+
 let single_step ~bound ~gain = make ~levels:[ { bound; gain } ] ~penalty:0.0
 let one_zero ~bound = single_step ~bound ~gain:1.0
 
 let levels t = Array.to_list t.levels
 let num_levels t = Array.length t.levels
+let level t i = t.levels.(i)
 let penalty t = t.penalty
 let max_gain t = t.levels.(0).gain
 let first_deadline t = t.levels.(0).bound

@@ -17,6 +17,10 @@ exception Invalid of string
     [penalty >= 0]. Raises {!Invalid} otherwise. *)
 val make : levels:level list -> penalty:float -> t
 
+(** {!make} over an array of levels, with the same validation. The SLA
+    keeps [levels] itself: the caller must not mutate it afterwards. *)
+val of_array : levels:level array -> penalty:float -> t
+
 (** g/0 profit model (Fig 3b). *)
 val single_step : bound:float -> gain:float -> t
 
@@ -25,6 +29,10 @@ val one_zero : bound:float -> t
 
 val levels : t -> level list
 val num_levels : t -> int
+
+(** [level t i] is the [i]th level, best first ([0 <= i < num_levels t]). *)
+val level : t -> int -> level
+
 val penalty : t -> float
 
 (** Gain of the first (best) level — the "ideal world" profit. *)
