@@ -205,9 +205,11 @@ let micro_pass ~stabilize tests =
    enough that compacting it before every sample eats the quota, and
    the row would time the compaction instead of the decision. The
    SLA-tree pick rows also carry their words per pick. An FCFS pick
-   over 256 queries must allocate at most 16 words per buffered query:
-   the scan's float array of starts and the boxed floats of two profit
-   calls per candidate, and no copy or boxed entry per query. *)
+   over 256 queries must allocate at most 2 words per buffered query:
+   its slot of the scan's float array of starts, and no copy, boxed
+   entry or boxed float per query. That holds only in the default
+   (release) build, where the candidate's two profit calls are inlined
+   and box nothing; a [--profile dev] build reads 9. *)
 let run_micro () =
   let words = pick_words () in
   let rows =
@@ -249,8 +251,8 @@ let run_micro () =
       (List.assoc_opt (group ^ "/sched.fcfs_tree:256") words)
     /. 256.0
   in
-  check "micro: sched.fcfs_tree:256 minor words per buffered query <= 16"
-    (fcfs_256 <= 16.0);
+  check "micro: sched.fcfs_tree:256 minor words per buffered query <= 2"
+    (fcfs_256 <= 2.0);
   Jsonx.Arr
     (List.map
        (fun (name, ns) ->

@@ -81,10 +81,12 @@ let best_rush tree =
    probe adds the gains of the predecessors' SLA components whose slack
    lies in [0, tau), in position order, then component order: the
    units, the order and the sum of [Naive_whatif.postpone_by_units].
-   A float passed to or returned from a call is boxed, so everything
-   but the candidate's two [Sla.profit] calls is written out in this
-   one body: per buffered query a decision allocates its slot of
-   [starts] and the boxed floats of those two calls. *)
+   A float passed to or returned from a call that is not inlined is
+   boxed, so all of it is written out in this one body, and the default
+   build inlines the candidate's two [Sla.profit] calls: per buffered
+   query a pick allocates one float, its slot of [starts]. (Under
+   [--profile dev], whose [-opaque] stops inlining across modules, the
+   two calls also box their responses and results: 9 words.) *)
 let best_rush_planned ?probes ~now planned =
   let n = Array.length planned in
   if n = 0 then None

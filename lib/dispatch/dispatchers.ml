@@ -151,7 +151,9 @@ let scale_query speed query =
    loss counts the displaced units with [0 <= slack < tau], the slack
    tree's postpone test, summed in rank order; each slack is written
    out as [(arrival + bound) - completion], the float operations of
-   [Schedule.slack], so that no float is boxed for a call.
+   [Schedule.slack]. No float is boxed for a call: the default build
+   inlines [Query.profit_at] and [Sla.profit] (under [--profile dev]
+   the newcomer's profit call boxes its completion and its result).
 
    The rank is a binary search of the plan whenever the scaled plan
    stays sorted under the planner's key: always at speed 1.0, and for

@@ -88,141 +88,26 @@ type server_event =
   | Degraded of float  (** the new service rate *)
   | Restored
 
-(* An indexed binary min-heap of server ids keyed by floats, for the
-   least-work index: parallel key/id arrays by heap slot, and
-   [slot.(sid)], the slot holding [sid] (-1 when absent), so any member
-   can be re-keyed or removed in O(log n). Ties go to the lower sid.
-   The sifts move a hole rather than swap. It lives here, not in
-   [lib/util], because [Sim] calls it on every server change, and the
-   dev profile's [-opaque] turns every call into another module into a
-   full call; for the same reason the "strictly before" test is
-   written out at each use (a float passed to a function that is not
-   inlined is boxed). *)
-module Sheap = struct
-  type t = {
-    mutable keys : float array;
-    mutable ids : int array;
-    mutable len : int;
-    mutable slot : int array;
-  }
-
-  let create () = { keys = [||]; ids = [||]; len = 0; slot = [||] }
-  let mem h sid = sid < Array.length h.slot && h.slot.(sid) >= 0
-
-  (* Fill the hole at slot [i] with ([key], [sid]), moving it up past
-     every parent that should follow it. *)
-  let sift_up h i key sid =
-    let i = ref i in
-    while
-      !i > 0
-      &&
-      let pk = h.keys.((!i - 1) / 2) in
-      key < pk || (key = pk && sid < h.ids.((!i - 1) / 2))
-    do
-      let p = (!i - 1) / 2 in
-      h.keys.(!i) <- h.keys.(p);
-      h.ids.(!i) <- h.ids.(p);
-      h.slot.(h.ids.(p)) <- !i;
-      i := p
-    done;
-    h.keys.(!i) <- key;
-    h.ids.(!i) <- sid;
-    h.slot.(sid) <- !i
-
-  (* ... or down past every child that should precede it. *)
-  let sift_down h i key sid =
-    let i = ref i and fin = ref false in
-    while not !fin do
-      let l = (2 * !i) + 1 in
-      let c =
-        if
-          l + 1 < h.len
-          &&
-          let rk = h.keys.(l + 1) and lk = h.keys.(l) in
-          rk < lk || (rk = lk && h.ids.(l + 1) < h.ids.(l))
-        then l + 1
-        else l
-      in
-      if
-        c < h.len
-        &&
-        let ck = h.keys.(c) in
-        ck < key || (ck = key && h.ids.(c) < sid)
-      then begin
-        h.keys.(!i) <- h.keys.(c);
-        h.ids.(!i) <- h.ids.(c);
-        h.slot.(h.ids.(c)) <- !i;
-        i := c
-      end
-      else fin := true
-    done;
-    h.keys.(!i) <- key;
-    h.ids.(!i) <- sid;
-    h.slot.(sid) <- !i
-
-  (* Insert [sid] with [key], or re-key it. *)
-  let set h sid key =
-    if mem h sid then begin
-      let i = h.slot.(sid) in
-      if key < h.keys.(i) then sift_up h i key sid else sift_down h i key sid
-    end
-    else begin
-      if sid >= Array.length h.slot then begin
-        let a = Array.make (max (sid + 1) (2 * Array.length h.slot)) (-1) in
-        Array.blit h.slot 0 a 0 (Array.length h.slot);
-        h.slot <- a
-      end;
-      if h.len = Array.length h.ids then begin
-        let cap = max 8 (2 * h.len) in
-        let keys = Array.make cap 0.0 and ids = Array.make cap 0 in
-        Array.blit h.keys 0 keys 0 h.len;
-        Array.blit h.ids 0 ids 0 h.len;
-        h.keys <- keys;
-        h.ids <- ids
-      end;
-      h.len <- h.len + 1;
-      sift_up h (h.len - 1) key sid
-    end
-
-  let remove h sid =
-    if mem h sid then begin
-      let i = h.slot.(sid) in
-      h.slot.(sid) <- -1;
-      h.len <- h.len - 1;
-      if i < h.len then begin
-        (* The last member fills the hole, moving whichever way it must. *)
-        let key = h.keys.(h.len) and last = h.ids.(h.len) in
-        if
-          i > 0
-          &&
-          let pk = h.keys.((i - 1) / 2) in
-          key < pk || (key = pk && last < h.ids.((i - 1) / 2))
-        then sift_up h i key last
-        else sift_down h i key last
-      end
-    end
-end
-
 (* The least-work index (see [least_work]). One class per speed in
    use among the indexed servers; a class keeps two heaps of sids. *)
 type klass = {
   kspeed : float;
-  on_time : Sheap.t;
+  on_time : Iheap.t;
       (** running with [est_finish > now], keyed by
           [est_finish +. est_backlog /. speed]: the time the server's
           estimated schedule ends, which is its work left plus [now] *)
-  left : Sheap.t;
+  left : Iheap.t;
       (** idle, or running past [est_finish], keyed by
           [est_backlog /. speed]: exactly their [est_work_left] *)
 }
 
 type index = {
   mutable classes : klass array;
-  due : Sheap.t;
+  due : Iheap.t;
       (** the [on_time] members whose estimate undershoots, keyed by
           [est_finish]: such a member moves to its class's [left] once
           the clock passes it *)
-  booting : Sheap.t;  (** [Booting until] servers, keyed by [until] *)
+  booting : Iheap.t;  (** [Booting until] servers, keyed by [until] *)
   (* By sid, sized together past the largest sid: *)
   mutable class_of : int array;  (** the class in [classes], or -1 *)
   mutable cands : int array;  (** scratch: one read's candidates *)
@@ -284,12 +169,12 @@ let emit t s ev =
 let unplace ix sid =
   if ix.class_of.(sid) >= 0 then begin
     let c = ix.classes.(ix.class_of.(sid)) in
-    Sheap.remove c.on_time sid;
-    Sheap.remove c.left sid;
-    Sheap.remove ix.due sid;
+    Iheap.remove c.on_time sid;
+    Iheap.remove c.left sid;
+    Iheap.remove ix.due sid;
     ix.class_of.(sid) <- -1
   end;
-  Sheap.remove ix.booting sid
+  Iheap.remove ix.booting sid
 
 (* The class for [speed], moving [sid] out of its old class first. *)
 let klass ix sid speed =
@@ -299,7 +184,7 @@ let klass ix sid speed =
     unplace ix sid;
     let rec find i =
       if i = Array.length ix.classes then begin
-        let k = { kspeed = speed; on_time = Sheap.create (); left = Sheap.create () } in
+        let k = { kspeed = speed; on_time = Iheap.create (); left = Iheap.create () } in
         ix.classes <- Array.append ix.classes [| k |];
         i
       end
@@ -319,19 +204,19 @@ let place ix ~now s =
     let left = s.est_backlog /. s.speed in
     match s.running with
     | Some r when r.est_finish > now ->
-      if Sheap.mem c.left sid then Sheap.remove c.left sid;
-      Sheap.set c.on_time sid (r.est_finish +. left);
+      if Iheap.mem c.left sid then Iheap.remove c.left sid;
+      Iheap.set c.on_time sid (r.est_finish +. left);
       (* Only an estimate that undershoots can run out before its query
          completes: no read happens past a pending completion. *)
-      if r.act_finish > r.est_finish then Sheap.set ix.due sid r.est_finish
-      else if Sheap.mem ix.due sid then Sheap.remove ix.due sid
+      if r.act_finish > r.est_finish then Iheap.set ix.due sid r.est_finish
+      else if Iheap.mem ix.due sid then Iheap.remove ix.due sid
     | Some _ | None ->
-      if Sheap.mem c.on_time sid then Sheap.remove c.on_time sid;
-      if Sheap.mem ix.due sid then Sheap.remove ix.due sid;
-      Sheap.set c.left sid left)
+      if Iheap.mem c.on_time sid then Iheap.remove c.on_time sid;
+      if Iheap.mem ix.due sid then Iheap.remove ix.due sid;
+      Iheap.set c.left sid left)
   | Booting until ->
     unplace ix s.sid;
-    Sheap.set ix.booting s.sid until
+    Iheap.set ix.booting s.sid until
   | Draining | Down | Retired -> unplace ix s.sid
 
 (* Make room for sids up to [sid] (the pool grew). *)
@@ -424,8 +309,8 @@ let push_cand ix sid =
 (* Members keyed at most [limit] form a subtree under the root (a
    child is keyed no lower than its parent): walk only that subtree. *)
 let rec gather ix h limit i =
-  if i < h.Sheap.len && h.Sheap.keys.(i) <= limit then begin
-    push_cand ix h.Sheap.ids.(i);
+  if i < h.Iheap.len && h.Iheap.keys.(i) <= limit then begin
+    push_cand ix h.Iheap.ids.(i);
     gather ix h limit ((2 * i) + 1);
     gather ix h limit ((2 * i) + 2)
   end
@@ -457,8 +342,8 @@ let build t =
   let ix =
     {
       classes = [||];
-      due = Sheap.create ();
-      booting = Sheap.create ();
+      due = Iheap.create ();
+      booting = Iheap.create ();
       class_of = Array.make n (-1);
       cands = Array.make n 0;
       n_cands = 0;
@@ -476,7 +361,7 @@ let least_work t =
      estimate ran out to its class's [left]. *)
   while ix.booting.len > 0 && ix.booting.keys.(0) <= t.now do
     let sid = ix.booting.ids.(0) in
-    Sheap.remove ix.booting sid;
+    Iheap.remove ix.booting sid;
     ignore (dispatchable_server t t.servers.(sid))
   done;
   while ix.due.len > 0 && ix.due.keys.(0) < t.now do

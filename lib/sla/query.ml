@@ -42,13 +42,14 @@ let make ?est_size ?(retries = 0) ?(tenant = 0) ~id ~arrival ~size ~sla () =
 let retried t = { t with retries = t.retries + 1 }
 
 (* Absolute deadline of level [k] of [t.sla]. *)
-let deadline t ~bound = t.arrival +. bound
+let[@inline] deadline t ~bound = t.arrival +. bound
 
-let first_deadline t = t.arrival +. Sla.first_deadline t.sla
+let[@inline] first_deadline t = t.arrival +. Sla.first_deadline t.sla
 
-let profit_at t ~completion = Sla.profit t.sla ~response:(completion -. t.arrival)
+let[@inline] profit_at t ~completion =
+  Sla.profit t.sla ~response:(completion -. t.arrival)
 
-let loss_at t ~completion =
+let[@inline] loss_at t ~completion =
   Sla.loss_vs_ideal t.sla ~response:(completion -. t.arrival)
 
 let ideal_profit t = Sla.max_gain t.sla

@@ -83,8 +83,11 @@ let last_deadline t = t.levels.(Array.length t.levels - 1).bound
    inclusive: response = bound still earns the level's gain. The walk
    stops only on [response <= bound], so a NaN response earns the
    penalty. A loop, not a local recursive function: the function would
-   capture the float [response] and be allocated on every call. *)
-let profit t ~response =
+   capture the float [response] and be allocated on every call.
+   Inlined, so that a caller in another module passes [response] and
+   gets the gain back without boxing either (the release build only:
+   dev's [-opaque] stops inlining across modules). *)
+let[@inline] profit t ~response =
   let levels = t.levels in
   let n = Array.length levels in
   let i = ref 0 in

@@ -1,4 +1,4 @@
-(* Tests for the utility substrate: PRNG, heap, stats, histogram and
+(* Tests for the utility substrate: PRNG, heaps, stats, histogram and
    array searches. *)
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -238,6 +238,65 @@ let test_heap_of_list_empty () =
   check_bool "empty" true (Heap.is_empty h);
   Heap.push h 9;
   check_int "usable after" 9 (Heap.pop_exn h)
+
+(* ------------------------------------------------------------------ *)
+(* Iheap *)
+
+(* Random inserts, re-keys and removals over at most 64 ids, against a
+   list of (key, id) members kept sorted by key, then id. Keys come
+   from a set of eight, so equal keys are common. After every step the
+   heap's minimum and its id, [mem] of every id, and each member's slot
+   must agree with the model. *)
+let prop_iheap_matches_sorted_model =
+  QCheck.Test.make ~name:"iheap agrees with sorted-list model" ~count:300
+    QCheck.(
+      list_of_size Gen.(0 -- 200)
+        (triple (int_bound 3) (int_bound 63) (int_bound 7)))
+    (fun ops ->
+      let h = Iheap.create () in
+      let model = ref [] in
+      let put id key =
+        model :=
+          List.sort compare
+            ((key, id) :: List.filter (fun (_, i) -> i <> id) !model)
+      in
+      let agrees () =
+        (match !model with
+        | [] -> h.Iheap.len = 0
+        | (key, id) :: _ -> h.Iheap.keys.(0) = key && h.Iheap.ids.(0) = id)
+        && h.Iheap.len = List.length !model
+        && List.for_all
+             (fun id ->
+               Iheap.mem h id = List.exists (fun (_, i) -> i = id) !model)
+             (List.init 64 Fun.id)
+        && List.for_all
+             (fun (key, id) ->
+               let s = h.Iheap.slot.(id) in
+               s >= 0 && s < h.Iheap.len
+               && h.Iheap.ids.(s) = id
+               && h.Iheap.keys.(s) = key)
+             !model
+      in
+      List.for_all
+        (fun (op, id, k) ->
+          let key = Float.of_int k /. 2.0 in
+          (match op with
+          | 0 | 1 ->
+            (* insert, or re-key a member *)
+            Iheap.set h id key;
+            put id key
+          | 2 ->
+            (* re-key a member chosen by position in the model *)
+            if !model <> [] then begin
+              let _, m = List.nth !model (id mod List.length !model) in
+              Iheap.set h m key;
+              put m key
+            end
+          | _ ->
+            Iheap.remove h id;
+            model := List.filter (fun (_, i) -> i <> id) !model);
+          agrees ())
+        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Deque *)
@@ -659,6 +718,7 @@ let () =
           Alcotest.test_case "of_list empty" `Quick test_heap_of_list_empty;
           qtest prop_heap_sorts;
         ] );
+      ("iheap", [ qtest prop_iheap_matches_sorted_model ]);
       ( "deque",
         [
           Alcotest.test_case "fifo" `Quick test_deque_fifo;
