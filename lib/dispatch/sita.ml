@@ -79,11 +79,11 @@ let dispatcher ~cutoffs =
       if !best < 0 then invalid_arg "Sita: no server accepts work";
       { Sim.target = Some !best; est_delta = None })
 
-(* Build a SITA dispatcher for a workload by sampling it: the paper's
-   experimental setting gives the dispatcher distribution knowledge,
-   not trace knowledge. *)
-let for_workload ?(sample_size = 10_000) ~seed kind ~classes =
+(* Build a SITA dispatcher for a workload from 10 000 sampled sizes:
+   the paper's experimental setting gives the dispatcher distribution
+   knowledge, not trace knowledge. *)
+let for_workload ~seed kind ~classes =
   let rng = Prng.create seed in
   let dist = Workloads.dist kind in
-  let sizes = Array.init sample_size (fun _ -> Service_dist.sample dist rng) in
+  let sizes = Array.init 10_000 (fun _ -> Service_dist.sample dist rng) in
   dispatcher ~cutoffs:(cutoffs_equal_work ~sizes ~classes)

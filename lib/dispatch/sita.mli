@@ -15,6 +15,6 @@ val class_of : cutoffs:float array -> float -> int
     [sid mod classes = c], least-work-left within the class. *)
 val dispatcher : cutoffs:float array -> Dispatchers.t
 
-(** Derive cutoffs by sampling the workload's size distribution. *)
-val for_workload :
-  ?sample_size:int -> seed:int -> Workloads.kind -> classes:int -> Dispatchers.t
+(** Derive cutoffs from 10 000 sizes sampled from the workload's size
+    distribution. *)
+val for_workload : seed:int -> Workloads.kind -> classes:int -> Dispatchers.t

@@ -560,9 +560,11 @@ let random_instance rng n =
       let arrival = Prng.float rng *. 30.0 in
       Query.make ~id ~arrival ~size ~sla:(Sla.single_step ~bound ~gain) ())
 
-(* Stays serial even under [-j]: all sizes draw their instances from
-   one sequential rng, so fanning out would change the draws. *)
-let optimality_compute ?(sizes = [ 8; 12 ]) ?(instances = 60) ~seed () =
+(* 60 instances each of 8 and of 12 queries. Stays serial even under
+   [-j]: both sizes draw their instances from one sequential rng, so
+   fanning out would change the draws. *)
+let optimality_compute ~seed () =
+  let instances = 60 in
   let rng = Prng.create seed in
   List.map
     (fun n ->
@@ -592,7 +594,7 @@ let optimality_compute ?(sizes = [ 8; 12 ]) ?(instances = 60) ~seed () =
         greedy_optimal_pct =
           100.0 *. Float.of_int !hits /. Float.of_int (Stats.count greedy_ratios);
       })
-    sizes
+    [ 8; 12 ]
 
 let optimality_run ppf ~seed () =
   let cells = optimality_compute ~seed () in

@@ -193,7 +193,6 @@ module Trace = struct
     name : string;
     cat : string;
     ts : int64;  (** ns since trace creation *)
-    tid : int;
     args : (string * value) list;
   }
 
@@ -209,8 +208,7 @@ module Trace = struct
     t0 : int64;
   }
 
-  let dummy =
-    { phase = Instant; name = ""; cat = ""; ts = 0L; tid = 0; args = [] }
+  let dummy = { phase = Instant; name = ""; cat = ""; ts = 0L; args = [] }
 
   let create ?(capacity = 65536) () =
     if capacity < 0 then invalid_arg "Trace.create: negative capacity";
@@ -237,14 +235,14 @@ module Trace = struct
 
   let stamp t = Int64.sub (now_ns ()) t.t0
 
-  let begin_span t ?(tid = 0) ?(cat = "app") ?(args = []) name =
-    push t { phase = Begin; name; cat; ts = stamp t; tid; args }
+  let begin_span t ?(cat = "app") ?(args = []) name =
+    push t { phase = Begin; name; cat; ts = stamp t; args }
 
-  let end_span t ?(tid = 0) () =
-    push t { phase = End; name = ""; cat = ""; ts = stamp t; tid; args = [] }
+  let end_span t =
+    push t { phase = End; name = ""; cat = ""; ts = stamp t; args = [] }
 
-  let instant t ?(tid = 0) ?(cat = "app") ?(args = []) name =
-    push t { phase = Instant; name; cat; ts = stamp t; tid; args }
+  let instant t ?(cat = "app") ?(args = []) name =
+    push t { phase = Instant; name; cat; ts = stamp t; args }
 
   let length t = t.len
   let dropped t = t.dropped
@@ -262,33 +260,27 @@ module Trace = struct
   (* Export: chronological scan that drops orphan End events (their
      Begin was evicted from the ring) and closes still-open spans at
      the last seen timestamp, so the emitted B/E stream is well nested
-     per tid whatever the ring evicted. *)
+     whatever the ring evicted. *)
   let balanced t =
-    let depth = Hashtbl.create 4 in
-    let get tid = Option.value ~default:0 (Hashtbl.find_opt depth tid) in
+    let depth = ref 0 in
     let out = ref [] in
     let last_ts = ref 0L in
     iter t (fun e ->
         if e.ts > !last_ts then last_ts := e.ts;
         match e.phase with
         | Begin ->
-          Hashtbl.replace depth e.tid (get e.tid + 1);
+          incr depth;
           out := e :: !out
         | End ->
-          let d = get e.tid in
-          if d > 0 then begin
-            Hashtbl.replace depth e.tid (d - 1);
+          if !depth > 0 then begin
+            decr depth;
             out := e :: !out
           end
         | Instant -> out := e :: !out);
-    Hashtbl.iter
-      (fun tid d ->
-        for _ = 1 to d do
-          out :=
-            { phase = End; name = ""; cat = ""; ts = !last_ts; tid; args = [] }
-            :: !out
-        done)
-      depth;
+    for _ = 1 to !depth do
+      out :=
+        { phase = End; name = ""; cat = ""; ts = !last_ts; args = [] } :: !out
+    done;
     List.rev !out
 
   let value_json = function
@@ -306,22 +298,22 @@ module Trace = struct
                 Printf.sprintf "\"%s\": %s" (json_escape k) (value_json v))
               args))
 
+  (* Every event is on thread 0. *)
   let event_json e =
     let ts_us = Int64.to_float e.ts /. 1e3 in
     match e.phase with
     | Begin ->
       Printf.sprintf
         "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"B\", \"ts\": %.3f, \
-         \"pid\": 1, \"tid\": %d%s}"
-        (json_escape e.name) (json_escape e.cat) ts_us e.tid (args_json e.args)
+         \"pid\": 1, \"tid\": 0%s}"
+        (json_escape e.name) (json_escape e.cat) ts_us (args_json e.args)
     | End ->
-      Printf.sprintf "{\"ph\": \"E\", \"ts\": %.3f, \"pid\": 1, \"tid\": %d}"
-        ts_us e.tid
+      Printf.sprintf "{\"ph\": \"E\", \"ts\": %.3f, \"pid\": 1, \"tid\": 0}" ts_us
     | Instant ->
       Printf.sprintf
         "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"i\", \"s\": \"t\", \
-         \"ts\": %.3f, \"pid\": 1, \"tid\": %d%s}"
-        (json_escape e.name) (json_escape e.cat) ts_us e.tid (args_json e.args)
+         \"ts\": %.3f, \"pid\": 1, \"tid\": 0%s}"
+        (json_escape e.name) (json_escape e.cat) ts_us (args_json e.args)
 
   let to_chrome_json t =
     let b = Buffer.create 4096 in
@@ -495,7 +487,7 @@ let span t ?cat name f =
   if not t.on then f ()
   else begin
     Trace.begin_span t.tr ?cat name;
-    Fun.protect ~finally:(fun () -> Trace.end_span t.tr ()) f
+    Fun.protect ~finally:(fun () -> Trace.end_span t.tr) f
   end
 
 let instant t ?cat ?args name =

@@ -76,7 +76,8 @@ end
     relative to trace creation. When the ring is full the oldest
     event is overwritten (and counted in {!Trace.dropped}); the
     export pass repairs any span nesting the eviction broke, so the
-    emitted B/E stream is always well nested per tid. *)
+    emitted B/E stream is always well nested. Every event is on one
+    thread, exported as [tid] 0. *)
 module Trace : sig
   type value = F of float | I of int | S of string
   type phase = Begin | End | Instant
@@ -86,7 +87,6 @@ module Trace : sig
     name : string;
     cat : string;
     ts : int64;  (** ns since trace creation *)
-    tid : int;
     args : (string * value) list;
   }
 
@@ -96,12 +96,12 @@ module Trace : sig
   val create : ?capacity:int -> unit -> t
 
   val begin_span :
-    t -> ?tid:int -> ?cat:string -> ?args:(string * value) list -> string -> unit
+    t -> ?cat:string -> ?args:(string * value) list -> string -> unit
 
-  val end_span : t -> ?tid:int -> unit -> unit
+  val end_span : t -> unit
 
   val instant :
-    t -> ?tid:int -> ?cat:string -> ?args:(string * value) list -> string -> unit
+    t -> ?cat:string -> ?args:(string * value) list -> string -> unit
 
   (** Events currently held (<= capacity). *)
   val length : t -> int

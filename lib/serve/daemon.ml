@@ -52,9 +52,10 @@ module Engine = struct
     owners : int Itbl.t;  (** qid -> client *)
     tally : tenant_tally Itbl.t;
         (** per tenant; tenant 0 (untagged) is not tallied *)
-    pending : Query.t Heap.t;
+    pending : (int * Query.t) Heap.t;
         (** realtime mode: submissions stamped in the future, held
-            until due *)
+            until due, with their submission number: equal stamps
+            leave in submission order, as [Sim.run] takes them *)
     mutable emit : client:int -> Wire.msg -> unit;
     mutable submitted : int;
     mutable completed : int;
@@ -156,8 +157,9 @@ module Engine = struct
         owners;
         tally = Itbl.create 16;
         pending =
-          Heap.create (fun a b ->
-              Float.compare a.Query.arrival b.Query.arrival);
+          Heap.create (fun (na, a) (nb, b) ->
+              let c = Float.compare a.Query.arrival b.Query.arrival in
+              if c <> 0 then c else Int.compare na nb);
         emit = (fun ~client:_ _ -> ());
         submitted = 0;
         completed = 0;
@@ -197,8 +199,8 @@ module Engine = struct
   let inject_due t ~vnow =
     let rec go () =
       match Heap.peek t.pending with
-      | Some q when q.Query.arrival <= vnow ->
-        Sim.inject t.sess (Heap.pop_exn t.pending);
+      | Some (_, q) when q.Query.arrival <= vnow ->
+        Sim.inject t.sess (snd (Heap.pop_exn t.pending));
         go ()
       | _ -> ()
     in
@@ -206,7 +208,7 @@ module Engine = struct
 
   let flush_pending t =
     while not (Heap.is_empty t.pending) do
-      Sim.inject t.sess (Heap.pop_exn t.pending)
+      Sim.inject t.sess (snd (Heap.pop_exn t.pending))
     done
 
   let drain t =
@@ -226,9 +228,9 @@ module Engine = struct
       let cand =
         match (Heap.peek t.pending, Sim.next_event_time t.sess) with
         | None, None -> None
-        | Some q, None -> Some q.Query.arrival
+        | Some (_, q), None -> Some q.Query.arrival
         | None, Some e -> Some e
-        | Some q, Some e -> Some (Float.min q.Query.arrival e)
+        | Some (_, q), Some e -> Some (Float.min q.Query.arrival e)
       in
       Option.map (fun until -> Vclock.wall_delay_s t.clock ~until) cand
 
@@ -262,7 +264,7 @@ module Engine = struct
               ~size:q.Query.size ~sla:q.Query.sla ()
         in
         if q.Query.arrival <= vnow then Sim.inject t.sess q
-        else Heap.push t.pending q
+        else Heap.push t.pending (t.submitted, q)
       end
       else Sim.inject t.sess q
     | Wire.Eof ->

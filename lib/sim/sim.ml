@@ -21,10 +21,12 @@
    re-injection ([reinject], the retry path) and loss; [set_speed] /
    [degrade_server] change the service rate mid-run (brownout), with
    the running query's completion rescheduled for the remaining work;
-   [restore_server] undoes either. A crash or reschedule invalidates
-   the server's pending entry in the completion heap; entries carry a
-   per-start token and stale ones are skipped on pop (lazy deletion —
-   the heap never needs decrease-key).
+   [restore_server] undoes either.
+
+   A server runs at most one query, so the pending completions sit in
+   an indexed heap of sids keyed by [act_finish]: starting or re-rating
+   a query sets the server's key, a crash removes it, and the event
+   loop pops the minimum (ties to the lower sid).
 
    Hot-path notes: buffers are array-backed FIFO deques (O(1) append,
    O(1) length) and each server carries [est_backlog], the sum of
@@ -60,9 +62,6 @@ type server = {
   mutable est_backlog : float;
       (** sum of [est_size] over the buffer (raw, not speed-scaled) *)
   mutable state : server_state;
-  mutable run_token : int;
-      (** token of the server's live completion-heap entry; entries
-          whose token no longer matches are stale and skipped *)
 }
 
 (* Per-server life-cycle notifications, consumed by the fault
@@ -118,8 +117,7 @@ type index = {
 type t = {
   mutable servers : server array;
   mutable now : float;
-  completions : (float * int * int) Heap.t;  (** (time, server, token) *)
-  mutable token_counter : int;  (** completion-entry tokens, unique per start *)
+  completions : Iheap.t;  (** running servers, keyed by [act_finish] *)
   mutable on_event : (sid:int -> now:float -> server_event -> unit) option;
   mutable arrive : (Query.t -> unit) option;
       (** the full arrival path (dispatch + metrics + observers), set
@@ -204,15 +202,15 @@ let place ix ~now s =
     let left = s.est_backlog /. s.speed in
     match s.running with
     | Some r when r.est_finish > now ->
-      if Iheap.mem c.left sid then Iheap.remove c.left sid;
+      Iheap.remove c.left sid;
       Iheap.set c.on_time sid (r.est_finish +. left);
       (* Only an estimate that undershoots can run out before its query
          completes: no read happens past a pending completion. *)
       if r.act_finish > r.est_finish then Iheap.set ix.due sid r.est_finish
-      else if Iheap.mem ix.due sid then Iheap.remove ix.due sid
+      else Iheap.remove ix.due sid
     | Some _ | None ->
-      if Iheap.mem c.on_time sid then Iheap.remove c.on_time sid;
-      if Iheap.mem ix.due sid then Iheap.remove ix.due sid;
+      Iheap.remove c.on_time sid;
+      Iheap.remove ix.due sid;
       Iheap.set c.left sid left)
   | Booting until ->
     unplace ix s.sid;
@@ -395,13 +393,6 @@ let backlog_remove s q =
 let drop_past_last_deadline ~now q =
   now > Query.deadline q ~bound:(Sla.last_deadline q.Query.sla)
 
-(* Register [s]'s pending completion at [act_finish]. The fresh token
-   makes any entry the server pushed earlier stale (lazy deletion). *)
-let push_completion t s ~act_finish =
-  t.token_counter <- t.token_counter + 1;
-  s.run_token <- t.token_counter;
-  Heap.push t.completions (act_finish, s.sid, s.run_token)
-
 let start_query t s q =
   assert (s.running = None);
   let r =
@@ -413,7 +404,7 @@ let start_query t s q =
     }
   in
   s.running <- Some r;
-  push_completion t s ~act_finish:r.act_finish;
+  Iheap.set t.completions s.sid r.act_finish;
   touch t s;
   emit t s (Started q)
 
@@ -439,7 +430,6 @@ let make_server ~sid ~speed ~state =
     buffer = Deque.create ();
     est_backlog = 0.0;
     state;
-    run_token = 0;
   }
 
 (* Grow the pool by one server. With [boot_delay], the newcomer joins
@@ -516,8 +506,7 @@ let retire_server ?(redistribute = true) t sid =
    retry policy, not the simulator, decides between [reinject] and
    loss. The server becomes [Down] ([Retired] if it was draining: a
    crashed drain has nothing left to wait for) and its pending
-   completion entry is invalidated. No-op on servers already down or
-   retired. *)
+   completion is withdrawn. No-op on servers already down or retired. *)
 let crash_server t sid =
   if sid < 0 || sid >= Array.length t.servers then
     invalid_arg "Sim.crash_server: no such server";
@@ -530,7 +519,7 @@ let crash_server t sid =
       match s.running with None -> buffered | Some r -> r.rquery :: buffered
     in
     s.running <- None;
-    s.run_token <- 0;
+    Iheap.remove t.completions sid;
     Deque.clear s.buffer;
     s.est_backlog <- 0.0;
     touch t s;
@@ -549,10 +538,10 @@ let crash_server t sid =
 (* Change server [sid]'s service rate mid-run (brownout / recovery).
    [est_backlog] holds raw sizes, so only the running query needs
    care: its remaining actual and estimated work are carried over to
-   the new rate and the completion is rescheduled (the old heap entry
-   goes stale). Emits [Degraded speed], or [Restored] when the rate
-   returns to the provisioned nominal. No-op when the speed is
-   unchanged or the server is down/retired. *)
+   the new rate and its completion is re-keyed. Emits [Degraded
+   speed], or [Restored] when the rate returns to the provisioned
+   nominal. No-op when the speed is unchanged or the server is
+   down/retired. *)
 let set_speed t sid ~speed =
   if sid < 0 || sid >= Array.length t.servers then
     invalid_arg "Sim.set_speed: no such server";
@@ -575,7 +564,7 @@ let set_speed t sid ~speed =
           }
         in
         s.running <- Some r';
-        push_completion t s ~act_finish:r'.act_finish);
+        Iheap.set t.completions sid r'.act_finish);
       s.speed <- speed;
       touch t s;
       emit t s (if speed = s.nominal then Restored else Degraded speed)
@@ -632,14 +621,7 @@ let create ?speeds ~n_servers () =
       Array.init n_servers (fun sid ->
           make_server ~sid ~speed:(speed_of sid) ~state:Active);
     now = 0.0;
-    completions =
-      Heap.create (fun (ta, sa, ka) (tb, sb, kb) ->
-          let c = Float.compare ta tb in
-          if c <> 0 then c
-          else
-            let c = Int.compare sa sb in
-            if c <> 0 then c else Int.compare ka kb);
-    token_counter = 0;
+    completions = Iheap.create ();
     on_event = None;
     arrive = None;
     index = None;
@@ -754,7 +736,7 @@ let session ?(obs = Obs.noop) ?admit ?on_dispatch ?on_complete
         s.state <- Retired;
         emit t s Retired
       end;
-      if obs_on then Obs.Trace.end_span tr ()
+      if obs_on then Obs.Trace.end_span tr
   in
   let arrive q =
     if obs_on then begin
@@ -801,7 +783,7 @@ let session ?(obs = Obs.noop) ?admit ?on_dispatch ?on_complete
            invalid_arg "Sim.run: dispatcher returned an invalid server";
          Metrics.record_admitted metrics;
          dispatch_to t t.servers.(sid) q));
-    if obs_on then Obs.Trace.end_span tr ()
+    if obs_on then Obs.Trace.end_span tr
   in
   t.arrive <- Some arrive;
   (* Optional periodic hook (elastic controllers plug in here): fires
@@ -815,17 +797,13 @@ let session ?(obs = Obs.noop) ?admit ?on_dispatch ?on_complete
         invalid_arg "Sim.run: ticker interval must be positive";
       Some (ref interval, interval, f)
   in
-  (* Pop the next completion entry; stale entries (their server
-     started something newer, was crashed, or had its rate changed —
-     the token no longer matches) are discarded without advancing the
-     clock. *)
+  (* Finish the earliest pending completion (ties to the lower sid). *)
   let pop_completion () =
-    let tc, sid, token = Heap.pop_exn t.completions in
-    let s = t.servers.(sid) in
-    if s.run_token = token then begin
-      t.now <- tc;
-      finish_one s
-    end
+    let h = t.completions in
+    let sid = h.ids.(0) in
+    t.now <- h.keys.(0);
+    Iheap.remove h sid;
+    finish_one t.servers.(sid)
   in
   let fire_tick f =
     if obs_on then begin
@@ -833,7 +811,7 @@ let session ?(obs = Obs.noop) ?admit ?on_dispatch ?on_complete
         ~args:[ ("sim_t", Obs.Trace.F t.now) ]
         "tick";
       f t;
-      Obs.Trace.end_span tr ()
+      Obs.Trace.end_span tr
     end
     else f t
   in
@@ -850,25 +828,17 @@ let session ?(obs = Obs.noop) ?admit ?on_dispatch ?on_complete
 let sim sess = sess.st
 
 (* Process every timer, tick and completion due before the next
-   arrival. [limit] is the pending arrival's time ([None] while
-   draining: only the completion heap bounds the clock then). The
-   precedence is [run]'s historical one: a timed callback preempts
-   everything at or after its instant, then a due tick, then the
-   earliest completion; stale completion entries are discarded without
-   advancing the clock. *)
+   arrival. [limit] is the pending arrival's time ([infinity] while
+   draining: only the pending completions bound the clock then, and
+   with none left nothing fires). The precedence is [run]'s historical
+   one: a timed callback preempts everything at or after its instant,
+   then a due tick, then the earliest completion. *)
 let rec pump sess ~limit =
   let t = sess.st in
-  let next_completion = Heap.peek t.completions in
-  let next_event =
-    match (next_completion, limit) with
-    | None, None -> None
-    | Some (tc, _, _), None -> Some tc
-    | None, Some l -> Some l
-    | Some (tc, _, _), Some l -> Some (Float.min tc l)
-  in
-  match next_event with
-  | None -> ()
-  | Some te ->
+  let h = t.completions in
+  if h.len > 0 || limit < infinity then begin
+    let tc = if h.len > 0 then h.keys.(0) else infinity in
+    let te = if tc < limit then tc else limit in
     let timer_due =
       sess.s_timer_idx < Array.length sess.s_timers
       && fst sess.s_timers.(sess.s_timer_idx) <= te
@@ -893,24 +863,20 @@ let rec pump sess ~limit =
         next_tick := !next_tick +. interval;
         sess.s_fire_tick f;
         pump sess ~limit
-      | _ -> begin
-        match (next_completion, limit) with
-        | Some (tc, _, _), Some l when tc <= l ->
+      | _ ->
+        if tc <= limit then begin
           sess.s_pop_completion ();
           pump sess ~limit
-        | Some _, None ->
-          sess.s_pop_completion ();
-          pump sess ~limit
-        | Some _, Some _ | None, Some _ | None, None -> ()
-      end
+        end
     end
+  end
 
-let advance sess ~until = pump sess ~limit:(Some (Float.max until sess.st.now))
+let advance sess ~until = pump sess ~limit:(Float.max until sess.st.now)
 
-let drain sess = pump sess ~limit:None
+let drain sess = pump sess ~limit:infinity
 
 let inject sess q =
-  pump sess ~limit:(Some (Float.max q.Query.arrival sess.st.now));
+  pump sess ~limit:(Float.max q.Query.arrival sess.st.now);
   (* A query whose stamped arrival the clock already passed (a lagging
      live client) arrives now; its SLA clock still runs from the
      stamped arrival. *)
@@ -918,11 +884,8 @@ let inject sess q =
   sess.s_arrive q
 
 let next_event_time sess =
-  let t = sess.st in
-  let best = ref infinity in
-  (match Heap.peek t.completions with
-  | Some (tc, _, _) -> best := tc
-  | None -> ());
+  let h = sess.st.completions in
+  let best = ref (if h.len > 0 then h.keys.(0) else infinity) in
   if sess.s_timer_idx < Array.length sess.s_timers then
     best := Float.min !best (fst sess.s_timers.(sess.s_timer_idx));
   (match sess.s_tick with

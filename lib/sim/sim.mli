@@ -33,9 +33,10 @@ type running = {
 type server_state = Booting of float | Active | Draining | Down | Retired
 
 (** Read-only outside [Sim]: the least-work index ({!least_work})
-    mirrors [running], [est_backlog], [speed] and [state], and [Sim]
-    re-places the server in it in the same step that changes any of
-    them. *)
+    mirrors [running], [est_backlog], [speed] and [state], and the
+    event loop keys the server's pending completion by
+    [running]'s [act_finish]. [Sim] updates both in the same step that
+    changes any of those fields. *)
 type server = private {
   sid : int;
   mutable speed : float;
@@ -48,8 +49,6 @@ type server = private {
       (** sum of buffered [est_size] (raw, not speed-scaled), never
           below zero *)
   mutable state : server_state;
-  mutable run_token : int;
-      (** internal: completion-heap entry validity token *)
 }
 
 (** Per-server life-cycle notifications (consumed by the fault
@@ -334,7 +333,8 @@ val sim : session -> t
     (in {!run}'s historical precedence: due timers first, then due
     ticks, then the earliest completion), leaving the clock at the
     last processed event. [until] earlier than the current clock is a
-    no-op — time is monotone. *)
+    no-op — time is monotone. [until = infinity] is {!drain}: timers
+    and ticks then fire only while a completion is pending. *)
 val advance : session -> until:float -> unit
 
 (** [advance] to the query's arrival, then run the full arrival path

@@ -1,11 +1,9 @@
-(* Array-backed binary min-heap. The simulator's event queue and several
-   schedulers sit on top of this, so it favours low constant factors:
-   no option boxing on the hot path, amortized O(1) growth. *)
+(* Array-backed binary min-heap under a comparator, with amortized
+   O(1) growth. *)
 
 type 'a t = {
   mutable data : 'a array;
   mutable size : int;
-  want : int;
   cmp : 'a -> 'a -> int;
   (* Same trick as [Deque.filler]: a junk value of type ['a] (the first
      element ever pushed) used to overwrite vacated slots, so popped
@@ -14,23 +12,18 @@ type 'a t = {
   mutable filler : 'a array;
 }
 
-(* The backing array is allocated lazily at the first push (there is no
-   dummy ['a] to fill it with before that), but at the requested
-   [capacity], so a correctly sized heap never regrows. *)
-let create ?(capacity = 16) cmp =
-  { data = [||]; size = 0; want = max capacity 1; cmp; filler = [||] }
+(* The backing array is allocated at the first push: there is no
+   dummy ['a] to fill it with before that. *)
+let create cmp = { data = [||]; size = 0; cmp; filler = [||] }
 
 let length t = t.size
 
 let is_empty t = t.size = 0
 
-let capacity t = if Array.length t.data = 0 then t.want else Array.length t.data
-
 let grow t x =
   let cap = Array.length t.data in
   if t.size = cap then begin
-    let ncap = if cap = 0 then t.want else cap * 2 in
-    let ndata = Array.make ncap x in
+    let ndata = Array.make (if cap = 0 then 16 else cap * 2) x in
     Array.blit t.data 0 ndata 0 t.size;
     t.data <- ndata
   end
@@ -91,29 +84,3 @@ let pop_exn t =
   match pop t with
   | Some x -> x
   | None -> invalid_arg "Heap.pop_exn: empty heap"
-
-let clear t =
-  if Array.length t.filler > 0 then
-    Array.fill t.data 0 t.size t.filler.(0);
-  t.size <- 0
-
-let to_list t =
-  let rec loop acc i = if i < 0 then acc else loop (t.data.(i) :: acc) (i - 1) in
-  loop [] (t.size - 1)
-
-(* Floyd's bottom-up heapify: O(n) instead of the O(n log n) of n
-   pushes, and the backing array is sized to the list (or the larger
-   requested [capacity]) in a single allocation. *)
-let of_list ?capacity cmp xs =
-  match xs with
-  | [] -> create ?capacity cmp
-  | x :: _ ->
-    let n = List.length xs in
-    let cap = match capacity with Some c -> max (max c 1) n | None -> n in
-    let data = Array.make cap x in
-    List.iteri (fun i v -> data.(i) <- v) xs;
-    let t = { data; size = n; want = cap; cmp; filler = [| x |] } in
-    for i = (n / 2) - 1 downto 0 do
-      sift_down t i
-    done;
-    t

@@ -1,25 +1,16 @@
 (** Array-backed binary min-heap.
 
-    Backs the simulator's event queue and priority-based schedulers.
-    All operations are the textbook complexities: [push]/[pop] are
-    O(log n), [peek] is O(1). *)
+    Backs the serving daemon's hold queue of future-stamped
+    submissions. [push] and [pop] are O(log n), [peek] is O(1). *)
 
 type 'a t
 
 (** [create cmp] makes an empty heap ordered by [cmp] (minimum first).
-
-    [capacity] (default 16) sizes the backing array: pushing up to
-    [capacity] elements performs exactly one allocation and never
-    regrows. The array itself is allocated at the first [push]. *)
-val create : ?capacity:int -> ('a -> 'a -> int) -> 'a t
+    The backing array is allocated at the first [push]. *)
+val create : ('a -> 'a -> int) -> 'a t
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool
-
-(** Current backing-array size (the requested [capacity] before the
-    first push). [push] only allocates when [length] reaches this. *)
-val capacity : 'a t -> int
-
 val push : 'a t -> 'a -> unit
 
 (** Smallest element without removing it. *)
@@ -34,14 +25,3 @@ val peek_exn : 'a t -> 'a
 val pop : 'a t -> 'a option
 
 val pop_exn : 'a t -> 'a
-
-(** Empty the heap, releasing every element reference it held. *)
-val clear : 'a t -> unit
-
-(** Elements in unspecified (heap) order. *)
-val to_list : 'a t -> 'a list
-
-(** Build a heap from a list in O(n) (Floyd's bottom-up heapify),
-    with the backing array sized to [max capacity (List.length xs)]
-    in a single allocation. *)
-val of_list : ?capacity:int -> ('a -> 'a -> int) -> 'a list -> 'a t

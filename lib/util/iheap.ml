@@ -14,16 +14,15 @@ type t = {
 let create () = { keys = [||]; ids = [||]; len = 0; slot = [||] }
 let mem h id = id < Array.length h.slot && h.slot.(id) >= 0
 
+(* The heap order: ([k1], [i1]) comes strictly before ([k2], [i2]). *)
+let[@inline] before (k1 : float) (i1 : int) k2 i2 =
+  k1 < k2 || (k1 = k2 && i1 < i2)
+
 (* Fill the hole at slot [i] with ([key], [id]), moving it up past
    every parent that should follow it. *)
 let sift_up h i key id =
   let i = ref i in
-  while
-    !i > 0
-    &&
-    let pk = h.keys.((!i - 1) / 2) in
-    key < pk || (key = pk && id < h.ids.((!i - 1) / 2))
-  do
+  while !i > 0 && before key id h.keys.((!i - 1) / 2) h.ids.((!i - 1) / 2) do
     let p = (!i - 1) / 2 in
     h.keys.(!i) <- h.keys.(p);
     h.ids.(!i) <- h.ids.(p);
@@ -40,20 +39,11 @@ let sift_down h i key id =
   while not !fin do
     let l = (2 * !i) + 1 in
     let c =
-      if
-        l + 1 < h.len
-        &&
-        let rk = h.keys.(l + 1) and lk = h.keys.(l) in
-        rk < lk || (rk = lk && h.ids.(l + 1) < h.ids.(l))
+      if l + 1 < h.len && before h.keys.(l + 1) h.ids.(l + 1) h.keys.(l) h.ids.(l)
       then l + 1
       else l
     in
-    if
-      c < h.len
-      &&
-      let ck = h.keys.(c) in
-      ck < key || (ck = key && h.ids.(c) < id)
-    then begin
+    if c < h.len && before h.keys.(c) h.ids.(c) key id then begin
       h.keys.(!i) <- h.keys.(c);
       h.ids.(!i) <- h.ids.(c);
       h.slot.(h.ids.(c)) <- !i;
@@ -97,11 +87,7 @@ let remove h id =
     if i < h.len then begin
       (* The last member fills the hole, moving whichever way it must. *)
       let key = h.keys.(h.len) and last = h.ids.(h.len) in
-      if
-        i > 0
-        &&
-        let pk = h.keys.((i - 1) / 2) in
-        key < pk || (key = pk && last < h.ids.((i - 1) / 2))
+      if i > 0 && before key last h.keys.((i - 1) / 2) h.ids.((i - 1) / 2)
       then sift_up h i key last
       else sift_down h i key last
     end

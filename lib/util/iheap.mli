@@ -1,6 +1,7 @@
 (** Indexed binary min-heap of int ids keyed by floats.
 
-    Backs [Sim]'s least-work index, whose heaps hold server ids.
+    Backs [Sim]'s pending completions and its least-work index, whose
+    heaps hold server ids.
     Unlike {!Heap}, any member can be re-keyed or removed in O(log n).
     Ids are small non-negative ints: the id-to-slot table grows to the
     largest id seen. *)

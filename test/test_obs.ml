@@ -101,7 +101,7 @@ let test_trace_records_events () =
   let tr = Obs.Trace.create () in
   Obs.Trace.begin_span tr ~cat:"sim" ~args:[ ("id", Obs.Trace.I 7) ] "arrive";
   Obs.Trace.instant tr ~cat:"elastic" "elastic.scale_up";
-  Obs.Trace.end_span tr ();
+  Obs.Trace.end_span tr;
   check_int "length" 3 (Obs.Trace.length tr);
   check_int "dropped" 0 (Obs.Trace.dropped tr);
   match Obs.Trace.events tr with
@@ -141,7 +141,7 @@ let test_trace_chrome_json_balanced () =
   for i = 0 to 7 do
     Obs.Trace.begin_span tr (Fmt.str "span%d" i);
     Obs.Trace.instant tr "mark";
-    Obs.Trace.end_span tr ()
+    Obs.Trace.end_span tr
   done;
   (* And one span left open at export time. *)
   Obs.Trace.begin_span tr "open";
@@ -155,7 +155,7 @@ let test_trace_chrome_json_balanced () =
 let test_trace_jsonl () =
   let tr = Obs.Trace.create () in
   Obs.Trace.begin_span tr "a";
-  Obs.Trace.end_span tr ();
+  Obs.Trace.end_span tr;
   let l = Obs.Trace.to_jsonl tr in
   let lines = String.split_on_char '\n' (String.trim l) in
   check_int "one line per event" 2 (List.length lines);

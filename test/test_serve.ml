@@ -128,6 +128,36 @@ let test_equivalence_admission_drop () =
     ~mk_dispatcher:(fun () -> Dispatchers.fcfs_sla_tree_incr ~admission:true ())
     ~queries ~servers:3 ()
 
+(* Realtime mode holds a submission stamped in the future until it is
+   due. At speed 1e-9 the clock barely moves, so the five queries
+   stamped 1000 wait until the Eof drain: equal stamps must leave in
+   submission order, as [Sim.run] takes them from its array. *)
+let test_realtime_equal_stamps_in_order () =
+  let sla = Sla.one_zero ~bound:10.0 in
+  let queries =
+    Array.init 6 (fun id ->
+        Query.make ~id ~arrival:(if id = 0 then 0.0 else 1000.0) ~size:1.0
+          ~sla ())
+  in
+  let serial_decs, _ =
+    run_serial ~warmup:0 ~dispatcher:Dispatchers.lwl ~queries ~servers:1 ()
+  in
+  let engine =
+    Daemon.Engine.create ~clock:(Vclock.realtime ~speed:1e-9 ())
+      ~scheduler:Schedulers.fcfs_sla_tree ~dispatcher:Dispatchers.lwl
+      ~n_servers:1 ()
+  in
+  let served = ref [] in
+  Daemon.Engine.on_emit engine (fun ~client:_ msg ->
+      match msg with
+      | Wire.Decision { qid; _ } -> served := qid :: !served
+      | _ -> ());
+  Array.iter (fun q -> Daemon.Engine.handle engine ~client:1 (Wire.Submit q)) queries;
+  Daemon.Engine.handle engine ~client:1 Wire.Eof;
+  Alcotest.(check (list int))
+    "served decision order = serial" (List.map (fun d -> d.d_qid) serial_decs)
+    (List.rev !served)
+
 (* ------------------------------------------------------------------ *)
 (* Vclock *)
 
@@ -298,6 +328,8 @@ let () =
             test_equivalence_plain;
           Alcotest.test_case "serial = served (admission + drop)" `Quick
             test_equivalence_admission_drop;
+          Alcotest.test_case "realtime equal stamps in submission order"
+            `Quick test_realtime_equal_stamps_in_order;
         ] );
       ( "vclock",
         [

@@ -460,6 +460,39 @@ let test_negative_scheduler_index () =
   check_bool "negative index raises" true
     (raises_invalid (fun () -> ignore (run_collect ~pick:bad_pick queries)))
 
+(* A one-server session holding one query of size 10: its completion
+   is due at 10. *)
+let one_query_session () =
+  let sess =
+    Sim.session ~n_servers:1 ~pick_next:fcfs_pick ~dispatch:single_dispatch
+      ~metrics:(Metrics.create ~warmup_id:0 ())
+      ()
+  in
+  Sim.inject sess (mk 0 0.0 10.0);
+  sess
+
+let check_next_event = Alcotest.(check (option (float 0.0)))
+
+(* A crash withdraws the running query's completion: nothing is left
+   to wake for. *)
+let test_next_event_after_crash () =
+  let sess = one_query_session () in
+  check_next_event "completion due" (Some 10.0) (Sim.next_event_time sess);
+  ignore (Sim.crash_server (Sim.sim sess) 0 : Query.t list);
+  check_next_event "nothing pending" None (Sim.next_event_time sess);
+  Sim.drain sess;
+  check_float "clock stays at the crash" 0.0 (Sim.now (Sim.sim sess))
+
+(* Halving the rate moves the completion to 20, and only that time is
+   reported. *)
+let test_next_event_after_degrade () =
+  let sess = one_query_session () in
+  Sim.degrade_server (Sim.sim sess) 0 ~factor:0.5;
+  check_next_event "rescheduled completion" (Some 20.0)
+    (Sim.next_event_time sess);
+  Sim.drain sess;
+  check_float "completes at the new time" 20.0 (Sim.now (Sim.sim sess))
+
 let test_simulation_drains_large_trace () =
   let cfg =
     Trace.config ~kind:Workloads.Exp ~profile:Workloads.Sla_a ~load:0.9
@@ -568,6 +601,13 @@ let () =
             test_dispatch_to_non_accepting;
           Alcotest.test_case "negative scheduler index" `Quick
             test_negative_scheduler_index;
+        ] );
+      ( "session",
+        [
+          Alcotest.test_case "next event after crash" `Quick
+            test_next_event_after_crash;
+          Alcotest.test_case "next event after degrade" `Quick
+            test_next_event_after_degrade;
         ] );
       ( "end-to-end",
         [

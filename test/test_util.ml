@@ -191,53 +191,33 @@ let test_heap_exn_on_empty () =
   Alcotest.check_raises "peek_exn" (Invalid_argument "Heap.peek_exn: empty heap")
     (fun () -> ignore (Heap.peek_exn h))
 
-let test_heap_clear () =
-  let h = Heap.of_list Int.compare [ 3; 1; 2 ] in
-  Heap.clear h;
-  check_bool "cleared" true (Heap.is_empty h)
-
-let test_heap_to_list () =
-  let h = Heap.of_list Int.compare [ 3; 1; 2 ] in
-  let l = List.sort Int.compare (Heap.to_list h) in
-  Alcotest.(check (list int)) "contents" [ 1; 2; 3 ] l
-
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
     QCheck.(list int)
     (fun xs ->
-      let h = Heap.of_list Int.compare xs in
+      let h = Heap.create Int.compare in
+      List.iter (Heap.push h) xs;
       let out = List.init (List.length xs) (fun _ -> Heap.pop_exn h) in
       out = List.sort Int.compare xs)
 
-(* Regression: [create ~capacity] used to ignore the argument, so a
-   heap sized for its workload still regrew through 16, 32, ... *)
-let test_heap_capacity_respected () =
-  let h = Heap.create ~capacity:100 Int.compare in
-  check_int "capacity reported before first push" 100 (Heap.capacity h);
-  for i = 1 to 100 do
-    Heap.push h i
-  done;
-  check_int "no grow while filling to capacity" 100 (Heap.capacity h);
-  Heap.push h 101;
-  check_int "doubles only past capacity" 200 (Heap.capacity h)
-
-(* [of_list ~capacity] sizes the backing array once for the workload,
-   like [create ~capacity], instead of tightly to the list. *)
-let test_heap_of_list_capacity () =
-  let h = Heap.of_list ~capacity:64 Int.compare [ 3; 1; 2 ] in
-  check_int "capacity honoured" 64 (Heap.capacity h);
-  check_int "length" 3 (Heap.length h);
-  check_int "still a heap" 1 (Heap.pop_exn h);
-  for i = 4 to 64 do
-    Heap.push h i
-  done;
-  check_int "no regrow up to capacity" 64 (Heap.capacity h)
-
-let test_heap_of_list_empty () =
-  let h = Heap.of_list Int.compare [] in
-  check_bool "empty" true (Heap.is_empty h);
-  Heap.push h 9;
-  check_int "usable after" 9 (Heap.pop_exn h)
+(* A popped element is not pinned by the backing array: its vacated
+   slot holds the filler, the first element ever pushed. *)
+let test_heap_pop_unpins () =
+  let h = Heap.create (fun a b -> Int.compare !a !b) in
+  let w = Weak.create 1 in
+  let[@inline never] push_watched () =
+    let x = ref 1 in
+    Weak.set w 0 (Some x);
+    Heap.push h x
+  in
+  Heap.push h (ref 0);
+  push_watched ();
+  check_int "filler first" 0 !(Heap.pop_exn h);
+  ignore (Sys.opaque_identity (Heap.pop_exn h));
+  Gc.full_major ();
+  check_bool "popped element collected" true (Weak.get w 0 = None);
+  (* [h] stays live across the collection. *)
+  check_bool "empty" true (Heap.is_empty h)
 
 (* ------------------------------------------------------------------ *)
 (* Iheap *)
@@ -710,12 +690,7 @@ let () =
           Alcotest.test_case "duplicates" `Quick test_heap_duplicates;
           Alcotest.test_case "interleaved" `Quick test_heap_interleaved;
           Alcotest.test_case "exn on empty" `Quick test_heap_exn_on_empty;
-          Alcotest.test_case "clear" `Quick test_heap_clear;
-          Alcotest.test_case "to_list" `Quick test_heap_to_list;
-          Alcotest.test_case "capacity respected" `Quick
-            test_heap_capacity_respected;
-          Alcotest.test_case "of_list capacity" `Quick test_heap_of_list_capacity;
-          Alcotest.test_case "of_list empty" `Quick test_heap_of_list_empty;
+          Alcotest.test_case "pop unpins" `Quick test_heap_pop_unpins;
           qtest prop_heap_sorts;
         ] );
       ("iheap", [ qtest prop_iheap_matches_sorted_model ]);
