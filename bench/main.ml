@@ -137,12 +137,13 @@ let pick_row name scheduler =
       Staged.stage (fun () -> ignore (pick ~now buffer)))
 
 let cbs_rate = Exp_common.cbs_rate Workloads.Pareto
+let cbs = Schedulers.cbs ~rate:cbs_rate
 let cbs_tree = Schedulers.cbs_sla_tree ~rate:cbs_rate
-let cbs_tests = pick_row "sched.cbs" (Schedulers.cbs ~rate:cbs_rate)
+let cbs_tests = pick_row "sched.cbs" cbs
 let cbs_tree_tests = pick_row "sched.cbs_tree" cbs_tree
 let fcfs_tree_tests = pick_row "sched.fcfs_tree" Schedulers.fcfs_sla_tree
 
-(* The words one pick of a [sched.*_tree:N] row allocates: the
+(* The words one pick of a [sched.*] row allocates: the
    [Gc.minor_words] of 100 picks after a warm-up pick, outside
    Bechamel. A pick over at most 256 queries makes no block too large
    for the minor heap, so these are all its words. *)
@@ -165,7 +166,9 @@ let pick_words () =
             minor_words_per_pick scheduler n ))
         pick_sizes)
     [
-      ("sched.cbs_tree", cbs_tree); ("sched.fcfs_tree", Schedulers.fcfs_sla_tree);
+      ("sched.cbs", cbs);
+      ("sched.cbs_tree", cbs_tree);
+      ("sched.fcfs_tree", Schedulers.fcfs_sla_tree);
     ]
 
 (* BENCH_sim.json is strict JSON: a non-finite measurement is written
@@ -204,12 +207,21 @@ let micro_pass ~stabilize tests =
    heap compaction: a warmed session at M = 1024 keeps a heap large
    enough that compacting it before every sample eats the quota, and
    the row would time the compaction instead of the decision. The
-   SLA-tree pick rows also carry their words per pick. An FCFS pick
-   over 256 queries must allocate at most 2 words per buffered query:
-   its slot of the scan's float array of starts, and no copy, boxed
-   entry or boxed float per query. That holds only in the default
-   (release) build, where the candidate's two profit calls are inlined
-   and box nothing; a [--profile dev] build reads 9. *)
+   pick rows also carry their words per pick, and three picks over 256
+   queries are checked per buffered query:
+   - FCFS+SLA-tree, at most 2: its slot of the scan's float array of
+     starts, and no copy, boxed entry or boxed float per query;
+   - CBS, at most 2: its slot of the planner's key array;
+   - CBS+SLA-tree, at most 6: the key array, the index permutation
+     and its merge scratch, the planned copy and the starts.
+   Each holds only in the default (release) build, which inlines the
+   profit calls and the CBS integral so that neither boxes a float; a
+   [--profile dev] build fails all three. *)
+let words_per_query words name n =
+  Option.value ~default:Float.nan
+    (List.assoc_opt (Printf.sprintf "%s/%s:%d" group name n) words)
+  /. Float.of_int n
+
 let run_micro () =
   let words = pick_words () in
   let rows =
@@ -246,13 +258,13 @@ let run_micro () =
       Fmt.pr "%-36s %14s%s@." name pretty w)
     rows;
   Fmt.pr "(dispatch.* rows: a second pass without per-sample heap compaction)@.@.";
-  let fcfs_256 =
-    Option.value ~default:Float.nan
-      (List.assoc_opt (group ^ "/sched.fcfs_tree:256") words)
-    /. 256.0
-  in
-  check "micro: sched.fcfs_tree:256 minor words per buffered query <= 2"
-    (fcfs_256 <= 2.0);
+  List.iter
+    (fun (name, bound) ->
+      check
+        (Printf.sprintf "micro: %s:256 minor words per buffered query <= %g"
+           name bound)
+        (words_per_query words name 256 <= bound))
+    [ ("sched.fcfs_tree", 2.0); ("sched.cbs", 2.0); ("sched.cbs_tree", 6.0) ];
   Jsonx.Arr
     (List.map
        (fun (name, ns) ->

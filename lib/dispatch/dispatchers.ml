@@ -155,12 +155,9 @@ let scale_query speed query =
    inlines [Query.profit_at] and [Sla.profit] (under [--profile dev]
    the newcomer's profit call boxes its completion and its result).
 
-   The rank is a binary search of the plan whenever the scaled plan
-   stays sorted under the planner's key: always at speed 1.0, and for
-   the time-invariant planners, whose keys ignore the estimate or order
-   by it, so dividing every estimate by one speed keeps the order. CBS
-   prices loss per unit of work and may reorder on a scaled server;
-   there the newcomer is appended and the scaled plan re-sorted. *)
+   The rank counts the scaled plan's entries whose key pair is <= the
+   scaled newcomer's ([Planner.insertion_rank]): the keys of the scaled
+   estimates, as a re-plan of the scaled buffer would sort them. *)
 let insertion_profit planner sim sid =
   let srv = Sim.server sim sid in
   let speed = srv.Sim.speed in
@@ -175,11 +172,7 @@ let insertion_profit planner sim sid =
       if speed = 1.0 then planned else Array.map (scale_query speed) planned
     in
     let n = Array.length planned in
-    let rank =
-      if speed = 1.0 || Planner.time_invariant planner then
-        Planner.insertion_rank_sorted planner ~now planned
-      else Planner.insertion_rank planner ~now planned
-    in
+    let rank = Planner.insertion_rank planner ~now planned in
     fun q ->
       let q' = scale_query speed q in
       let pos = rank q' in

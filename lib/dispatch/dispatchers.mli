@@ -41,16 +41,13 @@ val lwl : t
     [free_at + est].
 
     The one question is answered by a direct scan, without an
-    SLA-tree. Cost: an O(n log n) plan, then O(log n + n + kK) per
-    priced query, for [k] displaced queries with [K] SLA levels each
-    (O(n log n + kK) where the rank re-sorts, below).
+    SLA-tree. Cost: an O(n log n) plan and one key per buffered query,
+    then O(n + kK) per priced query, for [k] displaced queries with [K]
+    SLA levels each.
 
-    Rank: the newcomer loses every tie. At speed 1.0, or under a
-    {!Planner.time_invariant} planner, the rank is a binary search of
-    the plan ({!Planner.insertion_rank_sorted}). Otherwise (CBS on a
-    server whose speed is not 1.0, where scaling can reorder the
-    keys) the scaled plan is re-sorted with the newcomer appended
-    ({!Planner.insertion_rank}).
+    Rank: the newcomer loses every tie. It is the count of plan entries
+    whose key pair, on the speed-scaled estimates, is [<=] the scaled
+    newcomer's ({!Planner.insertion_rank}).
 
     Against an SLA-tree built over the same plan
     ({!What_if.insertion_delta}): every start and the newcomer's own

@@ -34,7 +34,7 @@ type sched_cell = {
   tree_loss : float;
 }
 
-let sched_compute ?(kinds = Workloads.all_kinds) ?(load = 0.9) (scale : Exp_scale.t) =
+let sched_compute ?(kinds = Workloads.all_kinds) (scale : Exp_scale.t) =
   (* Independent (kind, baseline) cells fan out across the ambient
      pool in spec order. *)
   List.concat_map
@@ -42,7 +42,7 @@ let sched_compute ?(kinds = Workloads.all_kinds) ?(load = 0.9) (scale : Exp_scal
     kinds
   |> Parallel.map_list (fun (kind, (base_name, base, tree)) ->
          let make_trace_cfg ~seed =
-           Trace.config ~kind ~profile:Workloads.Sla_b ~load ~servers:1
+           Trace.config ~kind ~profile:Workloads.Sla_b ~load:0.9 ~servers:1
              ~n_queries:scale.n_queries ~seed ()
          in
          let loss scheduler =
@@ -358,7 +358,8 @@ let classify_sla_b ~mu q =
   if Sla.equal q.Query.sla (Sla_profiles.sla_b_employee ~mu) then "employee"
   else "buyer"
 
-let fairness_compute ?(kind = Workloads.Exp) ?(load = 0.9) (scale : Exp_scale.t) =
+let fairness_compute (scale : Exp_scale.t) =
+  let kind = Workloads.Exp in
   let mu = Workloads.nominal_mean_ms kind in
   let rate = Exp_common.cbs_rate kind in
   let schedulers =
@@ -375,7 +376,7 @@ let fairness_compute ?(kind = Workloads.Exp) ?(load = 0.9) (scale : Exp_scale.t)
       for repeat = 0 to scale.repeats - 1 do
         let queries =
           Trace.generate
-            (Trace.config ~kind ~profile:Workloads.Sla_b ~load ~servers:1
+            (Trace.config ~kind ~profile:Workloads.Sla_b ~load:0.9 ~servers:1
                ~n_queries:scale.n_queries
                ~seed:(Exp_scale.seed scale ~repeat)
                ())
@@ -426,7 +427,8 @@ type hetero_cell = { h_disp : string; h_loss : float }
 
 let hetero_speeds = [| 2.0; 1.0; 1.0; 0.5 |]
 
-let hetero_compute ?(kind = Workloads.Exp) (scale : Exp_scale.t) =
+let hetero_compute (scale : Exp_scale.t) =
+  let kind = Workloads.Exp in
   let rate = Exp_common.cbs_rate kind in
   let scheduler = Schedulers.cbs_sla_tree ~rate in
   let planner = Planner.cbs ~rate in
@@ -479,7 +481,7 @@ type drop_cell = {
   d_dropped : int;
 }
 
-let drop_compute ?(loads = [ 0.9; 1.1; 1.4 ]) (scale : Exp_scale.t) =
+let drop_compute (scale : Exp_scale.t) =
   let kind = Workloads.Exp in
   let rate = Exp_common.cbs_rate kind in
   let scheduler = Schedulers.cbs_sla_tree ~rate in
@@ -487,7 +489,7 @@ let drop_compute ?(loads = [ 0.9; 1.1; 1.4 ]) (scale : Exp_scale.t) =
      back in repeat order and are folded serially. *)
   List.concat_map
     (fun load -> List.map (fun drop -> (load, drop)) [ false; true ])
-    loads
+    [ 0.9; 1.1; 1.4 ]
   |> Parallel.map_list (fun (load, drop) ->
          let per_repeat =
            Parallel.map_ordered

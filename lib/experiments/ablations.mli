@@ -11,8 +11,7 @@ type sched_cell = {
   tree_loss : float;
 }
 
-val sched_compute :
-  ?kinds:Workloads.kind list -> ?load:float -> Exp_scale.t -> sched_cell list
+val sched_compute : ?kinds:Workloads.kind list -> Exp_scale.t -> sched_cell list
 
 val sched_run : Format.formatter -> Exp_scale.t -> unit
 
@@ -62,15 +61,14 @@ type fairness_cell = {
   n : int;
 }
 
-val fairness_compute :
-  ?kind:Workloads.kind -> ?load:float -> Exp_scale.t -> fairness_cell list
+val fairness_compute : Exp_scale.t -> fairness_cell list
 
 val fairness_run : Format.formatter -> Exp_scale.t -> unit
 
 type hetero_cell = { h_disp : string; h_loss : float }
 
 val hetero_speeds : float array
-val hetero_compute : ?kind:Workloads.kind -> Exp_scale.t -> hetero_cell list
+val hetero_compute : Exp_scale.t -> hetero_cell list
 val hetero_run : Format.formatter -> Exp_scale.t -> unit
 
 type drop_cell = {
@@ -80,7 +78,7 @@ type drop_cell = {
   d_dropped : int;
 }
 
-val drop_compute : ?loads:float list -> Exp_scale.t -> drop_cell list
+val drop_compute : Exp_scale.t -> drop_cell list
 val drop_run : Format.formatter -> Exp_scale.t -> unit
 
 type optimality_cell = {

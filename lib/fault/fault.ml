@@ -26,15 +26,17 @@ let pp_event ppf = function
 type plan = event list
 
 let validate_event ev =
-  let bad fmt = Fmt.kstr invalid_arg ("Fault.scripted: " ^^ fmt) in
+  let bad rule = Fmt.kstr invalid_arg "Fault.scripted: %a: %s" pp_event ev rule in
+  let at = event_time ev in
+  if not (Float.is_finite at && at >= 0.) then
+    bad "time must be finite and non-negative";
   (match ev with
-  | Crash { at; sid } | Restore { at; sid } ->
-    if at < 0. || Float.is_nan at then bad "negative time %a" pp_event ev;
-    if sid < 0 then bad "negative sid %a" pp_event ev
-  | Degrade { at; sid; factor } ->
-    if at < 0. || Float.is_nan at then bad "negative time %a" pp_event ev;
-    if sid < 0 then bad "negative sid %a" pp_event ev;
-    if not (factor > 0.) then bad "non-positive factor %a" pp_event ev);
+  | Crash { sid; _ } | Restore { sid; _ } ->
+    if sid < 0 then bad "sid must be non-negative"
+  | Degrade { sid; factor; _ } ->
+    if sid < 0 then bad "sid must be non-negative";
+    if not (Float.is_finite factor && factor > 0.) then
+      bad "factor must be finite and positive");
   ev
 
 let sort_plan evs =
@@ -44,14 +46,17 @@ let scripted evs = sort_plan (List.map validate_event evs)
 
 let random_plan ?(degrade_prob = 0.) ?(degrade_factor = 0.5) ~seed ~horizon
     ~n_servers ~mttf ~mttr () =
-  if not (mttf > 0.) then invalid_arg "Fault.random_plan: mttf <= 0";
-  if not (mttr > 0.) then invalid_arg "Fault.random_plan: mttr <= 0";
+  if not (Float.is_finite mttf && mttf > 0.) then
+    invalid_arg "Fault.random_plan: mttf must be finite and positive";
+  if not (Float.is_finite mttr && mttr > 0.) then
+    invalid_arg "Fault.random_plan: mttr must be finite and positive";
   if not (degrade_prob >= 0. && degrade_prob <= 1.) then
     invalid_arg "Fault.random_plan: degrade_prob outside [0, 1]";
   if not (degrade_factor > 0. && degrade_factor <= 1.) then
     invalid_arg "Fault.random_plan: degrade_factor outside (0, 1]";
   if n_servers < 0 then invalid_arg "Fault.random_plan: n_servers < 0";
-  if not (horizon >= 0.) then invalid_arg "Fault.random_plan: horizon < 0";
+  if not (Float.is_finite horizon && horizon >= 0.) then
+    invalid_arg "Fault.random_plan: horizon must be finite and non-negative";
   let base = Prng.create seed in
   let evs = ref [] in
   for sid = 0 to n_servers - 1 do

@@ -46,8 +46,9 @@ val pp_event : Format.formatter -> event -> unit
 type plan = event list
 
 (** Validate and time-sort a hand-written script. Raises
-    [Invalid_argument] on negative times, negative server ids or
-    non-positive degrade factors. *)
+    [Invalid_argument], naming the event and the rule it breaks, on a
+    time that is not finite or is negative, a negative server id, or a
+    degrade factor that is not finite or not positive. *)
 val scripted : event list -> plan
 
 (** Draw a plan from an exponential failure model: each of the
@@ -60,8 +61,9 @@ val scripted : event list -> plan
     way a [Restore] follows one repair-time later (repairs beyond the
     horizon are kept — a fault must never be permanent by accident).
     Servers added mid-run by an autoscaler are not in the plan.
-    Raises [Invalid_argument] on non-positive [mttf]/[mttr] or
-    parameters outside their ranges. *)
+    Raises [Invalid_argument] on an [mttf], [mttr] or [horizon] that
+    is not finite, a non-positive [mttf]/[mttr], or parameters outside
+    their ranges. *)
 val random_plan :
   ?degrade_prob:float ->
   ?degrade_factor:float ->

@@ -5,33 +5,40 @@
     "very minor condition" (Sec 6.2): inserting a query never reorders
     the existing ones.
 
-    Every planner is a stable sort on a lexicographic pair of float
-    keys (FCFS's pair is constant, so its order is arrival order).
-    {!head} and {!insertion_rank_sorted} read the pair directly. *)
+    Each planner defines its order once: a float key per buffered
+    query, written into one unboxed float array per call (Value-EDF adds
+    its first-deadline tie key; FCFS has no key and keeps the buffer's
+    order). {!plan}, {!head} and {!insertion_rank} all read that array
+    and compare entries by (key, tie key, index) under [Float.compare],
+    a strict total order: the plan is the stable sort of the keys. *)
 
 type t
 
 val name : t -> string
 
-(** Whether the planned order is independent of the decision time
-    [now] (CBS is the time-dependent exception). Its one reader is
-    [Dispatchers.insertion_profit]: these planners' keys ignore the
-    estimate or order by it, so a plan divided by one server's speed
-    stays sorted and the rank on a scaled server is a binary search. *)
-val time_invariant : t -> bool
-
 (** [plan t ~now buffer] is the permutation: [perm.(k)] is the buffer
-    index of the k-th query to execute. *)
+    index of the k-th query to execute. A sorting planner over two or
+    more queries sorts the indices by its key array, with no closure
+    call per comparison: O(n log n) for [n] buffered queries. *)
 val plan : t -> now:float -> Query.t array -> int array
 
 (** Buffer reordered into planned execution order. *)
 val planned_queries : t -> now:float -> Query.t array -> Query.t array
 
 (** [head t ~now buffer] is [(plan t ~now buffer).(0)] in one pass and
-    without sorting: the least key pair under the plan's comparator
-    ([Float.compare] on each key), the lower index winning ties.
-    Raises [Invalid_argument] on an empty buffer. *)
+    without sorting: the least entry, the lower index winning ties.
+    Under {!fcfs}, or over one query, it is 0, without a look at the
+    buffer. Raises [Invalid_argument] on an empty buffer. *)
 val head : t -> now:float -> Query.t array -> int
+
+(** [insertion_rank t ~now buffer q] is the position [q] would take if
+    inserted into the plan of [buffer], in [0 .. length buffer]. The
+    newcomer loses every tie (it is the latest arrival), so its rank is
+    the count of entries whose key pair is [<=] its own: one O(n) pass,
+    in whatever order [buffer] holds them. Staged: [insertion_rank t
+    ~now buffer] writes the keys once, and ranks any number of
+    newcomers against them. Under {!fcfs} it is [length buffer]. *)
+val insertion_rank : t -> now:float -> Query.t array -> Query.t -> int
 
 (** First-come-first-serve: identity order. *)
 val fcfs : t
@@ -47,18 +54,9 @@ val edf : t
 val value_edf : t
 
 (** Cost-based scheduling (Peha-Tobagi): descending expected loss per
-    unit work under a memoryless extra wait [X ~ Exp(rate)]. *)
+    unit work under a memoryless extra wait [X ~ Exp(rate)]. The order
+    depends on [now]. *)
 val cbs : rate:float -> t
 
 (** CBS priority of a single query (exposed for tests). *)
 val cbs_priority : rate:float -> now:float -> Query.t -> float
-
-(** Position the query would take if inserted into the planned order
-    of [buffer]; in [0 .. length buffer]. *)
-val insertion_rank : t -> now:float -> Query.t array -> Query.t -> int
-
-(** Same answer as {!insertion_rank} when [buffer] is already in
-    planned order (the output of {!planned_queries}), but O(log n): the
-    newcomer loses every tie, so its rank is the count of entries with
-    key pair [<=] its own. *)
-val insertion_rank_sorted : t -> now:float -> Query.t array -> Query.t -> int

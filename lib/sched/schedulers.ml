@@ -1,7 +1,8 @@
 (* Schedulers: concrete [Sim.pick_next] values.
 
    A baseline scheduler simply runs the head of its planner's order,
-   found in one pass without sorting ([Planner.head]).
+   found in one pass over the planner's keys without sorting
+   ([Planner.head]).
    The SLA-tree enhancement (paper Sec 6.1) rushes the query with the
    best net profit gain over the planned order:
      argmax_i  own_gain(q_i) - postpone(0, i-1, est_size_i),

@@ -27,13 +27,16 @@ val instantiate : ?obs:Obs.t -> t -> Sim.pick_next * hook option
 val pick : t -> Sim.pick_next
 
 (** Run the head of the planner's order. The head is found in one
-    pass over the buffer ({!Planner.head}); no plan is sorted. *)
+    pass over the planner's key array ({!Planner.head}); no plan is
+    sorted, and FCFS's head is 0 without a look at the buffer. *)
 val of_planner : Planner.t -> t
 
 (** Rush [argmax_i (own_gain_i - postpone(0, i-1, est_size_i))] over
-    the planner's order ({!What_if.best_rush_planned}). Over
-    {!Planner.fcfs}, whose order is the buffer's, the pick reads the
-    buffer in place and copies nothing. *)
+    the planner's order ({!What_if.best_rush_planned}). A sorting
+    planner's pick sorts the buffer's indices by its key array
+    ({!Planner.plan}) and scans the planned copy. Over {!Planner.fcfs},
+    whose order is the buffer's, the pick reads the buffer in place and
+    copies nothing. *)
 val with_sla_tree : Planner.t -> t
 
 val fcfs : t

@@ -437,7 +437,8 @@ let make_server ~sid ~speed ~state =
    [now + boot_delay]. Rare operation — the O(pool) array copy is
    irrelevant next to the event loop. *)
 let add_server ?(speed = 1.0) ?(boot_delay = 0.0) t =
-  if speed <= 0.0 then invalid_arg "Sim.add_server: speed must be positive";
+  if not (Float.is_finite speed && speed > 0.0) then
+    invalid_arg "Sim.add_server: speed must be finite and positive";
   if boot_delay < 0.0 then
     invalid_arg "Sim.add_server: boot_delay must be non-negative";
   let sid = Array.length t.servers in
@@ -545,7 +546,8 @@ let crash_server t sid =
 let set_speed t sid ~speed =
   if sid < 0 || sid >= Array.length t.servers then
     invalid_arg "Sim.set_speed: no such server";
-  if speed <= 0.0 then invalid_arg "Sim.set_speed: speed must be positive";
+  if not (Float.is_finite speed && speed > 0.0) then
+    invalid_arg "Sim.set_speed: speed must be finite and positive";
   let s = t.servers.(sid) in
   match s.state with
   | Down | Retired -> ()
@@ -571,8 +573,8 @@ let set_speed t sid ~speed =
     end
 
 let degrade_server t sid ~factor =
-  if factor <= 0.0 then
-    invalid_arg "Sim.degrade_server: factor must be positive";
+  if not (Float.is_finite factor && factor > 0.0) then
+    invalid_arg "Sim.degrade_server: factor must be finite and positive";
   if sid < 0 || sid >= Array.length t.servers then
     invalid_arg "Sim.degrade_server: no such server";
   set_speed t sid ~speed:(t.servers.(sid).nominal *. factor)
@@ -612,7 +614,9 @@ let create ?speeds ~n_servers () =
       if Array.length a <> n_servers then
         invalid_arg "Sim.create: speeds array must have one entry per server";
       Array.iter
-        (fun v -> if v <= 0.0 then invalid_arg "Sim.create: speeds must be positive")
+        (fun v ->
+          if not (Float.is_finite v && v > 0.0) then
+            invalid_arg "Sim.create: speeds must be finite and positive")
         a;
       fun sid -> a.(sid)
   in

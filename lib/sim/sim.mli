@@ -175,11 +175,12 @@ val crash_server : t -> int -> Query.t list
     up automatically). Emits [Restored] when [speed] equals the
     server's nominal rate, [Degraded speed] otherwise. No-op on
     [Down]/[Retired] servers or when the speed is unchanged. Raises
-    [Invalid_argument] on non-positive [speed]. *)
+    [Invalid_argument] on a [speed] that is not finite and positive. *)
 val set_speed : t -> int -> speed:float -> unit
 
 (** [degrade_server t sid ~factor] is [set_speed] to
-    [factor *. nominal]. *)
+    [factor *. nominal]. Raises [Invalid_argument] on a [factor] that
+    is not finite and positive. *)
 val degrade_server : t -> int -> factor:float -> unit
 
 (** Repair server [sid]: a [Down] server rejoins the pool [Active] at
@@ -254,7 +255,7 @@ val drop_past_last_deadline : now:float -> Query.t -> bool
     (per-class breakdowns hook in here). [on_server_event] observes the
     per-server buffer life cycle (fault injectors and the elastic
     controller hook in here). [speeds] makes the initial
-    farm heterogeneous (Sec 6.2's claim): one positive rate per server,
+    farm heterogeneous (Sec 6.2's claim): one finite positive rate per server,
     execution takes [size/speed]. [drop_policy ~now q = true] abandons
     buffered query [q] at a scheduling point instead of ever executing
     it (paper footnote 2's alternative; the query keeps its penalty).

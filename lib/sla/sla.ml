@@ -120,26 +120,23 @@ let profit_of_decomposition (comps, offset) ~response =
    X ~ Exp(rate): closed form over the SLA steps. This is the integral
    CBS needs (Sec 6.1 footnote; Peha-Tobagi's memoryless waiting-time
    assumption). Level i earns its gain with probability
-   P(above bound i-1) - P(above bound i); each survival term is
-   evaluated once and carried to the next level, and the last one
-   weights the penalty. *)
-let expected_profit_exp t ~elapsed ~rate =
+   P(above bound i-1) - P(above bound i); each survival term
+   P(elapsed + X > bound i) is evaluated once and carried to the next
+   level, and the last one weights the penalty. No local function, so
+   that the integral inlines into a caller's loop and boxes nothing. *)
+let[@inline] expected_profit_exp t ~elapsed ~rate =
   if rate <= 0.0 then invalid_arg "Sla.expected_profit_exp: rate must be > 0";
-  let surv bound =
-    (* P(elapsed + X > bound) *)
-    let d = bound -. elapsed in
-    if d <= 0.0 then 1.0 else exp (-.rate *. d)
-  in
   let n = Array.length t.levels in
   let acc = ref 0.0 and p_above_prev = ref 1.0 in
   for i = 0 to n - 1 do
-    let p_above_cur = surv t.levels.(i).bound in
+    let d = t.levels.(i).bound -. elapsed in
+    let p_above_cur = if d <= 0.0 then 1.0 else exp (-.rate *. d) in
     acc := !acc +. (t.levels.(i).gain *. (!p_above_prev -. p_above_cur));
     p_above_prev := p_above_cur
   done;
   !acc +. (-.t.penalty *. !p_above_prev)
 
-let expected_loss_exp t ~elapsed ~rate =
+let[@inline] expected_loss_exp t ~elapsed ~rate =
   max_gain t -. expected_profit_exp t ~elapsed ~rate
 
 let equal a b =

@@ -2,10 +2,17 @@
    golden outputs render rounded: Table 4's estimate and ground truth
    and the dispatch, admission and heterogeneous-farm ablation cells at
    smoke scale; each elastic comparison row and each resilience row at
-   default scale. One cell or row per line. *)
+   default scale. One cell or row per line. The scheduling ablation's
+   smoke cells come first: the only rows that run SJF, EDF and
+   Value-EDF, with and without the SLA-tree. *)
 
 let () =
   let smoke = Exp_scale.smoke and default = Exp_scale.default in
+  List.iter
+    (fun (c : Ablations.sched_cell) ->
+      Printf.printf "ablation_sched %s %s base %h tree %h\n" c.base_name
+        (Workloads.kind_name c.kind) c.base_loss c.tree_loss)
+    (Ablations.sched_compute smoke);
   List.iter
     (fun (c : Table4.cell) ->
       Printf.printf "table4 %s %d ground_truth %h estimate %h\n"

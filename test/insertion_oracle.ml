@@ -1,9 +1,10 @@
 (* [Dispatchers.insertion_profit] as it ran before the scan: the
    server's buffer planned and speed-scaled, scheduled from its
    estimated free time, an SLA-tree built over that schedule, the
-   newcomer ranked by appending it and re-sorting, and one postpone
-   question asked of the tree. Kept only here, as the reference the
-   scan must match, and the admission controller replayed on it. *)
+   newcomer ranked ([Planner.insertion_rank], which test_sched pins to
+   appending it and re-sorting), and one postpone question asked of
+   the tree. Kept only here, as the reference the scan must match, and
+   the admission controller replayed on it. *)
 
 let scale_query speed query =
   if speed = 1.0 then query

@@ -256,6 +256,29 @@ let test_plan_of_spec () =
   check_bool "bad number rejected" true (raises "crash@x:0");
   check_bool "missing mttr rejected" true (raises "mttf=100")
 
+(* A spec that is not finite where a number must be is refused with
+   the rule it breaks, not accepted or refused under another name. *)
+let check_refused_with rule spec =
+  let contains s needle =
+    let n = String.length needle and m = String.length s in
+    let rec go i = i + n <= m && (String.sub s i n = needle || go (i + 1)) in
+    go 0
+  in
+  match Fault.plan_of_spec spec ~horizon:10_000.0 ~n_servers:4 with
+  | exception Invalid_argument msg ->
+    if not (contains msg rule) then
+      Alcotest.failf "%S refused as %S, not %S" spec msg rule
+  | _ -> Alcotest.failf "%S accepted" spec
+
+let test_infinite_factor_refused () =
+  check_refused_with "factor must be finite" "degrade@5:0:inf"
+
+let test_nan_time_refused () =
+  check_refused_with "time must be finite" "crash@nan:0"
+
+let test_nan_mttf_refused () =
+  check_refused_with "mttf must be finite" "mttf=nan,mttr=1"
+
 let steady_trace ~n_queries ~seed =
   Trace.generate
     (Trace.config ~kind:Workloads.Exp ~profile:Workloads.Sla_b ~load:0.9
@@ -415,6 +438,12 @@ let () =
           Alcotest.test_case "every random fault repaired" `Quick
             test_random_plan_every_fault_repaired;
           Alcotest.test_case "spec grammar" `Quick test_plan_of_spec;
+          Alcotest.test_case "infinite degrade factor refused" `Quick
+            test_infinite_factor_refused;
+          Alcotest.test_case "nan time refused as not finite" `Quick
+            test_nan_time_refused;
+          Alcotest.test_case "nan mttf refused as not finite" `Quick
+            test_nan_mttf_refused;
           Alcotest.test_case "same plan, identical metrics" `Quick
             test_same_plan_identical_metrics;
           Alcotest.test_case "empty plan is inert" `Quick

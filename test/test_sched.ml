@@ -194,8 +194,10 @@ let prop_pick_in_range =
    deadlines and max gains come from small pools, the SLAs take the
    SLA-A and SLA-B shapes, and two shapes have a CBS expected loss of
    zero (a zero gain, or a first bound so far off that its survival
-   term underflows), whose key is -0.0. *)
-let tied_buffer rng n =
+   term underflows), whose key is -0.0. Estimates of -0.0 and a gain
+   of -0.0 put 0.0 and -0.0 keys side by side; with [all_zero], every
+   estimate is 0.0 or -0.0. *)
+let tied_buffer ?(all_zero = false) rng n =
   let pick a = a.(Prng.int rng (Array.length a)) in
   let mu = pick [| 10.0; 20.0 |] in
   let slas =
@@ -206,10 +208,14 @@ let tied_buffer rng n =
       Sla.single_step ~bound:(2.0 *. mu) ~gain:2.0;
       Sla.single_step ~bound:1e6 ~gain:1.0;
       Sla.single_step ~bound:mu ~gain:0.0;
+      Sla.single_step ~bound:mu ~gain:(-0.0);
     |]
   in
   Array.init n (fun id ->
-      let est = pick [| 0.0; 1.0; 5.0; 20.0; Prng.float rng *. 40.0 |] in
+      let est =
+        if all_zero then pick [| 0.0; -0.0 |]
+        else pick [| 0.0; -0.0; 1.0; 5.0; 20.0; Prng.float rng *. 40.0 |]
+      in
       let arrival = pick [| 0.0; 10.0; 10.0; Prng.float rng *. 50.0 |] in
       mk ~sla:(pick slas) ~est id arrival (est +. 1.0))
 
@@ -237,6 +243,76 @@ let prop_head_is_plan_head =
           Planner.value_edf;
           Planner.cbs ~rate:0.05;
           Planner.cbs ~rate:2.0;
+        ])
+
+(* Every plan, head and insertion rank equals the closure planners'
+   (test/planner_oracle.ml): stable sorts of boxed key pairs, and a
+   rank found by appending the newcomer and re-planning. Buffers of up
+   to 400 queries run many insertion-sorted runs and merge passes; one
+   case in four has only zero estimates. The newcomer comes from the
+   buffer's pools, and is ranked in the oracle's plan with every
+   estimate divided by a server speed, as [Dispatchers.insertion_profit]
+   ranks it, and in the arrival-ordered buffer, which must not change
+   the count. *)
+let prop_planners_match_oracle =
+  QCheck.Test.make ~name:"plan, head and rank == closure-planner oracle"
+    ~count:300
+    QCheck.(
+      triple
+        (make ~print:string_of_int
+           Gen.(
+             frequency
+               [
+                 (1, return 0);
+                 (3, int_range 1 40);
+                 (2, int_range 17 100);
+                 (1, int_range 100 400);
+               ]))
+        (make ~print:string_of_bool Gen.(frequency [ (3, return false); (1, return true) ]))
+        (int_range 0 1_000_000))
+    (fun (n, all_zero, seed) ->
+      let rng = Prng.create seed in
+      let b = tied_buffer ~all_zero rng (n + 1) in
+      let q = b.(n) and b = Array.sub b 0 n in
+      let now = Prng.float rng *. 100.0 in
+      let scale = Insertion_oracle.scale_query in
+      List.for_all
+        (fun (planner, oracle) ->
+          let name = Planner.name planner in
+          let plan = Planner.plan planner ~now b
+          and want = Planner_oracle.plan oracle ~now b in
+          (plan = want
+          || QCheck.Test.fail_reportf "%s: plan differs from the oracle's" name)
+          && (n = 0
+             || Planner.head planner ~now b = Planner_oracle.head oracle ~now b
+             || QCheck.Test.fail_reportf "%s: head %d, oracle %d" name
+                  (Planner.head planner ~now b)
+                  (Planner_oracle.head oracle ~now b))
+          && List.for_all
+               (fun speed ->
+                 let planned =
+                   Array.map (scale speed)
+                     (Planner_oracle.planned_queries oracle ~now b)
+                 and q = scale speed q in
+                 let want = Planner_oracle.insertion_rank oracle ~now planned q
+                 and rank = Planner.insertion_rank planner ~now planned q
+                 and unplanned =
+                   Planner.insertion_rank planner ~now
+                     (Array.map (scale speed) b)
+                     q
+                 in
+                 (rank = want && unplanned = want)
+                 || QCheck.Test.fail_reportf
+                      "%s at speed %g: rank %d (unplanned %d), oracle %d" name
+                      speed rank unplanned want)
+               [ 1.0; 0.5; 3.0 ])
+        [
+          (Planner.fcfs, Planner_oracle.fcfs);
+          (Planner.sjf, Planner_oracle.sjf);
+          (Planner.edf, Planner_oracle.edf);
+          (Planner.value_edf, Planner_oracle.value_edf);
+          (Planner.cbs ~rate:0.05, Planner_oracle.cbs ~rate:0.05);
+          (Planner.cbs ~rate:2.0, Planner_oracle.cbs ~rate:2.0);
         ])
 
 (* [n] queries arriving in [0, 50) with two-level SLAs; each estimate
@@ -622,6 +698,7 @@ let () =
             test_sla_tree_over_cbs_maps_back;
           qtest prop_pick_in_range;
           qtest prop_head_is_plan_head;
+          qtest prop_planners_match_oracle;
           Alcotest.test_case "zero slack at a rounding edge" `Quick
             test_best_rush_planned_zero_slack;
           qtest prop_best_rush_planned_matches_unpruned;

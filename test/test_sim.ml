@@ -493,6 +493,21 @@ let test_next_event_after_degrade () =
   Sim.drain sess;
   check_float "completes at the new time" 20.0 (Sim.now (Sim.sim sess))
 
+(* An infinite rate would finish the running query at once: both
+   entry points refuse it and leave the completion where it was. *)
+let test_infinite_speed_refused () =
+  let sess = one_query_session () in
+  check_bool "set_speed infinity" true
+    (raises_invalid (fun () -> Sim.set_speed (Sim.sim sess) 0 ~speed:infinity));
+  check_next_event "completion unmoved" (Some 10.0) (Sim.next_event_time sess)
+
+let test_infinite_degrade_refused () =
+  let sess = one_query_session () in
+  check_bool "degrade_server by infinity" true
+    (raises_invalid (fun () ->
+         Sim.degrade_server (Sim.sim sess) 0 ~factor:infinity));
+  check_next_event "completion unmoved" (Some 10.0) (Sim.next_event_time sess)
+
 let test_simulation_drains_large_trace () =
   let cfg =
     Trace.config ~kind:Workloads.Exp ~profile:Workloads.Sla_a ~load:0.9
@@ -601,6 +616,10 @@ let () =
             test_dispatch_to_non_accepting;
           Alcotest.test_case "negative scheduler index" `Quick
             test_negative_scheduler_index;
+          Alcotest.test_case "infinite speed refused" `Quick
+            test_infinite_speed_refused;
+          Alcotest.test_case "infinite degrade factor refused" `Quick
+            test_infinite_degrade_refused;
         ] );
       ( "session",
         [
