@@ -209,11 +209,12 @@ let micro_pass ~stabilize tests =
    the row would time the compaction instead of the decision. The
    pick rows also carry their words per pick, and three picks over 256
    queries are checked per buffered query:
-   - FCFS+SLA-tree, at most 2: its slot of the scan's float array of
-     starts, and no copy, boxed entry or boxed float per query;
+   - FCFS+SLA-tree, at most 0.1: the scan carries the running start,
+     so a pick allocates its answer and nothing per query (7 words in
+     all);
    - CBS, at most 2: its slot of the planner's key array;
-   - CBS+SLA-tree, at most 6: the key array, the index permutation
-     and its merge scratch, the planned copy and the starts.
+   - CBS+SLA-tree, at most 4.5: the key array, the index permutation
+     and its merge scratch, and the planned copy.
    Each holds only in the default (release) build, which inlines the
    profit calls and the CBS integral so that neither boxes a float; a
    [--profile dev] build fails all three. *)
@@ -264,7 +265,7 @@ let run_micro () =
         (Printf.sprintf "micro: %s:256 minor words per buffered query <= %g"
            name bound)
         (words_per_query words name 256 <= bound))
-    [ ("sched.fcfs_tree", 2.0); ("sched.cbs", 2.0); ("sched.cbs_tree", 6.0) ];
+    [ ("sched.fcfs_tree", 0.1); ("sched.cbs", 2.0); ("sched.cbs_tree", 4.5) ];
   Jsonx.Arr
     (List.map
        (fun (name, ns) ->

@@ -73,8 +73,10 @@ let best_rush tree =
    candidate past the bound, and a probe scans only that candidate's
    predecessors, so no build would pay for itself.
 
-   [starts] holds the scheduled starts, summed from [now] as
-   [Schedule.of_queries] sums them. A completion is [start + est], a
+   The candidate loop carries the running scheduled start, summed from
+   [now] as [Schedule.of_queries] sums the starts, and a probe re-sums
+   its predecessors' completions from [now]: the same additions in the
+   same order, so the same floats. A completion is [start + est], a
    response [completion - arrival] and a slack
    [(arrival + bound) - completion]: the float operations of
    [Schedule.completion], [Query.profit_at] and [Schedule.slack]. A
@@ -83,35 +85,31 @@ let best_rush tree =
    units, the order and the sum of [Naive_whatif.postpone_by_units].
    A float passed to or returned from a call that is not inlined is
    boxed, so all of it is written out in this one body, and the default
-   build inlines the candidate's two [Sla.profit] calls: per buffered
-   query a pick allocates one float, its slot of [starts]. (Under
+   build inlines the candidate's two [Sla.profit] calls: a pick
+   allocates only its answer, whatever the buffer's length. (Under
    [--profile dev], whose [-opaque] stops inlining across modules, the
-   two calls also box their responses and results: 9 words.) *)
+   two calls also box their responses and results.) *)
 let best_rush_planned ?probes ~now planned =
   let n = Array.length planned in
   if n = 0 then None
   else begin
-    let starts = Array.create_float n in
-    let t = ref now in
-    for j = 0 to n - 1 do
-      starts.(j) <- !t;
-      t := !t +. planned.(j).Query.est_size
-    done;
     let best_i = ref 0 and best_gain = ref 0.0 in
+    let start = ref (now +. planned.(0).Query.est_size) in
     for i = 1 to n - 1 do
       let q = planned.(i) in
       let tau = q.Query.est_size and arrival = q.Query.arrival in
       let own =
         Sla.profit q.Query.sla ~response:((now +. tau) -. arrival)
-        -. Sla.profit q.Query.sla ~response:((starts.(i) +. tau) -. arrival)
+        -. Sla.profit q.Query.sla ~response:((!start +. tau) -. arrival)
       in
       if own > !best_gain then begin
         let loss = ref 0.0 in
         if tau <> 0.0 then begin
           (match probes with Some c -> Obs.Registry.incr c | None -> ());
+          let t = ref now in
           for j = 0 to i - 1 do
             let p = planned.(j) in
-            let completion = starts.(j) +. p.Query.est_size in
+            let completion = !t +. p.Query.est_size in
             let comps = Sla.components p.Query.sla in
             for c = 0 to Array.length comps - 1 do
               let s =
@@ -119,7 +117,8 @@ let best_rush_planned ?probes ~now planned =
               in
               if s >= 0.0 && s < tau then
                 loss := !loss +. comps.(c).Sla.comp_gain
-            done
+            done;
+            t := completion
           done
         end;
         let g = own -. !loss in
@@ -127,7 +126,8 @@ let best_rush_planned ?probes ~now planned =
           best_i := i;
           best_gain := g
         end
-      end
+      end;
+      start := !start +. tau
     done;
     Some (!best_i, !best_gain)
   end

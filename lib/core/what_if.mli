@@ -23,11 +23,14 @@ val best_rush : Sla_tree.t -> (int * float) option
     components over the schedule [Schedule.of_queries ~now planned]
     gives and adds the gains of those whose slack [s] has
     [0 <= s < est_i], in position order, as
-    {!Naive_whatif.postpone_by_units} does. It reads [planned] in place,
-    keeps the scheduled starts in one unboxed float array and builds no
-    [Schedule.entry]. A gain may differ from the tree's in the last
-    bits, so the two picks can differ only where two candidates tie
-    within rounding. When given, [probes] counts every probe. *)
+    {!Naive_whatif.postpone_by_units} does. It reads [planned] in place:
+    the candidate loop carries the running scheduled start, and a probe
+    re-sums its predecessors' completions from [now] (the same
+    additions in the same order), so a pick allocates only its answer
+    and builds no [Schedule.entry]. A gain may differ from the tree's
+    in the last bits, so the two picks can differ only where two
+    candidates tie within rounding. When given, [probes] counts every
+    probe. *)
 val best_rush_planned :
   ?probes:Obs.Registry.counter -> now:float -> Query.t array -> (int * float) option
 

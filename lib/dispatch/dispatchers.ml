@@ -157,7 +157,9 @@ let scale_query speed query =
 
    The rank counts the scaled plan's entries whose key pair is <= the
    scaled newcomer's ([Planner.insertion_rank]): the keys of the scaled
-   estimates, as a re-plan of the scaled buffer would sort them. *)
+   estimates, as a re-plan of the scaled buffer would sort them. At
+   speed 1.0 the plan holds the buffer's own queries, so the rank reads
+   the keys the plan was sorted by ([Planner.planned_with_rank]). *)
 let insertion_profit planner sim sid =
   let srv = Sim.server sim sid in
   let speed = srv.Sim.speed in
@@ -167,12 +169,18 @@ let insertion_profit planner sim sid =
     Query.profit_at q' ~completion:(free_at +. q'.Query.est_size))
   else begin
     let now = Sim.now sim in
-    let planned = Planner.planned_queries planner ~now (Sim.buffer_array srv) in
-    let planned =
-      if speed = 1.0 then planned else Array.map (scale_query speed) planned
+    let buffer = Sim.buffer_array srv in
+    let planned, rank =
+      if speed = 1.0 then Planner.planned_with_rank planner ~now buffer
+      else begin
+        let planned =
+          Array.map (scale_query speed)
+            (Planner.planned_queries planner ~now buffer)
+        in
+        (planned, Planner.insertion_rank planner ~now planned)
+      end
     in
     let n = Array.length planned in
-    let rank = Planner.insertion_rank planner ~now planned in
     fun q ->
       let q' = scale_query speed q in
       let pos = rank q' in

@@ -41,13 +41,15 @@ val lwl : t
     [free_at + est].
 
     The one question is answered by a direct scan, without an
-    SLA-tree. Cost: an O(n log n) plan and one key per buffered query,
-    then O(n + kK) per priced query, for [k] displaced queries with [K]
-    SLA levels each.
+    SLA-tree. Cost: an O(n log n) plan and one key per buffered query
+    (two at a speed other than 1.0, where the rank keys the scaled
+    copies), then O(n + kK) per priced query, for [k] displaced queries
+    with [K] SLA levels each.
 
     Rank: the newcomer loses every tie. It is the count of plan entries
     whose key pair, on the speed-scaled estimates, is [<=] the scaled
-    newcomer's ({!Planner.insertion_rank}).
+    newcomer's ({!Planner.insertion_rank}); at speed 1.0 it counts the
+    keys the plan was sorted by ({!Planner.planned_with_rank}).
 
     Against an SLA-tree built over the same plan
     ({!What_if.insertion_delta}): every start and the newcomer's own

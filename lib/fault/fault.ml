@@ -25,6 +25,12 @@ let pp_event ppf = function
 
 type plan = event list
 
+(* The least degrade factor. A brownout stretches the running query's
+   remaining work by 1/factor; far below this floor it is a halt, not a
+   brownout, and a factor near the least float overflows that
+   completion to infinity, which a later restore cannot undo. *)
+let min_factor = 1e-6
+
 let validate_event ev =
   let bad rule = Fmt.kstr invalid_arg "Fault.scripted: %a: %s" pp_event ev rule in
   let at = event_time ev in
@@ -35,8 +41,8 @@ let validate_event ev =
     if sid < 0 then bad "sid must be non-negative"
   | Degrade { sid; factor; _ } ->
     if sid < 0 then bad "sid must be non-negative";
-    if not (Float.is_finite factor && factor > 0.) then
-      bad "factor must be finite and positive");
+    if not (Float.is_finite factor && factor >= min_factor) then
+      bad (Fmt.str "factor must be finite and at least %g" min_factor));
   ev
 
 let sort_plan evs =
@@ -52,8 +58,9 @@ let random_plan ?(degrade_prob = 0.) ?(degrade_factor = 0.5) ~seed ~horizon
     invalid_arg "Fault.random_plan: mttr must be finite and positive";
   if not (degrade_prob >= 0. && degrade_prob <= 1.) then
     invalid_arg "Fault.random_plan: degrade_prob outside [0, 1]";
-  if not (degrade_factor > 0. && degrade_factor <= 1.) then
-    invalid_arg "Fault.random_plan: degrade_factor outside (0, 1]";
+  if not (degrade_factor >= min_factor && degrade_factor <= 1.) then
+    Fmt.kstr invalid_arg "Fault.random_plan: degrade_factor outside [%g, 1]"
+      min_factor;
   if n_servers < 0 then invalid_arg "Fault.random_plan: n_servers < 0";
   if not (Float.is_finite horizon && horizon >= 0.) then
     invalid_arg "Fault.random_plan: horizon must be finite and non-negative";

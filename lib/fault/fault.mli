@@ -48,7 +48,9 @@ type plan = event list
 (** Validate and time-sort a hand-written script. Raises
     [Invalid_argument], naming the event and the rule it breaks, on a
     time that is not finite or is negative, a negative server id, or a
-    degrade factor that is not finite or not positive. *)
+    degrade factor that is not finite or below [1e-6] (a smaller one
+    halts rather than slows the server, and can stretch the running
+    query's completion past every float). *)
 val scripted : event list -> plan
 
 (** Draw a plan from an exponential failure model: each of the
@@ -63,7 +65,7 @@ val scripted : event list -> plan
     Servers added mid-run by an autoscaler are not in the plan.
     Raises [Invalid_argument] on an [mttf], [mttr] or [horizon] that
     is not finite, a non-positive [mttf]/[mttr], or parameters outside
-    their ranges. *)
+    their ranges ([degrade_factor] in [[1e-6, 1]]). *)
 val random_plan :
   ?degrade_prob:float ->
   ?degrade_factor:float ->

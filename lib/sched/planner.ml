@@ -126,17 +126,23 @@ let rec sort k d idx scratch lo hi =
     done
   end
 
-let plan t ~now buffer =
-  let n = Array.length buffer in
+(* The plan over the keys [k], [d] of [n] entries; none is read where
+   the plan is the identity. *)
+let sorted_indices t k d n =
   let idx = Array.make n 0 in
   for i = 1 to n - 1 do
     idx.(i) <- i
   done;
-  if not (is_identity t n) then begin
-    let k, d = keyed t ~now buffer in
-    sort k d idx (Array.make (if n > run_length then n else 0) 0) 0 n
-  end;
+  if not (is_identity t n) then
+    sort k d idx (Array.make (if n > run_length then n else 0) 0) 0 n;
   idx
+
+let plan t ~now buffer =
+  let n = Array.length buffer in
+  if is_identity t n then sorted_indices t [||] [||] n
+  else
+    let k, d = keyed t ~now buffer in
+    sorted_indices t k d n
 
 let planned_queries t ~now buffer =
   let perm = plan t ~now buffer in
@@ -144,22 +150,35 @@ let planned_queries t ~now buffer =
 
 (* Inserted into the stable sort, the newcomer is the latest arrival
    and loses every tie, so its rank is the count of entries whose key
-   pair is <= its own, in whatever order the buffer holds them. *)
+   pair is <= its own, in whatever order the keys [k], [d] hold them. *)
+let rank_in t ~now k d q =
+  let kq = key t.order ~now q in
+  let dq = tie t.order kq q in
+  let rank = ref 0 in
+  for i = 0 to Array.length k - 1 do
+    let c = Float.compare k.(i) kq in
+    if c < 0 || (c = 0 && Float.compare d.(i) dq <= 0) then incr rank
+  done;
+  !rank
+
 let insertion_rank t ~now buffer =
-  let n = Array.length buffer in
   match t.order with
-  | Arrival -> fun _ -> n
+  | Arrival ->
+    let n = Array.length buffer in
+    fun _ -> n
   | Size | Deadline | Value_deadline | Cost _ ->
     let k, d = keyed t ~now buffer in
-    fun q ->
-      let kq = key t.order ~now q in
-      let dq = tie t.order kq q in
-      let rank = ref 0 in
-      for i = 0 to n - 1 do
-        let c = Float.compare k.(i) kq in
-        if c < 0 || (c = 0 && Float.compare d.(i) dq <= 0) then incr rank
-      done;
-      !rank
+    rank_in t ~now k d
+
+(* The rank counts key pairs in any order, so the plan's own keys serve
+   it: the buffer is keyed once for both. *)
+let planned_with_rank t ~now buffer =
+  match t.order with
+  | Arrival -> (planned_queries t ~now buffer, insertion_rank t ~now buffer)
+  | Size | Deadline | Value_deadline | Cost _ ->
+    let k, d = keyed t ~now buffer in
+    let perm = sorted_indices t k d (Array.length buffer) in
+    (Array.map (fun i -> buffer.(i)) perm, rank_in t ~now k d)
 
 let fcfs = { name = "FCFS"; order = Arrival }
 let sjf = { name = "SJF"; order = Size }

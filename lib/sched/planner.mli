@@ -8,9 +8,10 @@
     Each planner defines its order once: a float key per buffered
     query, written into one unboxed float array per call (Value-EDF adds
     its first-deadline tie key; FCFS has no key and keeps the buffer's
-    order). {!plan}, {!head} and {!insertion_rank} all read that array
-    and compare entries by (key, tie key, index) under [Float.compare],
-    a strict total order: the plan is the stable sort of the keys. *)
+    order). {!plan}, {!head}, {!insertion_rank} and
+    {!planned_with_rank} all read that array and compare entries by
+    (key, tie key, index) under [Float.compare], a strict total order:
+    the plan is the stable sort of the keys. *)
 
 type t
 
@@ -39,6 +40,13 @@ val head : t -> now:float -> Query.t array -> int
     ~now buffer] writes the keys once, and ranks any number of
     newcomers against them. Under {!fcfs} it is [length buffer]. *)
 val insertion_rank : t -> now:float -> Query.t array -> Query.t -> int
+
+(** [planned_with_rank t ~now buffer] is
+    [(planned_queries t ~now buffer, insertion_rank t ~now buffer)],
+    with the buffer keyed once for both: the rank counts the plan's own
+    key pairs. *)
+val planned_with_rank :
+  t -> now:float -> Query.t array -> Query.t array * (Query.t -> int)
 
 (** First-come-first-serve: identity order. *)
 val fcfs : t

@@ -87,11 +87,16 @@ let push_response t r =
     end
   end
 
+(* One walk of the SLA per completion: the loss is
+   [Sla.max_gain -. profit], the float [Query.loss_at] returns. The
+   default build inlines [Query.profit_at] and [Stats.add], so neither
+   float is boxed to be passed. *)
 let record t q ~completion =
   t.completed_all <- t.completed_all + 1;
   if measured q t then begin
-    Stats.add t.loss (Query.loss_at q ~completion);
-    Stats.add t.profit (Query.profit_at q ~completion);
+    let profit = Query.profit_at q ~completion in
+    Stats.add t.loss (Sla.max_gain q.Query.sla -. profit);
+    Stats.add t.profit profit;
     let r = completion -. q.Query.arrival in
     Stats.add t.response r;
     push_response t r;

@@ -111,6 +111,11 @@ type index = {
   mutable class_of : int array;  (** the class in [classes], or -1 *)
   mutable cands : int array;  (** scratch: one read's candidates *)
   mutable n_cands : int;
+  mutable dirty : int array;
+      (** the servers changed since the last read, each once: a stack
+          of sids *)
+  mutable n_dirty : int;
+  mutable is_dirty : bool array;  (** whether the sid is on [dirty] *)
   mutable champs : int array;  (** the last read's answer, by class *)
 }
 
@@ -152,17 +157,20 @@ let buffer_array s = Deque.to_array s.buffer
 
 let buffer_length s = Deque.length s.buffer
 
+(* The three per-query events ([Started], [Enqueued], [Finished]) match
+   on [on_event] in place instead, so that a run with no listener
+   builds none of them. *)
 let emit t s ev =
   match t.on_event with None -> () | Some f -> f ~sid:s.sid ~now:t.now ev
 
 (* ------------------------------------------------------------------ *)
 (* Least-work index upkeep. Once built, every change to a server's
-   [running], [est_backlog], [speed] or [state] re-places it in the same
-   step ([touch]), after the fields are set and before any event is
-   emitted, so a read sees the current pool even from a hook. Only
-   [Active] servers sit in a class; [Booting] ones wait in [booting]
-   (even past their ready time: a read promotes them first); the rest
-   are unindexed. *)
+   [running], [est_backlog], [speed] or [state] marks it ([touch]), and
+   the next read places every marked server once, from its fields at
+   that read: a server changed several times between two reads is
+   placed once. Only [Active] servers sit in a class; [Booting] ones
+   wait in [booting] (even past their ready time: a read promotes them
+   first); the rest are unindexed. *)
 
 let unplace ix sid =
   if ix.class_of.(sid) >= 0 then begin
@@ -227,14 +235,30 @@ let widen ix sid =
     b
   in
   ix.class_of <- ext ix.class_of (-1);
-  ix.cands <- ext ix.cands 0
+  ix.cands <- ext ix.cands 0;
+  ix.dirty <- ext ix.dirty 0;
+  ix.is_dirty <- ext ix.is_dirty false
 
 let touch t s =
   match t.index with
   | None -> ()
   | Some ix ->
-    if s.sid >= Array.length ix.class_of then widen ix s.sid;
-    place ix ~now:t.now s
+    let sid = s.sid in
+    if sid >= Array.length ix.class_of then widen ix sid;
+    if not ix.is_dirty.(sid) then begin
+      ix.is_dirty.(sid) <- true;
+      ix.dirty.(ix.n_dirty) <- sid;
+      ix.n_dirty <- ix.n_dirty + 1
+    end
+
+(* Place every server marked since the last read, once each. *)
+let place_dirty t ix =
+  for j = 0 to ix.n_dirty - 1 do
+    let sid = ix.dirty.(j) in
+    ix.is_dirty.(sid) <- false;
+    place ix ~now:t.now t.servers.(sid)
+  done;
+  ix.n_dirty <- 0
 
 (* Whether the server currently accepts dispatches. Booting servers
    whose boot delay has elapsed are promoted to [Active] lazily. *)
@@ -345,6 +369,9 @@ let build t =
       class_of = Array.make n (-1);
       cands = Array.make n 0;
       n_cands = 0;
+      dirty = Array.make n 0;
+      n_dirty = 0;
+      is_dirty = Array.make n false;
       champs = [||];
     }
   in
@@ -354,14 +381,17 @@ let build t =
 
 let least_work t =
   let ix = match t.index with Some ix -> ix | None -> build t in
-  (* Promote every booted server (as [dispatchable] would; the
-     promotion places it in its class), then move every server whose
-     estimate ran out to its class's [left]. *)
+  (* Place what changed, promote every booted server (as
+     [dispatchable] would, which marks it) and place the promoted ones,
+     then move every server whose estimate ran out to its class's
+     [left]. *)
+  place_dirty t ix;
   while ix.booting.len > 0 && ix.booting.keys.(0) <= t.now do
     let sid = ix.booting.ids.(0) in
     Iheap.remove ix.booting sid;
     ignore (dispatchable_server t t.servers.(sid))
   done;
+  place_dirty t ix;
   while ix.due.len > 0 && ix.due.keys.(0) < t.now do
     place ix ~now:t.now t.servers.(ix.due.ids.(0))
   done;
@@ -406,7 +436,9 @@ let start_query t s q =
   s.running <- Some r;
   Iheap.set t.completions s.sid r.act_finish;
   touch t s;
-  emit t s (Started q)
+  match t.on_event with
+  | Some f -> f ~sid:s.sid ~now:t.now (Started q)
+  | None -> ()
 
 let dispatch_to t s q =
   if not (dispatchable_server t s) then
@@ -419,7 +451,9 @@ let dispatch_to t s q =
     Deque.push_back s.buffer q;
     backlog_add s q;
     touch t s;
-    emit t s (Enqueued q)
+    (match t.on_event with
+    | Some f -> f ~sid:s.sid ~now:t.now (Enqueued q)
+    | None -> ())
 
 let make_server ~sid ~speed ~state =
   {
@@ -558,15 +592,14 @@ let set_speed t sid ~speed =
       | Some r ->
         let rem_act = Float.max 0.0 (r.act_finish -. t.now) *. s.speed in
         let rem_est = Float.max 0.0 (r.est_finish -. t.now) *. s.speed in
-        let r' =
-          {
-            r with
-            act_finish = t.now +. (rem_act /. speed);
-            est_finish = t.now +. (rem_est /. speed);
-          }
-        in
-        s.running <- Some r';
-        Iheap.set t.completions sid r'.act_finish);
+        let act_finish = t.now +. (rem_act /. speed)
+        and est_finish = t.now +. (rem_est /. speed) in
+        if not (Float.is_finite act_finish && Float.is_finite est_finish) then
+          invalid_arg
+            "Sim.set_speed: the running query's completion at the new speed \
+             must be finite";
+        s.running <- Some { r with act_finish; est_finish };
+        Iheap.set t.completions sid act_finish);
       s.speed <- speed;
       touch t s;
       emit t s (if speed = s.nominal then Restored else Degraded speed)
@@ -719,7 +752,11 @@ let session ?(obs = Obs.noop) ?admit ?on_dispatch ?on_complete
       s.running <- None;
       touch t s;
       Metrics.record metrics r.rquery ~completion:t.now;
-      emit t s (Finished { query = r.rquery; actual = t.now -. r.started });
+      (match t.on_event with
+      | Some f ->
+        f ~sid:s.sid ~now:t.now
+          (Finished { query = r.rquery; actual = t.now -. r.started })
+      | None -> ());
       (match on_complete with
       | Some f -> f r.rquery ~completion:t.now
       | None -> ());
@@ -742,6 +779,14 @@ let session ?(obs = Obs.noop) ?admit ?on_dispatch ?on_complete
       end;
       if obs_on then Obs.Trace.end_span tr
   in
+  (* Refusals — by the admission controller or by an admission-mode
+     dispatcher returning no target — share one account, so
+     [offered = admitted + rejected] holds however a query is turned
+     away. *)
+  let refuse q =
+    if obs_on then Obs.Registry.incr c_rejected;
+    Metrics.record_rejected metrics q
+  in
   let arrive q =
     if obs_on then begin
       Obs.Registry.incr c_arrivals;
@@ -750,14 +795,6 @@ let session ?(obs = Obs.noop) ?admit ?on_dispatch ?on_complete
         "arrive"
     end;
     Metrics.record_offered metrics;
-    (* Refusals — by the admission controller or by an admission-mode
-       dispatcher returning no target — share one account, so
-       [offered = admitted + rejected] holds however a query is turned
-       away. *)
-    let refuse q =
-      if obs_on then Obs.Registry.incr c_rejected;
-      Metrics.record_rejected metrics q
-    in
     (* The admission controller sees the query before the dispatcher:
        it can wave it through, swap in a down-tiered copy (same id —
        completion bookkeeping is keyed on it), or refuse outright. *)

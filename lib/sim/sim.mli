@@ -32,11 +32,11 @@ type running = {
     (give up). *)
 type server_state = Booting of float | Active | Draining | Down | Retired
 
-(** Read-only outside [Sim]: the least-work index ({!least_work})
-    mirrors [running], [est_backlog], [speed] and [state], and the
-    event loop keys the server's pending completion by
-    [running]'s [act_finish]. [Sim] updates both in the same step that
-    changes any of those fields. *)
+(** Read-only outside [Sim]: the event loop keys the server's pending
+    completion by [running]'s [act_finish], in the same step that
+    changes it, and the least-work index ({!least_work}) mirrors
+    [running], [est_backlog], [speed] and [state]: a change marks the
+    server, and the next read places what changed. *)
 type server = private {
   sid : int;
   mutable speed : float;
@@ -153,7 +153,7 @@ val retire_server : ?redistribute:bool -> t -> int -> unit
     [Fault] injectors (or tests) from [?timers] callbacks. *)
 
 (** Crash server [sid]: the running query (if any) is killed — its
-    completion-heap entry is lazily invalidated — the buffer is
+    pending completion leaves the event queue at once — the buffer is
     cleared, [est_backlog] zeroed, and the orphaned queries (running
     first, then buffer in arrival order) are {e returned} to the
     caller, who decides their fate: re-inject via {!reinject} (as
@@ -175,12 +175,15 @@ val crash_server : t -> int -> Query.t list
     up automatically). Emits [Restored] when [speed] equals the
     server's nominal rate, [Degraded speed] otherwise. No-op on
     [Down]/[Retired] servers or when the speed is unchanged. Raises
-    [Invalid_argument] on a [speed] that is not finite and positive. *)
+    [Invalid_argument] on a [speed] that is not finite and positive,
+    and on one at which the running query's rescaled completion is not
+    finite (a rate so small that its remaining work overflows); the
+    server is then left as it was. *)
 val set_speed : t -> int -> speed:float -> unit
 
 (** [degrade_server t sid ~factor] is [set_speed] to
     [factor *. nominal]. Raises [Invalid_argument] on a [factor] that
-    is not finite and positive. *)
+    is not finite and positive, or whose rate {!set_speed} refuses. *)
 val degrade_server : t -> int -> factor:float -> unit
 
 (** Repair server [sid]: a [Down] server rejoins the pool [Active] at
@@ -221,13 +224,15 @@ val est_work_left : t -> server -> float
     server.
 
     The index is built at the first read, so a run that never reads it
-    pays one branch per server change. Once built, [Sim] re-places a
-    server in the same step that changes its [running], [est_backlog],
-    [speed] or [state], before any event is emitted; a booting server
-    waits there even past its ready time, and a read first promotes
-    every booted server (as {!dispatchable} does), then moves each
-    server whose estimate ran out while its query still runs to the
-    second order below. Invariant, after that upkeep: each
+    pays one branch per server change. Once built, a change to a
+    server's [running], [est_backlog], [speed] or [state] marks the
+    server, and a read places what changed: it places every server
+    marked since the last read, once, from its fields at the read; a
+    booting server waits there even past its ready time, so the read
+    then promotes every booted server (as {!dispatchable} does) and
+    places those, and last moves each server whose estimate ran out
+    while its query still runs to the second order below. Invariant,
+    after that upkeep: each
     [Active] server sits in its speed class, keyed by
     [est_finish +. est_backlog /. speed] when it is running and
     [est_finish >= now], else by [est_backlog /. speed] (its exact
@@ -236,12 +241,14 @@ val est_work_left : t -> server -> float
     computed work left in the last bits, so a read asks the exact
     {!est_work_left} of every member keyed within a rounding bound
     ([2^-48] relative) of the least key; targets and profit bits equal
-    a scan of every server.
+    a scan of every server. That answer is the same for any placement
+    that keeps the invariant, so placing at the read rather than at the
+    change moves no answer.
 
     Cost: O(k + c) per read for [k] speed classes and [c] members near
-    the least key, plus O(log m) for each server booted or overrun
-    since the last read; each server change costs O(log m) when it
-    happens. *)
+    the least key, plus O(log m) for each server changed, booted or
+    overrun since the last read, however often it changed; a change
+    itself costs O(1). *)
 val least_work : t -> int array
 
 (** The canonical [drop_policy]: abandon queries whose last deadline

@@ -31,7 +31,9 @@ val peek_front : 'a t -> 'a option
 val get : 'a t -> int -> 'a
 
 (** [remove t i] removes and returns the i-th element, preserving the
-    order of the others; O(min(i, n-i)) moves, no allocation. *)
+    order of the others; O(min(i, n-i)) moves, no allocation. The
+    moved run is one [Array.blit] unless it crosses the ring's
+    physical end. *)
 val remove : 'a t -> int -> 'a
 
 (** Remove every element on which [f] is false, preserving order;
@@ -45,7 +47,8 @@ val iter : 'a t -> f:('a -> unit) -> unit
 (** Left fold, front to back. *)
 val fold : 'a t -> init:'b -> f:('b -> 'a -> 'b) -> 'b
 
-(** Elements front-to-back in a fresh array. *)
+(** Elements front-to-back in a fresh array: one [Array.sub] of the
+    ring's run, or two blits when it wraps the physical end. *)
 val to_array : 'a t -> 'a array
 
 val to_list : 'a t -> 'a list

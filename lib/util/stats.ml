@@ -12,7 +12,9 @@ type t = {
 let create () =
   { count = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity }
 
-let add t x =
+(* Inlined, so that a caller's float reaches the update unboxed (the
+   release build only). *)
+let[@inline] add t x =
   t.count <- t.count + 1;
   let delta = x -. t.mean in
   t.mean <- t.mean +. (delta /. Float.of_int t.count);

@@ -273,6 +273,12 @@ let check_refused_with rule spec =
 let test_infinite_factor_refused () =
   check_refused_with "factor must be finite" "degrade@5:0:inf"
 
+(* A factor this small would stretch the running query's remaining
+   work past every float: refused by the stated floor. *)
+let test_tiny_factor_refused () =
+  check_refused_with "factor must be finite and at least 1e-06"
+    "degrade@5:0:1e-320"
+
 let test_nan_time_refused () =
   check_refused_with "time must be finite" "crash@nan:0"
 
@@ -440,6 +446,8 @@ let () =
           Alcotest.test_case "spec grammar" `Quick test_plan_of_spec;
           Alcotest.test_case "infinite degrade factor refused" `Quick
             test_infinite_factor_refused;
+          Alcotest.test_case "tiny degrade factor refused" `Quick
+            test_tiny_factor_refused;
           Alcotest.test_case "nan time refused as not finite" `Quick
             test_nan_time_refused;
           Alcotest.test_case "nan mttf refused as not finite" `Quick

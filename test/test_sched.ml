@@ -253,7 +253,9 @@ let prop_head_is_plan_head =
    buffer's pools, and is ranked in the oracle's plan with every
    estimate divided by a server speed, as [Dispatchers.insertion_profit]
    ranks it, and in the arrival-ordered buffer, which must not change
-   the count. *)
+   the count. [Planner.planned_with_rank], which keys the buffer once
+   for the plan and the rank, answers both as the oracle does at speed
+   1.0. *)
 let prop_planners_match_oracle =
   QCheck.Test.make ~name:"plan, head and rank == closure-planner oracle"
     ~count:300
@@ -305,7 +307,19 @@ let prop_planners_match_oracle =
                  || QCheck.Test.fail_reportf
                       "%s at speed %g: rank %d (unplanned %d), oracle %d" name
                       speed rank unplanned want)
-               [ 1.0; 0.5; 3.0 ])
+               [ 1.0; 0.5; 3.0 ]
+          &&
+          let planned, rank = Planner.planned_with_rank planner ~now b in
+          let want = Planner_oracle.planned_queries oracle ~now b in
+          (planned = want
+          || QCheck.Test.fail_reportf "%s: planned_with_rank's plan differs"
+               name)
+          &&
+          let rank = rank q
+          and want = Planner_oracle.insertion_rank oracle ~now want q in
+          rank = want
+          || QCheck.Test.fail_reportf
+               "%s: planned_with_rank's rank %d, oracle %d" name rank want)
         [
           (Planner.fcfs, Planner_oracle.fcfs);
           (Planner.sjf, Planner_oracle.sjf);

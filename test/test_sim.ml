@@ -508,6 +508,17 @@ let test_infinite_degrade_refused () =
          Sim.degrade_server (Sim.sim sess) 0 ~factor:infinity));
   check_next_event "completion unmoved" (Some 10.0) (Sim.next_event_time sess)
 
+(* A finite positive factor small enough that the running query's
+   remaining work at the new rate overflows: the completion would be
+   infinite, and a restore could not bring it back. *)
+let test_overflowing_degrade_refused () =
+  let sess = one_query_session () in
+  check_bool "degrade_server by 1e-320" true
+    (raises_invalid (fun () ->
+         Sim.degrade_server (Sim.sim sess) 0 ~factor:1e-320));
+  check_float "speed unchanged" 1.0 (Sim.server (Sim.sim sess) 0).Sim.speed;
+  check_next_event "completion unmoved" (Some 10.0) (Sim.next_event_time sess)
+
 let test_simulation_drains_large_trace () =
   let cfg =
     Trace.config ~kind:Workloads.Exp ~profile:Workloads.Sla_a ~load:0.9
@@ -620,6 +631,8 @@ let () =
             test_infinite_speed_refused;
           Alcotest.test_case "infinite degrade factor refused" `Quick
             test_infinite_degrade_refused;
+          Alcotest.test_case "overflowing degrade factor refused" `Quick
+            test_overflowing_degrade_refused;
         ] );
       ( "session",
         [

@@ -344,50 +344,93 @@ let test_deque_filter_in_place () =
 (* Fuzz the deque against a plain-list oracle while mirroring the
    simulator's use: a running "work left" total maintained
    incrementally on push/pop/remove/filter must always equal the sum
-   of the live elements. *)
+   of the live elements, and [to_array] must read the oracle's list
+   after every operation. Ops are (code, value): 0-2 push, 3 pop,
+   4 remove, 5 filter. The deque starts at capacity 2. *)
+let deque_agrees_with_oracle ops =
+  let d = Deque.create ~capacity:2 () in
+  let oracle = ref [] in
+  let backlog = ref 0 in
+  let ok = ref true in
+  let expect b = if not b then ok := false in
+  List.iter
+    (fun (op, x) ->
+      (match op with
+      | 0 | 1 | 2 ->
+        Deque.push_back d x;
+        oracle := !oracle @ [ x ];
+        backlog := !backlog + x
+      | 3 -> (
+        match !oracle with
+        | [] -> expect (Deque.is_empty d)
+        | hd :: tl ->
+          expect (Deque.pop_front d = hd);
+          oracle := tl;
+          backlog := !backlog - hd)
+      | 4 ->
+        if !oracle <> [] then begin
+          let i = x mod List.length !oracle in
+          let v = List.nth !oracle i in
+          expect (Deque.remove d i = v);
+          oracle := List.filteri (fun j _ -> j <> i) !oracle;
+          backlog := !backlog - v
+        end
+      | _ ->
+        let keep v = v mod 3 <> x mod 3 in
+        let removed = Deque.filter_in_place d ~f:keep in
+        expect (removed = List.filter (fun v -> not (keep v)) !oracle);
+        oracle := List.filter keep !oracle;
+        List.iter (fun v -> backlog := !backlog - v) removed);
+      expect (Array.to_list (Deque.to_array d) = !oracle))
+    ops;
+  !ok
+  && Deque.to_list d = !oracle
+  && Deque.length d = List.length !oracle
+  && Deque.fold d ~init:0 ~f:( + ) = !backlog
+
 let prop_deque_matches_list_oracle =
   QCheck.Test.make ~name:"deque agrees with list oracle (incl. work-left)"
     ~count:300
     QCheck.(list (pair (int_bound 5) (int_bound 100)))
-    (fun ops ->
-      let d = Deque.create ~capacity:2 () in
-      let oracle = ref [] in
-      let backlog = ref 0 in
-      let ok = ref true in
-      let expect b = if not b then ok := false in
-      List.iter
-        (fun (op, x) ->
-          match op with
-          | 0 | 1 | 2 ->
-            Deque.push_back d x;
-            oracle := !oracle @ [ x ];
-            backlog := !backlog + x
-          | 3 -> (
-            match !oracle with
-            | [] -> expect (Deque.is_empty d)
-            | hd :: tl ->
-              expect (Deque.pop_front d = hd);
-              oracle := tl;
-              backlog := !backlog - hd)
-          | 4 ->
-            if !oracle <> [] then begin
-              let i = x mod List.length !oracle in
-              let v = List.nth !oracle i in
-              expect (Deque.remove d i = v);
-              oracle := List.filteri (fun j _ -> j <> i) !oracle;
-              backlog := !backlog - v
-            end
-          | _ ->
-            let keep v = v mod 3 <> x mod 3 in
-            let removed = Deque.filter_in_place d ~f:keep in
-            expect (removed = List.filter (fun v -> not (keep v)) !oracle);
-            oracle := List.filter keep !oracle;
-            List.iter (fun v -> backlog := !backlog - v) removed)
-        ops;
-      !ok
-      && Deque.to_list d = !oracle
-      && Deque.length d = List.length !oracle
-      && Deque.fold d ~init:0 ~f:( + ) = !backlog)
+    deque_agrees_with_oracle
+
+(* A ring wrapped across its physical end, well past any short-copy
+   length: [a] pushes grow it to [cap], the least power of two >= [a];
+   [b] pops move the head to [b]; [c] pushes with
+   [a + c > cap >= a - b + c] then fill it across the end without
+   growing it. The tail, mostly removes, copies the wrapped ring and
+   shifts runs on both sides of the end: the blits, and the
+   element-wise moves of a run that crosses it. *)
+let wrapped_ops =
+  let op =
+    QCheck.Gen.(
+      pair
+        (frequency [ (1, int_range 0 3); (4, return 4); (1, return 5) ])
+        (int_bound 1000))
+  in
+  QCheck.make
+    ~print:(fun ((a, b, c), tail) ->
+      Printf.sprintf "%d pushes, %d pops, %d pushes, then %s" a b c
+        QCheck.Print.(list (pair int int) tail))
+    QCheck.Gen.(
+      int_range 17 200 >>= fun a ->
+      let cap = ref 2 in
+      while !cap < a do
+        cap := 2 * !cap
+      done;
+      let cap = !cap in
+      int_range 1 (a - 1) >>= fun b ->
+      int_range (cap - a + 1) (cap - a + b) >>= fun c ->
+      list_size (int_range 0 80) op >|= fun tail -> ((a, b, c), tail))
+
+let prop_deque_wrapped_matches_list_oracle =
+  QCheck.Test.make ~name:"wrapped deque agrees with list oracle" ~count:300
+    wrapped_ops (fun ((a, b, c), tail) ->
+      let push i = (0, i) and pop = (3, 0) in
+      deque_agrees_with_oracle
+        (List.init a push
+        @ List.init b (fun _ -> pop)
+        @ List.init c push @ tail))
 
 (* ------------------------------------------------------------------ *)
 (* Stats *)
@@ -702,6 +745,7 @@ let () =
           Alcotest.test_case "filter_in_place" `Quick
             test_deque_filter_in_place;
           qtest prop_deque_matches_list_oracle;
+          qtest prop_deque_wrapped_matches_list_oracle;
         ] );
       ( "stats",
         [
