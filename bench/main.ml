@@ -3,12 +3,11 @@
    The Bechamel micro rows time the SLA-tree primitives behind Fig 17:
    full build, one postpone question, a whole scheduling decision, and
    the O(N)-per-question naive baseline the data structure replaces;
-   then the incremental tree's question and pop+append cycle, one pick
-   of the shipped schedulers and one dispatch decision. Six sections
-   time and check whole runs: sim_throughput, faults, elastic,
-   forecast, swf and tenancy; a seventh, wire, times the streaming
-   decoder per message. Whole-run throughput, obs overhead, the parallel
-   runner and the socket path are perfbench's.
+   then one pick of the shipped schedulers and one dispatch decision.
+   Six sections time and check whole runs: sim_throughput, faults,
+   elastic, forecast, swf and tenancy; a seventh, wire, times the
+   streaming decoder per message. Whole-run throughput, obs overhead,
+   the parallel runner and the socket path are perfbench's.
 
    Scale follows SLATREE_SCALE (see Exp_scale): "smoke" | "default" |
    "paper". Run from the repository root (the swf section reads the
@@ -57,24 +56,6 @@ let decision_tests =
       let arena = Sla_tree.create_arena () in
       Staged.stage (fun () -> Fig17.decision ~arena ~now buffer))
 
-let incr_question_tests =
-  (* One postpone question against a live incremental tree. *)
-  Test.make_indexed ~name:"incr.postpone" ~fmt:"%s:%d" ~args:sizes (fun n ->
-      let tree = Incr_sla_tree.create ~now (buffer_of n) in
-      Staged.stage (fun () ->
-          ignore (Incr_sla_tree.postpone tree ~m:0 ~n:(n - 1) ~tau:50.0)))
-
-let incr_cycle_tests =
-  (* A full pop+append cycle on the incremental structure. With no
-     probe in between, nothing is ever scanned, so these cycles never
-     build: contrast with sched.decision, which rebuilds everything. *)
-  Test.make_indexed ~name:"incr.pop_append" ~fmt:"%s:%d" ~args:sizes (fun n ->
-      let tree = Incr_sla_tree.create ~now (buffer_of n) in
-      let replacement = (buffer_of 1).(0) in
-      Staged.stage (fun () ->
-          Incr_sla_tree.pop_head tree;
-          Incr_sla_tree.append tree replacement))
-
 (* One dispatch decision over M servers. The session is warmed to load
    0.9 by 20 queries per server through the CLI's default pair, then
    advanced to the next arrival, which is the probe: the state and the
@@ -91,7 +72,7 @@ let warmed m =
   let session =
     Sim.session ~n_servers:m
       ~pick_next:(Schedulers.pick Schedulers.fcfs_sla_tree)
-      ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()))
+      ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree ()))
       ~metrics:(Metrics.create ~warmup_id:0 ())
       ()
   in
@@ -112,7 +93,7 @@ let dispatch_row name dispatcher =
       Staged.stage (fun () -> ignore (dispatch sim probe)))
 
 let dispatch_fcfs_tests =
-  dispatch_row "dispatch.fcfs" (Dispatchers.fcfs_sla_tree_incr ())
+  dispatch_row "dispatch.fcfs" (Dispatchers.fcfs_sla_tree ())
 
 let dispatch_lwl_tests = dispatch_row "dispatch.lwl" Dispatchers.lwl
 
@@ -232,8 +213,6 @@ let run_micro () =
         postpone_tests;
         naive_postpone_tests;
         decision_tests;
-        incr_question_tests;
-        incr_cycle_tests;
         cbs_tests;
         cbs_tree_tests;
         fcfs_tree_tests;
@@ -297,7 +276,7 @@ let timed_run queries =
     in
     let t0 = Sys.time () in
     Sim.run ~queries ~n_servers:1 ~pick_next:pick
-      ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()))
+      ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree ()))
       ~metrics ();
     let dt = Sys.time () -. t0 in
     if dt < !best then best := dt
@@ -352,7 +331,7 @@ let interleaved_medians arms =
 let faults_run_ms ~make_injector ~queries ~n_servers () =
   let metrics = Metrics.create ~warmup_id:0 () in
   let pick_next = Schedulers.pick Schedulers.fcfs_sla_tree in
-  let dispatch = Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()) in
+  let dispatch = Dispatchers.instantiate (Dispatchers.fcfs_sla_tree ()) in
   let injector = make_injector () in
   let t0 = Sys.time () in
   (match injector with
@@ -579,7 +558,7 @@ let run_swf scale =
   let sess =
     Sim.session ~n_servers
       ~pick_next:(Schedulers.pick Schedulers.fcfs_sla_tree)
-      ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()))
+      ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree ()))
       ~metrics ()
   in
   let injected = ref 0 in
@@ -667,7 +646,7 @@ let run_tenancy scale =
       ~on_complete:(Tenancy.Acct.on_complete acct)
       ~queries ~n_servers:servers
       ~pick_next:(Schedulers.pick Schedulers.fcfs_sla_tree)
-      ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()))
+      ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree ()))
       ~metrics ();
     metrics
   in

@@ -114,7 +114,6 @@ let run_ablation which scale_opt jobs =
   | "sched" -> `Ok (Ablations.sched_run ppf scale)
   | "dispatch" -> `Ok (Ablations.disp_run ppf scale)
   | "admission" -> `Ok (Ablations.admission_run ppf scale)
-  | "incremental" -> `Ok (Ablations.incr_run ppf ~seed:scale.Exp_scale.base_seed ())
   | "predictor" -> `Ok (Ablations.predictor_run ppf scale)
   | "fairness" -> `Ok (Ablations.fairness_run ppf scale)
   | "hetero" -> `Ok (Ablations.hetero_run ppf scale)
@@ -127,7 +126,7 @@ let run_ablation which scale_opt jobs =
       ( false,
         Printf.sprintf
           "unknown ablation %S (expected \
-           sched|dispatch|admission|incremental|predictor|fairness|hetero|drop|optimality|all)"
+           sched|dispatch|admission|predictor|fairness|hetero|drop|optimality|all)"
           s )
 
 (* ------------------------------------------------------------------ *)
@@ -281,8 +280,8 @@ let dispatcher_of_string ~rate = function
   | "random" -> Ok (Dispatchers.random ~seed:1)
   | "tree" -> Ok (Dispatchers.sla_tree (Planner.cbs ~rate))
   | "tree+ac" -> Ok (Dispatchers.sla_tree ~admission:true (Planner.cbs ~rate))
-  | "tree-fcfs" -> Ok (Dispatchers.fcfs_sla_tree_incr ())
-  | "tree-fcfs+ac" -> Ok (Dispatchers.fcfs_sla_tree_incr ~admission:true ())
+  | "tree-fcfs" -> Ok (Dispatchers.fcfs_sla_tree ())
+  | "tree-fcfs+ac" -> Ok (Dispatchers.fcfs_sla_tree ~admission:true ())
   | s -> Error (Printf.sprintf "unknown dispatcher %S" s)
 
 let run_trace_generate out kind profile load servers n seed sigma2 tenants =
@@ -547,8 +546,8 @@ let ablation_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"WHICH"
           ~doc:
-            "sched | dispatch | admission | incremental | predictor | fairness \
-             | hetero | all")
+            "sched | dispatch | admission | predictor | fairness | hetero \
+             | drop | optimality | all")
   in
   Cmd.v
     (Cmd.info "ablation" ~doc:"Run an ablation study beyond the paper's tables")

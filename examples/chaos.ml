@@ -32,7 +32,7 @@ let run ~plan =
     ~on_server_event:(Fault.on_server_event injector)
     ~queries ~n_servers
     ~pick_next:(Schedulers.pick Schedulers.fcfs_sla_tree)
-    ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()))
+    ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree ()))
     ~metrics ();
   Fault.finalize injector metrics;
   (metrics, Fault.stats injector)

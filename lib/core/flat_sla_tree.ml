@@ -1,6 +1,7 @@
-(* Flat, arena-backed SLA-tree: the same augmented cascaded search tree
-   as [Cascade_tree] (paper Sec 5), stored as structure-of-arrays with
-   an implicit preorder layout instead of boxed nodes.
+(* Flat, arena-backed SLA-tree: the augmented cascaded search tree of
+   paper Sec 5, stored as structure-of-arrays with an implicit preorder
+   layout instead of boxed nodes. The boxed form it was derived from,
+   [Cascade_tree], is the tests' oracle (test/oracle).
 
    Layout. A cascade over [m] sorted units has exactly [2m - 1] nodes.
    Nodes are numbered in preorder: the node covering the sorted slice
@@ -31,12 +32,18 @@
    Equivalence. The sort comparator (key, then uid) is a strict total
    order over the unit multiset — units of one query have strictly
    increasing slacks because SLA bounds strictly increase — so any
-   comparison sort produces the permutation [Cascade_tree.build] gets
-   from [Array.sort]. Construction fills children before parents
+   comparison sort produces the permutation the boxed build gets from
+   [Array.sort]. Construction fills children before parents
    (post-order over the same recursion tree), merges with the same
    tie-handling, and accumulates [l_cum] in the same left-to-right
    order, so every float in the structure is bit-identical to the boxed
    tree's, and probes replay the boxed probe's additions exactly. *)
+
+(* Which comparison "key vs tau" selects a unit. The slack tree uses
+   [Lt] (postponing by tau kills slack < tau; slack = tau still meets
+   the deadline); the tardiness tree uses [Le] (expediting by tau
+   rescues tardiness <= tau). *)
+type mode = Lt | Le
 
 type arena = {
   (* Unit scratch: the expanded (key, uid, gain) triples, partitioned
@@ -248,10 +255,11 @@ let sort_units a base m =
 (* Construction. *)
 
 (* Merge the id lists of children [left]/[right] into a new list at
-   [a.list_top], mirroring [Cascade_tree.merge_ids] plus the cumulative
-   pass, and return its (offset, length). Gains of equal ids are summed
-   left + right, and [l_cum] accumulates in merge order — the same
-   float operations, in the same order, as the boxed build. *)
+   [a.list_top], mirroring the boxed build's id merge plus the
+   cumulative pass, and return its (offset, length). Gains of equal
+   ids are summed left + right, and [l_cum] accumulates in merge order
+   — the same float operations, in the same order, as the boxed
+   build. *)
 let merge_lists a left right =
   let loff = a.n_off.(left) and llen = a.n_len.(left) in
   let roff = a.n_off.(right) and rlen = a.n_len.(right) in
@@ -382,7 +390,7 @@ let unit_swap a i j =
   a.u_gain.(j) <- g
 
 (* Expand the scheduled entries straight into the unit scratch (one
-   pre-sized pass — no [Slack_units] arrays, no intermediate lists),
+   pre-sized pass — no unit records, no intermediate lists),
    then partition in place: S+ units (slack >= 0) first, S- units
    after, with the S- keys sign-flipped to tardiness. The partition is
    unstable, which is fine: each region is about to be sorted by a
@@ -425,27 +433,27 @@ let build a entries =
   let tardy = build_cascade a n_pos (total - n_pos) in
   { slack; tardy }
 
-(* One cascade straight from raw units — the same input contract as
-   [Cascade_tree.build], so fuzz suites can feed both implementations
-   identical adversarial unit arrays. Resets the arena like [build]. *)
+(* One cascade straight from raw (key, uid, gain) units, so fuzz suites
+   can feed the flat and boxed builds identical adversarial unit arrays.
+   Resets the arena like [build]. *)
 let of_units a units =
   a.node_top <- 0;
   a.list_top <- 0;
   let m = Array.length units in
   ensure_units a m;
   for i = 0 to m - 1 do
-    let u = units.(i) in
-    a.u_key.(i) <- u.Slack_units.slack;
-    a.u_uid.(i) <- u.Slack_units.uid;
-    a.u_gain.(i) <- u.Slack_units.gain
+    let key, uid, gain = units.(i) in
+    a.u_key.(i) <- key;
+    a.u_uid.(i) <- uid;
+    a.u_gain.(i) <- gain
   done;
   build_cascade a 0 m
 
 (* ------------------------------------------------------------------ *)
-(* Probes — structurally identical to [Cascade_tree.prefix_loss] and
-   friends, with node/list indirection replaced by array indexing. *)
+(* Probes — structurally identical to the boxed tree's, with node/list
+   indirection replaced by array indexing. *)
 
-let prefix_loss c (mode : Cascade_tree.mode) ~n ~tau =
+let prefix_loss c mode ~n ~tau =
   if c.root < 0 then 0.0
   else begin
     let rec go k i acc =

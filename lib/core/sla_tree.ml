@@ -11,8 +11,9 @@
    postpone(0,m-1,t) and cost O(log NK) after the O(NK log NK) build.
 
    The tree is the flat arena-backed structure-of-arrays layout
-   ([Flat_sla_tree]); the boxed [Cascade_tree] it was derived from is
-   kept only as the bit-identical oracle the tests compare against. *)
+   ([Flat_sla_tree]); the boxed tree it was derived from lives in the
+   test-only oracle library, which the tests compare it against bit
+   for bit. *)
 
 type t = { entries : Schedule.entry array; tree : Flat_sla_tree.t; now : float }
 
@@ -54,11 +55,11 @@ let check_range t ~m ~n =
    denotes the empty prefix. *)
 let prefix_slack t ~n ~tau =
   if n < 0 then 0.0
-  else Flat_sla_tree.prefix_loss (slack t) Cascade_tree.Lt ~n ~tau
+  else Flat_sla_tree.prefix_loss (slack t) Lt ~n ~tau
 
 let prefix_tardy t ~n ~tau =
   if n < 0 then 0.0
-  else Flat_sla_tree.prefix_loss (tardy t) Cascade_tree.Le ~n ~tau
+  else Flat_sla_tree.prefix_loss (tardy t) Le ~n ~tau
 
 (* Probes over an empty buffer are defined and answer 0.0: no queries,
    nothing to lose or recover. Ranges are only validated against a

@@ -82,7 +82,8 @@ let best_rush tree =
    [Schedule.completion], [Query.profit_at] and [Schedule.slack]. A
    probe adds the gains of the predecessors' SLA components whose slack
    lies in [0, tau), in position order, then component order: the
-   units, the order and the sum of [Naive_whatif.postpone_by_units].
+   units, the order and the sum of the naive unit scan the tests keep
+   as the oracle.
    A float passed to or returned from a call that is not inlined is
    boxed, so all of it is written out in this one body, and the default
    build inlines the candidate's two [Sla.profit] calls: a pick

@@ -22,8 +22,8 @@ val best_rush : Sla_tree.t -> (int * float) option
     probe [postpone(0, i-1, est_i)] scans the predecessors' SLA
     components over the schedule [Schedule.of_queries ~now planned]
     gives and adds the gains of those whose slack [s] has
-    [0 <= s < est_i], in position order, as
-    {!Naive_whatif.postpone_by_units} does. It reads [planned] in place:
+    [0 <= s < est_i], in position order, as the tests' naive unit scan
+    of the g/0 expansion does. It reads [planned] in place:
     the candidate loop carries the running scheduled start, and a probe
     re-sums its predecessors' completions from [now] (the same
     additions in the same order), so a pick allocates only its answer

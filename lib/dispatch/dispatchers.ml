@@ -245,7 +245,7 @@ let sla_tree ?(admission = false) planner =
     make = (fun () -> argmax_profit ~admission planner);
   }
 
-(* The incremental FCFS fast path. Under FCFS the newcomer always
+(* The FCFS fast path. Under FCFS the newcomer always
    ranks last ([insertion_rank] = N), so [What_if.insertion_delta]
    postpones nobody: the what-if collapses to the newcomer's own
    profit at the end of the server's estimated schedule. That tail is
@@ -297,12 +297,14 @@ let fcfs_best sim q =
   done;
   if !best < 0 then None else Some (!best, !best_delta)
 
-let fcfs_sla_tree_incr ?(admission = false) () =
+let fcfs_sla_tree ?(admission = false) () =
   {
-    name = (if admission then "SLA-tree+AC(incr)" else "SLA-tree(incr)");
+    name = (if admission then "SLA-tree+AC(FCFS)" else "SLA-tree(FCFS)");
     make =
       (fun () sim q ->
         match fcfs_best sim q with
         | Some (sid, d) -> decide ~admission sid d
         | None -> no_server ());
   }
+
+let fcfs_sla_tree_incr = fcfs_sla_tree

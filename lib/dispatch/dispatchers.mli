@@ -100,4 +100,8 @@ val fcfs_best : Sim.t -> Query.t -> (int * float) option
     what-if from the incrementally maintained backlog accumulator.
     Identical picks and [est_delta]; with [admission], a negative best
     delta rejects. The CLI's default dispatcher ([tree-fcfs]). *)
+val fcfs_sla_tree : ?admission:bool -> unit -> t
+
+(** [fcfs_sla_tree] under its former name, kept only because perfbench
+    names it. *)
 val fcfs_sla_tree_incr : ?admission:bool -> unit -> t

@@ -740,7 +740,7 @@ let run ?(obs = Obs.noop) ?timeseries ?(policy = sla_tree_policy) ?drop_policy
   let metrics = Metrics.create ~warmup_id () in
   let pick_next, _ = Schedulers.instantiate ~obs Schedulers.fcfs_sla_tree in
   let dispatch =
-    Dispatchers.instantiate ~obs (Dispatchers.fcfs_sla_tree_incr ())
+    Dispatchers.instantiate ~obs (Dispatchers.fcfs_sla_tree ())
   in
   let last_event = ref 0.0 in
   let on_server_event ~sid ~now ev =

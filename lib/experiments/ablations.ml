@@ -8,8 +8,6 @@
      against profit-aware dispatch.
    - admission control: the "or should we simply reject" option of
      Sec 1, exercised at overload.
-   - incremental SLA-tree: the lazy structure vs rebuilding from
-     scratch on every decision (the paper's future work, Sec 9).
    - learned estimates: Sec 7.5's robustness with a real predictor
      (kNN per Sec 2.3) instead of parametric Gaussian noise. *)
 
@@ -185,82 +183,6 @@ let admission_run ppf scale =
         (if c.admission then "reject<0" else "accept all")
         c.avg_loss c.avg_profit c.rejected)
     cells
-
-(* ------------------------------------------------------------------ *)
-(* Incremental SLA-tree vs full rebuild: a synthetic FCFS stream of
-   (append, pop, ask-every-query) cycles. *)
-
-type incr_result = {
-  buffer_len : int;
-  rebuild_ms_per_cycle : float;
-  incremental_ms_per_cycle : float;
-  rebuilds : int;
-}
-
-(* Stays serial even under [-j]: both strategies are timed with
-   [Sys.time], which measures process-wide CPU, so concurrent runs
-   would corrupt each other's measurements. *)
-let incr_compute ?(buffer_sizes = [ 100; 400; 1600 ]) ~seed () =
-  let cycles = 200 in
-  List.map
-    (fun n ->
-      let buffer = Fig17.make_buffer ~seed n in
-      let fresh_query i =
-        let rng = Prng.create (seed + i) in
-        Query.make ~id:(100_000 + i)
-          ~arrival:(200.0 +. Float.of_int i)
-          ~size:(Prng.exponential rng ~mean:20.0)
-          ~sla:
-            (Sla.make
-               ~levels:[ { bound = 1e7; gain = 2.0 }; { bound = 2e7; gain = 1.0 } ]
-               ~penalty:0.0)
-          ()
-      in
-      (* Full-rebuild strategy. *)
-      Gc.compact ();
-      let t0 = Sys.time () in
-      let queries = ref (Array.to_list buffer) in
-      for i = 0 to cycles - 1 do
-        queries := List.tl !queries @ [ fresh_query i ];
-        let arr = Array.of_list !queries in
-        let tree = Sla_tree.build ~now:200.0 arr in
-        ignore (Sla_tree.postpone tree ~m:0 ~n:(Array.length arr - 1) ~tau:40.0)
-      done;
-      let rebuild_ms = (Sys.time () -. t0) *. 1000.0 /. Float.of_int cycles in
-      (* Incremental strategy. *)
-      Gc.compact ();
-      let t1 = Sys.time () in
-      let incr = Incr_sla_tree.create ~now:200.0 buffer in
-      for i = 0 to cycles - 1 do
-        Incr_sla_tree.pop_head incr;
-        Incr_sla_tree.append incr (fresh_query i);
-        ignore
-          (Incr_sla_tree.postpone incr ~m:0 ~n:(Incr_sla_tree.length incr - 1)
-             ~tau:40.0)
-      done;
-      let incr_ms = (Sys.time () -. t1) *. 1000.0 /. Float.of_int cycles in
-      {
-        buffer_len = n;
-        rebuild_ms_per_cycle = rebuild_ms;
-        incremental_ms_per_cycle = incr_ms;
-        rebuilds = Incr_sla_tree.rebuild_count incr;
-      })
-    buffer_sizes
-
-let incr_run ppf ~seed () =
-  let rows = incr_compute ~seed () in
-  Fmt.pf ppf
-    "@.=== Ablation: incremental SLA-tree vs full rebuild (pop+append+question \
-     cycles) ===@.";
-  Fmt.pf ppf "%8s %14s %14s %10s %10s@." "buffer" "rebuild ms" "incr ms" "speedup"
-    "rebuilds";
-  List.iter
-    (fun r ->
-      Fmt.pf ppf "%8d %14.4f %14.4f %9.1fx %10d@." r.buffer_len
-        r.rebuild_ms_per_cycle r.incremental_ms_per_cycle
-        (r.rebuild_ms_per_cycle /. Float.max r.incremental_ms_per_cycle 1e-9)
-        r.rebuilds)
-    rows
 
 (* ------------------------------------------------------------------ *)
 (* Learned estimates: replace Sec 7.5's parametric noise with a kNN
@@ -615,7 +537,6 @@ let run_all ppf scale =
   sched_run ppf scale;
   disp_run ppf scale;
   admission_run ppf scale;
-  incr_run ppf ~seed:scale.Exp_scale.base_seed ();
   predictor_run ppf scale;
   fairness_run ppf scale;
   hetero_run ppf scale;

@@ -51,7 +51,7 @@ let dispatchers =
   [
     ("RR", fun () -> Dispatchers.round_robin);
     ("LWL", fun () -> Dispatchers.lwl);
-    ("SLA-tree", fun () -> Dispatchers.fcfs_sla_tree_incr ());
+    ("SLA-tree", fun () -> Dispatchers.fcfs_sla_tree ());
   ]
 
 (* One static-pool run: fixed scheduler (FCFS SLA-tree), the

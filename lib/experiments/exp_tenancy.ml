@@ -114,7 +114,7 @@ let run_cell c reg ~queries ~speeds ~admission_on =
       ~ticker:(sample_every, fun sim -> Tenancy.Acct.sample acct ts ~now:(Sim.now sim))
       ~n_servers:c.servers
       ~pick_next:(Schedulers.pick Schedulers.fcfs_sla_tree)
-      ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()))
+      ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree ()))
       ~metrics ()
   in
   Array.iter (Sim.inject sess) queries;
@@ -226,7 +226,7 @@ let run_typed c =
       ~ticker:(ecfg.Elastic.interval, Elastic.tick ctl)
       ~n_servers:c.servers
       ~pick_next:(Schedulers.pick Schedulers.fcfs_sla_tree)
-      ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()))
+      ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree ()))
       ~metrics ()
   in
   Array.iter (Sim.inject sess) queries;

@@ -83,7 +83,7 @@ let dispatchers () =
   [
     ("RR", Dispatchers.round_robin);
     ("LWL", Dispatchers.lwl);
-    ("SLA-tree", Dispatchers.fcfs_sla_tree_incr ());
+    ("SLA-tree", Dispatchers.fcfs_sla_tree ());
   ]
 
 type cell = {
@@ -176,7 +176,7 @@ let run_elastic c (stats : Sla_synth.stats) =
       ~ticker:(ecfg.Elastic.interval, Elastic.tick ctl)
       ~n_servers:c.servers
       ~pick_next:(Schedulers.pick Schedulers.fcfs_sla_tree)
-      ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()))
+      ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree ()))
       ~metrics ()
   in
   Seq.iter (Sim.inject sess) (stream c);
@@ -210,7 +210,7 @@ let run_storm c (stats : Sla_synth.stats) ~spec =
       ~timers:(Fault.timers injector)
       ~c ~warmup_id ~n_servers:c.servers
       ~scheduler:Schedulers.fcfs_sla_tree
-      ~dispatcher:(Dispatchers.fcfs_sla_tree_incr ())
+      ~dispatcher:(Dispatchers.fcfs_sla_tree ())
       ()
   in
   Fault.finalize injector metrics;

@@ -40,11 +40,14 @@ let stats_for t label =
     t.classes <- t.classes @ [ c ];
     c
 
+(* One walk of the SLA per completion, as in [Metrics.record]: the loss
+   is [Sla.max_gain -. profit], the float [Query.loss_at] returns. *)
 let record t q ~completion =
   if q.Query.id >= t.warmup_id then begin
     let c = stats_for t (t.classify q) in
-    Stats.add c.loss (Query.loss_at q ~completion);
-    Stats.add c.profit (Query.profit_at q ~completion);
+    let profit = Query.profit_at q ~completion in
+    Stats.add c.loss (Sla.max_gain q.Query.sla -. profit);
+    Stats.add c.profit profit;
     Stats.add c.response (completion -. q.Query.arrival);
     if completion > Query.first_deadline q then c.late <- c.late + 1
   end

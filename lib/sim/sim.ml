@@ -423,16 +423,21 @@ let backlog_remove s q =
 let drop_past_last_deadline ~now q =
   now > Query.deadline q ~bound:(Sla.last_deadline q.Query.sla)
 
+(* A rate small enough to pass [set_speed] on an idle server (a tiny
+   [degrade_server] factor, [add_server ?speed] or [~speeds]) can still
+   overflow a query's completion; the start is refused before any state
+   changes, so no infinite completion reaches the event queue. *)
 let start_query t s q =
   assert (s.running = None);
-  let r =
-    {
-      rquery = q;
-      started = t.now;
-      act_finish = t.now +. (q.Query.size /. s.speed);
-      est_finish = t.now +. (q.Query.est_size /. s.speed);
-    }
-  in
+  let act_finish = t.now +. (q.Query.size /. s.speed)
+  and est_finish = t.now +. (q.Query.est_size /. s.speed) in
+  if not (Float.is_finite act_finish && Float.is_finite est_finish) then
+    invalid_arg
+      (Printf.sprintf
+         "Sim: server %d at speed %g cannot start query %d: its completion \
+          would not be finite"
+         s.sid s.speed q.Query.id);
+  let r = { rquery = q; started = t.now; act_finish; est_finish } in
   s.running <- Some r;
   Iheap.set t.completions s.sid r.act_finish;
   touch t s;

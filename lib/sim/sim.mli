@@ -178,7 +178,11 @@ val crash_server : t -> int -> Query.t list
     [Invalid_argument] on a [speed] that is not finite and positive,
     and on one at which the running query's rescaled completion is not
     finite (a rate so small that its remaining work overflows); the
-    server is then left as it was. *)
+    server is then left as it was. An idle server takes any finite
+    positive rate: a later start at a rate that makes the query's
+    completion not finite (here, or through [add_server ?speed] or
+    [~speeds]) raises [Invalid_argument] naming the server, the rate
+    and the query, before the server changes. *)
 val set_speed : t -> int -> speed:float -> unit
 
 (** [degrade_server t sid ~factor] is [set_speed] to

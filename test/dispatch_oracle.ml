@@ -2,7 +2,7 @@
    server's [profit], argmax by profit, then least work left, then
    lowest sid. Kept only here, as an oracle. With the default
    [profit], the appended FCFS profit, it is the scan as it ran before
-   the bound prune, which [Dispatchers.fcfs_sla_tree_incr] must match:
+   the bound prune, which [Dispatchers.fcfs_sla_tree] must match:
    same target, same [est_delta] bits. With the tree-built probe
    [Insertion_oracle.insertion_profit planner], it is the tree-priced
    reference for [Dispatchers.sla_tree planner]. *)

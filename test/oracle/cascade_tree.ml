@@ -29,11 +29,9 @@ type node =
 
 type t = { root : node option; unit_count : int }
 
-(* Which comparison "key vs tau" selects a unit. The slack tree uses
-   [Lt] (postponing by tau kills slack < tau; slack = tau still meets
-   the deadline); the tardiness tree uses [Le] (expediting by tau
-   rescues tardiness <= tau). *)
-type mode = Lt | Le
+(* Which comparison "key vs tau" selects a unit: the flat tree's type,
+   so both trees take the same modes. *)
+type mode = Flat_sla_tree.mode = Lt | Le
 
 let node_ids = function
   | Leaf { uid; _ } -> [| uid |]

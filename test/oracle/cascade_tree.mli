@@ -11,11 +11,9 @@
 
 type t
 
-(** [Lt] counts units with [key < tau] (slack tree: postponing by [tau]
-    misses deadlines with slack strictly below [tau]); [Le] counts
-    [key <= tau] (tardiness tree: expediting by [tau] rescues tardiness
-    up to and including [tau]). *)
-type mode = Lt | Le
+(** {!Flat_sla_tree.mode}, re-exported: [Lt] for the slack tree, [Le]
+    for the tardiness tree. *)
+type mode = Flat_sla_tree.mode = Lt | Le
 
 (** [build units] sorts the units by [slack] (interpreted as the tree
     key, so pass tardiness values for [S-]) and builds the tree. *)

@@ -145,7 +145,7 @@ let run_instrumented ~queries ~config ~policy ~n_servers =
   let c = Elastic.create config policy ~initial_servers:n_servers in
   let metrics = Metrics.create ~warmup_id:0 () in
   let pick_next = Schedulers.pick Schedulers.fcfs_sla_tree in
-  let dispatch = Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()) in
+  let dispatch = Dispatchers.instantiate (Dispatchers.fcfs_sla_tree ()) in
   let on_server_event ~sid ~now ev =
     (match ev with
     | Sim.Draining -> Hashtbl.replace drained sid ()
@@ -211,7 +211,7 @@ let test_conservation_with_drop_policy () =
   let c = Elastic.create config Elastic.sla_tree_policy ~initial_servers:3 in
   let metrics = Metrics.create ~warmup_id:0 () in
   let pick_next = Schedulers.pick Schedulers.fcfs_sla_tree in
-  let dispatch = Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()) in
+  let dispatch = Dispatchers.instantiate (Dispatchers.fcfs_sla_tree ()) in
   let on_server_event ~sid ~now ev =
     (match ev with
     | Sim.Dropped q -> dropped.(q.Query.id) <- dropped.(q.Query.id) + 1
@@ -334,7 +334,7 @@ let test_typed_pool_billing () =
   let c = Elastic.create config Elastic.sla_tree_policy ~initial_servers:3 in
   let metrics = Metrics.create ~warmup_id:0 () in
   let pick_next = Schedulers.pick Schedulers.fcfs_sla_tree in
-  let dispatch = Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()) in
+  let dispatch = Dispatchers.instantiate (Dispatchers.fcfs_sla_tree ()) in
   let on_server_event ~sid ~now ev =
     Elastic.on_server_event c ~sid ~now ev
   in

@@ -163,7 +163,7 @@ let test_scheduler_serve_trace () =
         Sim.run
           ~admit:(Tenancy.admit (Tenancy.admission reg ~acct ()))
           ?on_server_event ~queries ~n_servers:8 ~pick_next
-          ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()))
+          ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree ()))
           ~metrics ();
         Metrics.avg_loss metrics
       in
@@ -216,7 +216,7 @@ let test_scheduler_equiv_elastic () =
   check_int "no pick mismatches across scale events" 0 mismatches
 
 (* ------------------------------------------------------------------ *)
-(* Dispatcher: fcfs_sla_tree_incr vs sla_tree Planner.fcfs. *)
+(* Dispatcher: fcfs_sla_tree vs sla_tree Planner.fcfs. *)
 
 (* Satellite invariant of the rejection accounting: whenever the run
    is quiescent, every offered query was either admitted or rejected —
@@ -226,11 +226,11 @@ let check_balance m =
     (Metrics.admitted_count m + Metrics.rejected_count m)
 
 let run_dispatcher_both ?speeds ?ticker ~admission ~queries ~servers () =
-  let d_incr = Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ~admission ()) in
+  let d_fcfs = Dispatchers.instantiate (Dispatchers.fcfs_sla_tree ~admission ()) in
   let d_tree = Dispatchers.instantiate (Dispatchers.sla_tree ~admission Planner.fcfs) in
   let decisions = ref 0 and mismatches = ref 0 in
   let dispatch sim q =
-    let a = d_incr sim q in
+    let a = d_fcfs sim q in
     let b = d_tree sim q in
     incr decisions;
     if a.Sim.target <> b.Sim.target then incr mismatches;
@@ -467,7 +467,7 @@ let prune_mismatches ?(churn = false) c =
   in
   let fcfs =
     Dispatchers.instantiate
-      (Dispatchers.fcfs_sla_tree_incr ~admission:c.p_admission ())
+      (Dispatchers.fcfs_sla_tree ~admission:c.p_admission ())
   in
   let lwl = Dispatchers.instantiate Dispatchers.lwl in
   let decisions = ref 0 and mismatches = ref 0 in
@@ -512,7 +512,7 @@ let prop_index_equals_full_scan =
    the same state, and the probe joins the FCFS reader's pick. Returns
    each probe's (FCFS target, LWL target, both equal their oracles). *)
 let probe_run ?timers ?(before = fun _ _ -> ()) ~n ~route queries =
-  let fcfs = Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()) in
+  let fcfs = Dispatchers.instantiate (Dispatchers.fcfs_sla_tree ()) in
   let lwl = Dispatchers.instantiate Dispatchers.lwl in
   let probes = ref [] in
   let dispatch sim q =
@@ -973,7 +973,7 @@ let admission_run ~admit ~queries ~servers =
   let metrics = Metrics.create ~warmup_id:(Array.length queries / 10) () in
   Sim.run ~admit ~queries ~n_servers:servers
     ~pick_next:(Schedulers.pick Schedulers.fcfs_sla_tree)
-    ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()))
+    ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree ()))
     ~metrics ();
   (List.rev !verdicts, metrics)
 

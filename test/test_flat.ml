@@ -86,11 +86,17 @@ let print_case (units, n, tau) =
             u.Slack_units.slack u.Slack_units.gain))
     units
 
+(* The flat cascade over the same units: [Flat_sla_tree.of_units]
+   takes them as plain (key, uid, gain) triples. *)
+let flat_of_units arena units =
+  Flat_sla_tree.of_units arena
+    (Array.map (fun u -> Slack_units.(u.slack, u.uid, u.gain)) units)
+
 (* The flat cascade over [units], built into [arena], answers like the
    boxed one, bit for bit. *)
 let cascade_matches_boxed arena (units, n, tau) =
   let boxed = Cascade_tree.build units in
-  let flat = Flat_sla_tree.of_units arena units in
+  let flat = flat_of_units arena units in
   Flat_sla_tree.unit_count flat = Cascade_tree.unit_count boxed
   && Flat_sla_tree.depth flat = Cascade_tree.depth boxed
   && bits_eq (Cascade_tree.total boxed) (Flat_sla_tree.total flat)
@@ -146,7 +152,7 @@ let test_flat_cascade_paper_example () =
       (List.map (fun (uid, slack, gain) -> { Slack_units.uid; slack; gain }) leaves)
   in
   let arena = Flat_sla_tree.create_arena () in
-  let flat = Flat_sla_tree.of_units arena units in
+  let flat = flat_of_units arena units in
   check_bits "postpone(1,9,32)" 300.0
     (Flat_sla_tree.prefix_loss flat Cascade_tree.Lt ~n:9 ~tau:32.0);
   check_bits "grand total" 1200.0 (Flat_sla_tree.total flat)

@@ -242,7 +242,7 @@ let test_sched_decision_latency_recorded () =
   let obs = Obs.create () in
   let queries = small_queries () in
   let pick_next, _ = Schedulers.instantiate ~obs Schedulers.fcfs_sla_tree in
-  let dispatch = Dispatchers.instantiate ~obs (Dispatchers.fcfs_sla_tree_incr ()) in
+  let dispatch = Dispatchers.instantiate ~obs (Dispatchers.fcfs_sla_tree ()) in
   let metrics = Metrics.create ~warmup_id:0 () in
   Sim.run ~obs ~queries ~n_servers:2 ~pick_next ~dispatch ~metrics ();
   let reg = Obs.registry obs in

@@ -116,7 +116,7 @@ let assert_equivalent ?drop_policy ~warmup ~mk_dispatcher ~queries ~servers ()
 let test_equivalence_plain () =
   let queries = trace ~servers:4 () in
   assert_equivalent ~warmup:0
-    ~mk_dispatcher:(fun () -> Dispatchers.fcfs_sla_tree_incr ())
+    ~mk_dispatcher:(fun () -> Dispatchers.fcfs_sla_tree ())
     ~queries ~servers:4 ()
 
 let test_equivalence_admission_drop () =
@@ -125,7 +125,7 @@ let test_equivalence_admission_drop () =
   let queries = trace ~n:1500 ~load:1.5 ~seed:11 ~servers:3 () in
   assert_equivalent ~warmup:100
     ~drop_policy:Sim.drop_past_last_deadline
-    ~mk_dispatcher:(fun () -> Dispatchers.fcfs_sla_tree_incr ~admission:true ())
+    ~mk_dispatcher:(fun () -> Dispatchers.fcfs_sla_tree ~admission:true ())
     ~queries ~servers:3 ()
 
 (* Realtime mode holds a submission stamped in the future until it is
@@ -247,7 +247,7 @@ let test_socket_end_to_end () =
   let engine =
     Daemon.Engine.create ~obs ~clock:(Vclock.manual ())
       ~scheduler:Schedulers.fcfs_sla_tree
-      ~dispatcher:(Dispatchers.fcfs_sla_tree_incr ())
+      ~dispatcher:(Dispatchers.fcfs_sla_tree ())
       ~n_servers:4 ()
   in
   let stop = ref false in
@@ -304,7 +304,7 @@ let test_socket_end_to_end () =
   check_bool "healthz" true (health = "ok\n");
   (* Served accounting equals Sim.run on the identical trace. *)
   let _, serial_m =
-    run_serial ~warmup:0 ~dispatcher:(Dispatchers.fcfs_sla_tree_incr ())
+    run_serial ~warmup:0 ~dispatcher:(Dispatchers.fcfs_sla_tree ())
       ~queries ~servers:4 ()
   in
   check_bool "profit equals Sim.run bit-for-bit" true

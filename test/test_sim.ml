@@ -92,11 +92,32 @@ let test_breakdown_classes () =
     check_float "one missed" 0.5 (Stats.mean c.Breakdown.loss);
     check_int "one late" 1 c.Breakdown.late
   | None -> Alcotest.fail "cheap class missing");
-  match Breakdown.find b "rich" with
+  (match Breakdown.find b "rich" with
   | Some c ->
     check_int "one rich measured (warmup skipped)" 1 (Stats.count c.Breakdown.loss);
     check_float "rich on time" 5.0 (Stats.mean c.Breakdown.profit)
-  | None -> Alcotest.fail "rich class missing"
+  | None -> Alcotest.fail "rich class missing");
+  (* One class over a whole overloaded SLA-B run: its means are the
+     run's own, bit for bit. *)
+  let queries =
+    Trace.generate
+      (Trace.config ~kind:Workloads.Pareto ~profile:Workloads.Sla_b ~load:1.2
+         ~servers:1 ~n_queries:600 ~seed:5 ())
+  in
+  let one = Breakdown.create ~classify:(fun _ -> "all") ~warmup_id:100 in
+  let metrics = Metrics.create ~warmup_id:100 () in
+  Sim.run ~queries ~n_servers:1 ~pick_next:fcfs_pick ~dispatch:single_dispatch
+    ~metrics ~on_complete:(Breakdown.record one) ();
+  let check_bits name a b =
+    Alcotest.(check string) name (Printf.sprintf "%h" a) (Printf.sprintf "%h" b)
+  in
+  match Breakdown.find one "all" with
+  | Some c ->
+    check_bits "loss mean = Metrics.avg_loss" (Metrics.avg_loss metrics)
+      (Stats.mean c.Breakdown.loss);
+    check_bits "profit mean = Metrics.avg_profit" (Metrics.avg_profit metrics)
+      (Stats.mean c.Breakdown.profit)
+  | None -> Alcotest.fail "the one class is missing"
 
 let test_on_complete_hook () =
   let seen = ref [] in
@@ -519,6 +540,25 @@ let test_overflowing_degrade_refused () =
   check_float "speed unchanged" 1.0 (Sim.server (Sim.sim sess) 0).Sim.speed;
   check_next_event "completion unmoved" (Some 10.0) (Sim.next_event_time sess)
 
+(* On an idle server the same factor is accepted (nothing runs to
+   overflow), but the next start would complete at infinity and leave
+   the clock there after a drain: the start is refused instead, and the
+   server stays idle with nothing pending. *)
+let test_overflowing_start_refused () =
+  let sess =
+    Sim.session ~n_servers:1 ~pick_next:fcfs_pick ~dispatch:single_dispatch
+      ~metrics:(Metrics.create ~warmup_id:0 ())
+      ()
+  in
+  Sim.degrade_server (Sim.sim sess) 0 ~factor:1e-320;
+  check_bool "start at speed 1e-320 refused" true
+    (raises_invalid (fun () -> Sim.inject sess (mk 0 0.0 10.0)));
+  check_bool "nothing running" true
+    ((Sim.server (Sim.sim sess) 0).Sim.running = None);
+  check_next_event "nothing pending" None (Sim.next_event_time sess);
+  Sim.drain sess;
+  check_float "clock stays finite" 0.0 (Sim.now (Sim.sim sess))
+
 let test_simulation_drains_large_trace () =
   let cfg =
     Trace.config ~kind:Workloads.Exp ~profile:Workloads.Sla_a ~load:0.9
@@ -633,6 +673,8 @@ let () =
             test_infinite_degrade_refused;
           Alcotest.test_case "overflowing degrade factor refused" `Quick
             test_overflowing_degrade_refused;
+          Alcotest.test_case "overflowing start refused" `Quick
+            test_overflowing_start_refused;
         ] );
       ( "session",
         [

@@ -209,7 +209,7 @@ let run_admission ~queries ~servers ~acct ~admit =
     ~on_complete:(Tenancy.Acct.on_complete acct)
     ~queries ~n_servers:servers
     ~pick_next:(Schedulers.pick Schedulers.fcfs)
-    ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()))
+    ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree ()))
     ~metrics ();
   metrics
 
@@ -318,7 +318,7 @@ let test_admission_prices_dispatch_target () =
     > Sim.est_work_left sim (Sim.server sim 1));
   check_bool "jumping the buffer on server 0 nets negative" true
     (Dispatchers.insertion_profit Planner.edf sim 0 newcomer < 0.0);
-  let dispatch = Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()) in
+  let dispatch = Dispatchers.instantiate (Dispatchers.fcfs_sla_tree ()) in
   check_bool "the dispatcher picks server 1" true
     ((dispatch sim newcomer).Sim.target = Some 1);
   check_bool "priced on server 1: admitted" true
