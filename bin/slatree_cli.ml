@@ -49,20 +49,42 @@ let print_scale scale =
     (Exp_scale.name scale) scale.Exp_scale.n_queries scale.Exp_scale.warmup
     scale.Exp_scale.repeats
 
-let run_table n scale_opt jobs =
+(* An experiment run at the resolved scale, after the scale line. *)
+let run_at_scale run scale_opt jobs =
   match setup_jobs jobs with
   | Error e -> `Error (false, e)
   | Ok () ->
-  let scale = resolve_scale scale_opt in
-  print_scale scale;
-  match n with
-  | 2 -> `Ok (Table2.run ppf scale)
-  | 3 -> `Ok (Table3.run ppf scale)
-  | 4 -> `Ok (Table4.run ppf scale)
-  | 5 -> `Ok (Table5.run ppf scale)
-  | 6 -> `Ok (Table6.run ppf scale)
-  | 7 -> `Ok (Table7.run ppf ())
-  | _ -> `Error (false, "table number must be in 2..7")
+    let scale = resolve_scale scale_opt in
+    print_scale scale;
+    `Ok (run ppf scale)
+
+(* The choices of [table] and [ablation], by name. Cmdliner parses the
+   name, so an unknown one fails before anything prints; [all] and
+   [ablation all] run the same lists in order. *)
+let tables =
+  [
+    ("2", Table2.run);
+    ("3", Table3.run);
+    ("4", Table4.run);
+    ("5", Table5.run);
+    ("6", Table6.run);
+    ("7", fun ppf _ -> Table7.run ppf ());
+  ]
+
+let ablations =
+  [
+    ("sched", Ablations.sched_run);
+    ("dispatch", Ablations.disp_run);
+    ("admission", Ablations.admission_run);
+    ("predictor", Ablations.predictor_run);
+    ("fairness", Ablations.fairness_run);
+    ("hetero", Ablations.hetero_run);
+    ("drop", Ablations.drop_run);
+    ( "optimality",
+      fun ppf scale -> Ablations.optimality_run ppf ~seed:scale.Exp_scale.base_seed () );
+  ]
+
+let run_each choices ppf scale = List.iter (fun (_, run) -> run ppf scale) choices
 
 let run_fig n scale_opt data_dir jobs =
   match setup_jobs jobs with
@@ -78,56 +100,19 @@ let run_fig n scale_opt data_dir jobs =
       List.iter (Fmt.pf ppf "wrote %s@.") (f dir)
   in
   match n with
-  | 15 ->
+  | `Fig15 ->
     Fig15.run ppf ~seed ();
     maybe_export (fun dir -> Fig15.export ~dir ~seed ());
     `Ok ()
-  | 17 ->
+  | `Fig17 ->
     Fig17.run ppf ~seed ();
     maybe_export (fun dir -> [ Fig17.export ~dir ~seed () ]);
     `Ok ()
-  | _ -> `Error (false, "figure number must be 15 or 17")
 
-let run_all scale_opt jobs =
-  match setup_jobs jobs with
-  | Error e -> `Error (false, e)
-  | Ok () ->
-  let scale = resolve_scale scale_opt in
-  print_scale scale;
+let run_all ppf scale =
   Fig15.run ppf ~seed:scale.Exp_scale.base_seed ();
-  Table2.run ppf scale;
-  Table3.run ppf scale;
-  Table4.run ppf scale;
-  Table5.run ppf scale;
-  Table6.run ppf scale;
-  Table7.run ppf ();
-  Fig17.run ppf ~seed:scale.Exp_scale.base_seed ();
-  `Ok ()
-
-let run_ablation which scale_opt jobs =
-  match setup_jobs jobs with
-  | Error e -> `Error (false, e)
-  | Ok () ->
-  let scale = resolve_scale scale_opt in
-  print_scale scale;
-  match which with
-  | "sched" -> `Ok (Ablations.sched_run ppf scale)
-  | "dispatch" -> `Ok (Ablations.disp_run ppf scale)
-  | "admission" -> `Ok (Ablations.admission_run ppf scale)
-  | "predictor" -> `Ok (Ablations.predictor_run ppf scale)
-  | "fairness" -> `Ok (Ablations.fairness_run ppf scale)
-  | "hetero" -> `Ok (Ablations.hetero_run ppf scale)
-  | "drop" -> `Ok (Ablations.drop_run ppf scale)
-  | "optimality" ->
-    `Ok (Ablations.optimality_run ppf ~seed:scale.Exp_scale.base_seed ())
-  | "all" -> `Ok (Ablations.run_all ppf scale)
-  | s ->
-    `Error
-      ( false,
-        Printf.sprintf
-          "unknown ablation %S (expected \
-           sched|dispatch|admission|predictor|fairness|hetero|drop|optimality|all)"
-          s )
+  run_each tables ppf scale;
+  Fig17.run ppf ~seed:scale.Exp_scale.base_seed ()
 
 (* ------------------------------------------------------------------ *)
 
@@ -160,22 +145,19 @@ let write_timeseries_output ts ~path =
 
 let run_elastic compare policy shape servers scale_opt forecast horizon
     oracle_rho trace metrics timeseries faults jobs =
-  match setup_jobs jobs with
+  match
+    Exp_elastic.policy_spec_of_string ?forecast ?horizon ?rho:oracle_rho policy
+  with
+  | _ when compare && (forecast <> None || horizon <> None || oracle_rho <> None) ->
+    `Error (false, "--forecast, --horizon and --oracle-rho do not apply to --compare")
+  | _ when compare -> run_at_scale Exp_elastic.run scale_opt jobs
   | Error e -> `Error (false, e)
-  | Ok () ->
-  let scale = resolve_scale scale_opt in
-  print_scale scale;
-  if compare then `Ok (Exp_elastic.run ppf scale)
-  else
-    match Exp_elastic.shape_of_string shape with
+  | Ok policy ->
+    match setup_jobs jobs with
     | Error e -> `Error (false, e)
-    | Ok shape ->
-    match
-      Exp_elastic.policy_spec_of_string ?forecast ?horizon ?rho:oracle_rho
-        policy
-    with
-    | Error e -> `Error (false, e)
-    | Ok policy ->
+    | Ok () ->
+      let scale = resolve_scale scale_opt in
+      print_scale scale;
       let obs = obs_of_outputs ~trace ~metrics in
       let ts = Option.map (fun _ -> Elastic.timeseries ()) timeseries in
       (try
@@ -187,14 +169,6 @@ let run_elastic compare policy shape servers scale_opt forecast horizon
          | _ -> ());
          `Ok ()
        with Invalid_argument e -> `Error (false, e))
-
-let run_validate scale_opt jobs =
-  match setup_jobs jobs with
-  | Error e -> `Error (false, e)
-  | Ok () ->
-    let scale = resolve_scale scale_opt in
-    print_scale scale;
-    `Ok (Validation.run ppf scale)
 
 let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
@@ -507,16 +481,19 @@ let faults_arg =
             SPEC: " ^ Fault.spec_doc))
 
 let table_cmd =
-  let n =
-    Arg.(required & pos 0 (some int) None & info [] ~docv:"N" ~doc:"Table number (2-7)")
+  let which =
+    Arg.(required & pos 0 (some (enum tables)) None
+         & info [] ~docv:"N" ~doc:("Table number: " ^ doc_alts_enum tables))
   in
   Cmd.v
     (Cmd.info "table" ~doc:"Regenerate a table from the paper's evaluation")
-    Term.(ret (const run_table $ n $ scale_arg $ jobs_arg))
+    Term.(ret (const run_at_scale $ which $ scale_arg $ jobs_arg))
 
 let fig_cmd =
+  let figs = [ ("15", `Fig15); ("17", `Fig17) ] in
   let n =
-    Arg.(required & pos 0 (some int) None & info [] ~docv:"N" ~doc:"Figure number (15 or 17)")
+    Arg.(required & pos 0 (some (enum figs)) None
+         & info [] ~docv:"N" ~doc:("Figure number: " ^ doc_alts_enum figs))
   in
   let data_dir =
     Arg.(value & opt (some string) None & info [ "data-dir" ] ~docv:"DIR"
@@ -529,7 +506,7 @@ let fig_cmd =
 let all_cmd =
   Cmd.v
     (Cmd.info "all" ~doc:"Regenerate every table and figure")
-    Term.(ret (const run_all $ scale_arg $ jobs_arg))
+    Term.(ret (const (run_at_scale run_all) $ scale_arg $ jobs_arg))
 
 let demo_cmd =
   let verbose =
@@ -540,18 +517,14 @@ let demo_cmd =
     Term.(ret (const run_demo $ verbose))
 
 let ablation_cmd =
+  let choices = ablations @ [ ("all", run_each ablations) ] in
   let which =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"WHICH"
-          ~doc:
-            "sched | dispatch | admission | predictor | fairness | hetero \
-             | drop | optimality | all")
+    Arg.(required & pos 0 (some (enum choices)) None
+         & info [] ~docv:"WHICH" ~doc:("Ablation: " ^ doc_alts_enum choices))
   in
   Cmd.v
     (Cmd.info "ablation" ~doc:"Run an ablation study beyond the paper's tables")
-    Term.(ret (const run_ablation $ which $ scale_arg $ jobs_arg))
+    Term.(ret (const run_at_scale $ which $ scale_arg $ jobs_arg))
 
 let elastic_cmd =
   let compare =
@@ -559,14 +532,15 @@ let elastic_cmd =
            ~doc:"Run the full comparison (statics / reactive SLA-tree / \
                  queue-threshold / predictive / oracle) on every shape")
   in
+  let policies = List.map (fun p -> (p, p)) Exp_elastic.policy_names in
   let policy =
-    Arg.(value & opt string "sla-tree" & info [ "policy" ] ~docv:"P"
-           ~doc:"Autoscaling policy: sla-tree | queue | static | predictive | \
-                 oracle")
+    Arg.(value & opt (enum policies) "sla-tree" & info [ "policy" ] ~docv:"P"
+           ~doc:("Autoscaling policy: " ^ doc_alts_enum policies))
   in
+  let shapes = List.map (fun s -> (Exp_elastic.shape_name s, s)) Exp_elastic.all_shapes in
   let shape =
-    Arg.(value & opt string "diurnal" & info [ "shape" ] ~docv:"S"
-           ~doc:"Arrival shape: diurnal | square | steady")
+    Arg.(value & opt (enum shapes) Exp_elastic.Diurnal & info [ "shape" ] ~docv:"S"
+           ~doc:("Arrival shape: " ^ doc_alts_enum shapes))
   in
   let servers =
     Arg.(value & opt int 4 & info [ "servers" ] ~docv:"M" ~doc:"Initial pool size")
@@ -645,27 +619,19 @@ let sim_cmd =
        $ scheduler $ dispatcher $ warmup $ trace_file_arg $ metrics_file_arg
        $ timeseries_file_arg $ faults_arg))
 
-let run_resilience scale_opt jobs =
-  match setup_jobs jobs with
-  | Error e -> `Error (false, e)
-  | Ok () ->
-    let scale = resolve_scale scale_opt in
-    print_scale scale;
-    `Ok (Exp_resilience.run ppf scale)
-
 let resilience_cmd =
   Cmd.v
     (Cmd.info "resilience"
        ~doc:
          "Chaos experiment: RR / LWL / SLA-tree dispatch and static vs \
           autoscaled pools under fault-free, moderate and severe fault plans")
-    Term.(ret (const run_resilience $ scale_arg $ jobs_arg))
+    Term.(ret (const (run_at_scale Exp_resilience.run) $ scale_arg $ jobs_arg))
 
 let validate_cmd =
   Cmd.v
     (Cmd.info "validate"
        ~doc:"Check the simulator against closed-form M/M/m results")
-    Term.(ret (const run_validate $ scale_arg $ jobs_arg))
+    Term.(ret (const (run_at_scale Validation.run) $ scale_arg $ jobs_arg))
 
 let trace_generate_cmd =
   let out =

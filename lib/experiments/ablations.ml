@@ -39,14 +39,15 @@ let sched_compute ?(kinds = Workloads.all_kinds) (scale : Exp_scale.t) =
     (fun kind -> List.map (fun row -> (kind, row)) (sched_rows kind))
     kinds
   |> Parallel.map_list (fun (kind, (base_name, base, tree)) ->
-         let make_trace_cfg ~seed =
-           Trace.config ~kind ~profile:Workloads.Sla_b ~load:0.9 ~servers:1
-             ~n_queries:scale.n_queries ~seed ()
+         let loss scheduler ~seed =
+           Trace.generate
+             (Trace.config ~kind ~profile:Workloads.Sla_b ~load:0.9 ~servers:1
+                ~n_queries:scale.n_queries ~seed ())
+           |> Exp_common.run ~n_servers:1 ~scheduler
+                ~dispatcher:Dispatchers.round_robin ~warmup:scale.warmup
+           |> Metrics.avg_loss
          in
-         let loss scheduler =
-           Exp_common.avg_loss_over_repeats scale ~make_trace_cfg ~n_servers:1
-             ~scheduler ~dispatcher:Dispatchers.round_robin
-         in
+         let loss scheduler = Exp_common.(mean (repeats scale (loss scheduler))) in
          { base_name; kind; base_loss = loss base; tree_loss = loss tree })
 
 let sched_run ppf scale =
@@ -89,14 +90,15 @@ let disp_compute ?(kinds = [ Workloads.Exp; Workloads.Pareto ]) ?(servers = 5)
     kinds
   |> Parallel.map_list (fun (kind, rate, dispatcher) ->
          let scheduler = Schedulers.cbs_sla_tree ~rate in
-         let make_trace_cfg ~seed =
-           Trace.config ~kind ~profile:Workloads.Sla_a ~load:0.9 ~servers
-             ~n_queries:scale.n_queries ~seed ()
+         let loss ~seed =
+           Trace.generate
+             (Trace.config ~kind ~profile:Workloads.Sla_a ~load:0.9 ~servers
+                ~n_queries:scale.n_queries ~seed ())
+           |> Exp_common.run ~n_servers:servers ~scheduler ~dispatcher
+                ~warmup:scale.warmup
+           |> Metrics.avg_loss
          in
-         let loss =
-           Exp_common.avg_loss_over_repeats scale ~make_trace_cfg
-             ~n_servers:servers ~scheduler ~dispatcher
-         in
+         let loss = Exp_common.(mean (repeats scale loss)) in
          { disp_name = Dispatchers.name dispatcher; kind; loss })
 
 let disp_run ppf scale =
@@ -129,46 +131,27 @@ let admission_compute ?(loads = [ 0.9; 1.1; 1.4 ]) (scale : Exp_scale.t) =
   let scheduler = Schedulers.cbs_sla_tree ~rate in
   let planner = Planner.cbs ~rate in
   (* Independent (load, admission) cells fan out across the ambient
-     pool; per-repeat results come back in repeat order and are folded
-     serially (bit-identical to the serial run). *)
-  List.concat_map
-    (fun load -> List.map (fun admission -> (load, admission)) [ false; true ])
-    loads
+     pool. *)
+  Exp_common.product loads [ false; true ]
   |> Parallel.map_list (fun (load, admission) ->
-         let per_repeat =
-           Parallel.map_ordered
-             (fun repeat ->
-               let cfg =
-                 Trace.config ~kind ~profile:Workloads.Sla_b ~load ~servers:2
-                   ~n_queries:scale.n_queries
-                   ~seed:(Exp_scale.seed scale ~repeat)
-                   ()
-               in
-               let metrics =
-                 Exp_common.run_once ~trace_cfg:cfg ~n_servers:2 ~scheduler
-                   ~dispatcher:(Dispatchers.sla_tree ~admission planner)
-                   ~warmup_id:scale.warmup
-               in
-               ( Metrics.avg_loss metrics,
-                 Metrics.avg_profit metrics,
-                 Metrics.rejected_count metrics ))
-             (Array.init scale.repeats Fun.id)
+         let runs =
+           Exp_common.repeats scale (fun ~seed ->
+               Trace.generate
+                 (Trace.config ~kind ~profile:Workloads.Sla_b ~load ~servers:2
+                    ~n_queries:scale.n_queries ~seed ())
+               |> Exp_common.run ~n_servers:2 ~scheduler
+                    ~dispatcher:(Dispatchers.sla_tree ~admission planner)
+                    ~warmup:scale.warmup)
          in
-         let loss = Stats.create ()
-         and profit = Stats.create ()
-         and rejected = ref 0 in
-         Array.iter
-           (fun (l, p, r) ->
-             Stats.add loss l;
-             Stats.add profit p;
-             rejected := !rejected + r)
-           per_repeat;
+         let mean f = Exp_common.mean (Array.map f runs) in
          {
            load;
            admission;
-           avg_loss = Stats.mean loss;
-           avg_profit = Stats.mean profit;
-           rejected = !rejected / scale.repeats;
+           avg_loss = mean Metrics.avg_loss;
+           avg_profit = mean Metrics.avg_profit;
+           rejected =
+             Array.fold_left (fun n m -> n + Metrics.rejected_count m) 0 runs
+             / scale.repeats;
          })
 
 let admission_run ppf scale =
@@ -200,15 +183,12 @@ let predictor_compute (scale : Exp_scale.t) =
   let mape = Cost_predictor.evaluate predictor ~seed:(scale.base_seed + 1) in
   let run ~perfect =
     (* The trained predictor is only read from here, so repeats fan
-       out across the ambient pool; per-repeat (CBS, CBS+SLA-tree)
-       pairs come back in repeat order and are folded serially. *)
+       out across the ambient pool. *)
     let pairs =
-      Parallel.map_ordered
-        (fun repeat ->
+      Exp_common.repeats scale (fun ~seed ->
           let queries =
             Cost_predictor.generate_trace predictor ~profile:Workloads.Sla_b
-              ~load:0.9 ~servers:1 ~n_queries:scale.n_queries
-              ~seed:(Exp_scale.seed scale ~repeat)
+              ~load:0.9 ~servers:1 ~n_queries:scale.n_queries ~seed
           in
           let queries =
             if perfect then
@@ -226,23 +206,14 @@ let predictor_compute (scale : Exp_scale.t) =
           in
           let rate = 1.0 /. mean in
           let loss scheduler =
-            let metrics = Metrics.create ~warmup_id:scale.warmup () in
-            Sim.run ~queries ~n_servers:1
-              ~pick_next:(Schedulers.pick scheduler)
-              ~dispatch:(Dispatchers.instantiate Dispatchers.round_robin)
-              ~metrics ();
-            Metrics.avg_loss metrics
+            Metrics.avg_loss
+              (Exp_common.run ~n_servers:1 ~scheduler
+                 ~dispatcher:Dispatchers.round_robin ~warmup:scale.warmup
+                 queries)
           in
           (loss (Schedulers.cbs ~rate), loss (Schedulers.cbs_sla_tree ~rate)))
-        (Array.init scale.repeats Fun.id)
     in
-    let cbs_acc = Stats.create () and tree_acc = Stats.create () in
-    Array.iter
-      (fun (c, t) ->
-        Stats.add cbs_acc c;
-        Stats.add tree_acc t)
-      pairs;
-    (Stats.mean cbs_acc, Stats.mean tree_acc)
+    Exp_common.(mean (Array.map fst pairs), mean (Array.map snd pairs))
   in
   let p_cbs, p_tree = run ~perfect:true in
   let k_cbs, k_tree = run ~perfect:false in
@@ -296,20 +267,16 @@ let fairness_compute (scale : Exp_scale.t) =
         Breakdown.create ~classify:(classify_sla_b ~mu) ~warmup_id:scale.warmup
       in
       for repeat = 0 to scale.repeats - 1 do
-        let queries =
-          Trace.generate
-            (Trace.config ~kind ~profile:Workloads.Sla_b ~load:0.9 ~servers:1
-               ~n_queries:scale.n_queries
-               ~seed:(Exp_scale.seed scale ~repeat)
-               ())
-        in
-        let metrics = Metrics.create ~warmup_id:scale.warmup () in
-        Sim.run
-          ~on_complete:(Breakdown.record breakdown)
-          ~queries ~n_servers:1
-          ~pick_next:(Schedulers.pick scheduler)
-          ~dispatch:(Dispatchers.instantiate Dispatchers.round_robin)
-          ~metrics ()
+        Trace.generate
+          (Trace.config ~kind ~profile:Workloads.Sla_b ~load:0.9 ~servers:1
+             ~n_queries:scale.n_queries
+             ~seed:(Exp_scale.seed scale ~repeat)
+             ())
+        |> Exp_common.run
+             ~on_complete:(Breakdown.record breakdown)
+             ~n_servers:1 ~scheduler ~dispatcher:Dispatchers.round_robin
+             ~warmup:scale.warmup
+        |> ignore
       done;
       List.map
         (fun c ->
@@ -355,31 +322,21 @@ let hetero_compute (scale : Exp_scale.t) =
   let scheduler = Schedulers.cbs_sla_tree ~rate in
   let planner = Planner.cbs ~rate in
   let n_servers = Array.length hetero_speeds in
-  (* Dispatcher cells fan out; repeats within a cell come back in
-     repeat order and are folded serially. *)
+  (* Dispatcher cells fan out across the ambient pool. *)
   Parallel.map_list
     (fun dispatcher ->
-      let losses =
-        Parallel.map_ordered
-          (fun repeat ->
-            let queries =
-              Trace.generate
-                (Trace.config ~kind ~profile:Workloads.Sla_a ~load:0.9
-                   ~servers:n_servers ~n_queries:scale.n_queries
-                   ~seed:(Exp_scale.seed scale ~repeat)
-                   ())
-            in
-            let metrics = Metrics.create ~warmup_id:scale.warmup () in
-            Sim.run ~speeds:hetero_speeds ~queries ~n_servers
-              ~pick_next:(Schedulers.pick scheduler)
-              ~dispatch:(Dispatchers.instantiate dispatcher)
-              ~metrics ();
-            Metrics.avg_loss metrics)
-          (Array.init scale.repeats Fun.id)
+      let loss ~seed =
+        Trace.generate
+          (Trace.config ~kind ~profile:Workloads.Sla_a ~load:0.9
+             ~servers:n_servers ~n_queries:scale.n_queries ~seed ())
+        |> Exp_common.run ~speeds:hetero_speeds ~n_servers ~scheduler
+             ~dispatcher ~warmup:scale.warmup
+        |> Metrics.avg_loss
       in
-      let acc = Stats.create () in
-      Array.iter (Stats.add acc) losses;
-      { h_disp = Dispatchers.name dispatcher; h_loss = Stats.mean acc })
+      {
+        h_disp = Dispatchers.name dispatcher;
+        h_loss = Exp_common.(mean (repeats scale loss));
+      })
     [ Dispatchers.round_robin; Dispatchers.lwl; Dispatchers.sla_tree planner ]
 
 let hetero_run ppf scale =
@@ -407,44 +364,27 @@ let drop_compute (scale : Exp_scale.t) =
   let kind = Workloads.Exp in
   let rate = Exp_common.cbs_rate kind in
   let scheduler = Schedulers.cbs_sla_tree ~rate in
-  (* Independent (load, drop) cells fan out; per-repeat results come
-     back in repeat order and are folded serially. *)
-  List.concat_map
-    (fun load -> List.map (fun drop -> (load, drop)) [ false; true ])
-    [ 0.9; 1.1; 1.4 ]
+  (* Independent (load, drop) cells fan out across the ambient pool. *)
+  Exp_common.product [ 0.9; 1.1; 1.4 ] [ false; true ]
   |> Parallel.map_list (fun (load, drop) ->
-         let per_repeat =
-           Parallel.map_ordered
-             (fun repeat ->
-               let queries =
-                 Trace.generate
-                   (Trace.config ~kind ~profile:Workloads.Sla_b ~load ~servers:1
-                      ~n_queries:scale.n_queries
-                      ~seed:(Exp_scale.seed scale ~repeat)
-                      ())
-               in
-               let metrics = Metrics.create ~warmup_id:scale.warmup () in
-               let drop_policy =
-                 if drop then Some Sim.drop_past_last_deadline else None
-               in
-               Sim.run ?drop_policy ~queries ~n_servers:1
-                 ~pick_next:(Schedulers.pick scheduler)
-                 ~dispatch:(Dispatchers.instantiate Dispatchers.round_robin)
-                 ~metrics ();
-               (Metrics.avg_profit metrics, Metrics.dropped_count metrics))
-             (Array.init scale.repeats Fun.id)
+         let drop_policy =
+           if drop then Some Sim.drop_past_last_deadline else None
          in
-         let profit = Stats.create () and dropped = ref 0 in
-         Array.iter
-           (fun (p, d) ->
-             Stats.add profit p;
-             dropped := !dropped + d)
-           per_repeat;
+         let runs =
+           Exp_common.repeats scale (fun ~seed ->
+               Trace.generate
+                 (Trace.config ~kind ~profile:Workloads.Sla_b ~load ~servers:1
+                    ~n_queries:scale.n_queries ~seed ())
+               |> Exp_common.run ?drop_policy ~n_servers:1 ~scheduler
+                    ~dispatcher:Dispatchers.round_robin ~warmup:scale.warmup)
+         in
          {
            d_load = load;
            d_drop = drop;
-           d_avg_profit = Stats.mean profit;
-           d_dropped = !dropped / scale.repeats;
+           d_avg_profit = Exp_common.mean (Array.map Metrics.avg_profit runs);
+           d_dropped =
+             Array.fold_left (fun n m -> n + Metrics.dropped_count m) 0 runs
+             / scale.repeats;
          })
 
 let drop_run ppf scale =
@@ -532,13 +472,3 @@ let optimality_run ppf ~seed () =
         c.instances c.mean_greedy_ratio c.worst_greedy_ratio c.mean_fcfs_ratio
         c.greedy_optimal_pct)
     cells
-
-let run_all ppf scale =
-  sched_run ppf scale;
-  disp_run ppf scale;
-  admission_run ppf scale;
-  predictor_run ppf scale;
-  fairness_run ppf scale;
-  hetero_run ppf scale;
-  drop_run ppf scale;
-  optimality_run ppf ~seed:scale.Exp_scale.base_seed ()

@@ -57,7 +57,6 @@ val fairness_run : Format.formatter -> Exp_scale.t -> unit
 
 type hetero_cell = { h_disp : string; h_loss : float }
 
-val hetero_speeds : float array
 val hetero_compute : Exp_scale.t -> hetero_cell list
 val hetero_run : Format.formatter -> Exp_scale.t -> unit
 
@@ -85,6 +84,3 @@ type optimality_cell = {
 val optimality_compute : seed:int -> unit -> optimality_cell list
 
 val optimality_run : Format.formatter -> seed:int -> unit -> unit
-
-(** Every ablation in sequence. *)
-val run_all : Format.formatter -> Exp_scale.t -> unit

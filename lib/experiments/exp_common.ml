@@ -1,5 +1,5 @@
-(* Shared experiment plumbing: named policy sets and repeat-averaged
-   simulation runs. *)
+(* Shared experiment plumbing: named policy sets and the cell runner
+   of the simulation grids. *)
 
 type sched_kind = Fcfs | Fcfs_tree | Cbs | Cbs_tree
 
@@ -37,34 +37,59 @@ let dispatch_setup kind wl =
   | Lwl_tree_sched -> (Dispatchers.lwl, Schedulers.cbs_sla_tree ~rate)
   | Tree_tree -> (Dispatchers.sla_tree planner, Schedulers.cbs_sla_tree ~rate)
 
-(* One simulation run; returns the metrics. *)
-let run_once ~trace_cfg ~n_servers ~scheduler ~dispatcher ~warmup_id =
-  let queries = Trace.generate trace_cfg in
-  let metrics = Metrics.create ~warmup_id () in
-  Sim.run ~queries ~n_servers ~pick_next:(Schedulers.pick scheduler)
+(* ------------------------------------------------------------------ *)
+(* The cell runner of every Sim.run grid. Cells come back in spec order
+   and repeats in repeat order whatever the worker count, and means
+   fold in that order: the [-j N] determinism contract. *)
+
+(* [f ~seed] on each repeat's seed. Repeats are independent (each
+   builds its own trace, metrics and dispatcher state), so they fan out
+   across the ambient pool, serially inside a pooled cell. *)
+let repeats (scale : Exp_scale.t) f =
+  Parallel.map_ordered
+    (fun repeat -> f ~seed:(Exp_scale.seed scale ~repeat))
+    (Array.init scale.repeats Fun.id)
+
+(* Welford mean in array order; a plain sum / n would move the bits. *)
+let mean xs =
+  let acc = Stats.create () in
+  Array.iter (Stats.add acc) xs;
+  Stats.mean acc
+
+let run ?speeds ?drop_policy ?on_complete ~n_servers ~scheduler ~dispatcher
+    ~warmup queries =
+  let metrics = Metrics.create ~warmup_id:warmup () in
+  Sim.run ?on_complete ?speeds ?drop_policy ~queries ~n_servers
+    ~pick_next:(Schedulers.pick scheduler)
     ~dispatch:(Dispatchers.instantiate dispatcher)
     ~metrics ();
   metrics
 
-(* Average loss per query over the scale's repeats (fresh seed each).
-   Repeats are independent — each builds its own trace, metrics and
-   scheduler state from its own seed — so they fan out across the
-   ambient [Parallel] pool; the per-repeat losses come back in repeat
-   order and are folded serially, keeping the reported mean
-   bit-identical to the serial run whatever the worker count. *)
-let avg_loss_over_repeats (scale : Exp_scale.t) ~make_trace_cfg ~n_servers
-    ~scheduler ~dispatcher =
-  let losses =
-    Parallel.map_ordered
-      (fun repeat ->
-        let trace_cfg = make_trace_cfg ~seed:(Exp_scale.seed scale ~repeat) in
-        let metrics =
-          run_once ~trace_cfg ~n_servers ~scheduler ~dispatcher
-            ~warmup_id:scale.warmup
-        in
-        Metrics.avg_loss metrics)
-      (Array.init scale.repeats Fun.id)
+let product xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
+
+let grid ?(profiles = Workloads.all_profiles) ?(kinds = Workloads.all_kinds)
+    ~cols ~rows cell =
+  product (product profiles kinds) (product cols rows)
+  |> Parallel.map_list (fun ((profile, kind), (col, row)) ->
+         cell profile kind col row)
+
+let grid_report ~title ~cols ~col_name ~rows ~row_name cells =
+  let groups = product Workloads.all_profiles Workloads.all_kinds in
+  let value row (profile, kind) col =
+    Option.value (List.assoc_opt (profile, kind, col, row) cells) ~default:Float.nan
   in
-  let acc = Stats.create () in
-  Array.iter (Stats.add acc) losses;
-  Stats.mean acc
+  {
+    Report.title;
+    col_groups =
+      List.map
+        (fun (profile, kind) ->
+          ( Workloads.profile_name profile ^ " " ^ Workloads.kind_name kind,
+            List.map col_name cols ))
+        groups;
+    rows =
+      List.map
+        (fun row ->
+          ( row_name row,
+            Array.of_list (List.concat_map (fun g -> List.map (value row g) cols) groups) ))
+        rows;
+  }

@@ -25,12 +25,6 @@ let shape_name = function
 
 let all_shapes = [ Diurnal; Square; Steady ]
 
-let shape_of_string = function
-  | "steady" -> Ok Steady
-  | "diurnal" -> Ok Diurnal
-  | "square" -> Ok Square
-  | s -> Error (Printf.sprintf "unknown shape %S (diurnal|square|steady)" s)
-
 type row = {
   label : string;
   initial : int;
@@ -196,16 +190,25 @@ type policy_spec =
   | Spec_predictive of { forecast : string option; horizon : int option }
   | Spec_oracle of { rho : float option }
 
-let policy_spec_of_string ?forecast ?horizon ?rho = function
-  | "static" -> Ok Spec_static
-  | "sla-tree" -> Ok Spec_sla_tree
-  | "queue" -> Ok Spec_queue
-  | "predictive" -> Ok (Spec_predictive { forecast; horizon })
-  | "oracle" -> Ok (Spec_oracle { rho })
-  | s ->
-    Error
-      (Printf.sprintf
-         "unknown policy %S (sla-tree|queue|static|predictive|oracle)" s)
+let policy_names = [ "sla-tree"; "queue"; "static"; "predictive"; "oracle" ]
+
+(* A knob the named policy would ignore is refused, naming its option. *)
+let policy_spec_of_string ?forecast ?horizon ?rho name =
+  let owners =
+    [
+      ("--forecast", forecast <> None, "predictive");
+      ("--horizon", horizon <> None, "predictive");
+      ("--oracle-rho", rho <> None, "oracle");
+    ]
+  in
+  match (List.find_opt (fun (_, given, p) -> given && p <> name) owners, name) with
+  | Some (opt, _, p), _ -> Error (Printf.sprintf "%s applies only to --policy %s" opt p)
+  | None, "static" -> Ok Spec_static
+  | None, "sla-tree" -> Ok Spec_sla_tree
+  | None, "queue" -> Ok Spec_queue
+  | None, "predictive" -> Ok (Spec_predictive { forecast; horizon })
+  | None, "oracle" -> Ok (Spec_oracle { rho })
+  | None, s -> Error (Printf.sprintf "unknown policy %S" s)
 
 (* Default oracle utilization for a single run (the comparison table
    sweeps instead). *)

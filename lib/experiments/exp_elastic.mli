@@ -13,8 +13,6 @@ val shape_name : shape -> string
 (** [Diurnal; Square; Steady] — the order the comparison prints. *)
 val all_shapes : shape list
 
-val shape_of_string : string -> (shape, string) result
-
 type row = {
   label : string;
   initial : int;  (** initial pool size *)
@@ -65,8 +63,13 @@ type policy_spec =
   | Spec_predictive of { forecast : string option; horizon : int option }
   | Spec_oracle of { rho : float option }
 
-(** Parse a CLI policy name; the optional knobs are attached to the
-    specs that use them. *)
+(** The policy names {!policy_spec_of_string} knows. *)
+val policy_names : string list
+
+(** Parse a policy name with its knobs: [forecast] and [horizon] for
+    ["predictive"], [rho] for ["oracle"]. A knob given to any other
+    policy is an error naming its CLI option ([--forecast],
+    [--horizon], [--oracle-rho]). *)
 val policy_spec_of_string :
   ?forecast:string ->
   ?horizon:int ->

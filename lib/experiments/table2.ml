@@ -16,75 +16,27 @@ type cell = {
   avg_loss : float;
 }
 
-let compute ?(profiles = Workloads.all_profiles) ?(kinds = Workloads.all_kinds)
-    ?(loads = default_loads) (scale : Exp_scale.t) =
-  (* Cells are independent, so whole cells fan out across the ambient
-     pool (repeats inside a cell then run serially on their worker);
-     [map_list] returns them in spec order, so the table is identical
-     to the serial run. *)
-  List.concat_map
-    (fun profile ->
-      List.concat_map
-        (fun kind ->
-          List.concat_map
-            (fun load -> List.map (fun sched -> (profile, kind, load, sched)) schedulers)
-            loads)
-        kinds)
-    profiles
-  |> Parallel.map_list (fun (profile, kind, load, sched) ->
-         let make_trace_cfg ~seed =
-           Trace.config ~kind ~profile ~load ~servers:1
-             ~n_queries:scale.n_queries ~seed ()
-         in
-         let avg_loss =
-           Exp_common.avg_loss_over_repeats scale ~make_trace_cfg ~n_servers:1
-             ~scheduler:(Exp_common.scheduler_of sched kind)
-             ~dispatcher:Dispatchers.round_robin
-         in
-         { profile; kind; load; sched; avg_loss })
+let compute ?profiles ?kinds ?(loads = default_loads) (scale : Exp_scale.t) =
+  Exp_common.grid ?profiles ?kinds ~cols:loads ~rows:schedulers
+    (fun profile kind load sched ->
+      let scheduler = Exp_common.scheduler_of sched kind in
+      let loss ~seed =
+        Trace.generate
+          (Trace.config ~kind ~profile ~load ~servers:1
+             ~n_queries:scale.n_queries ~seed ())
+        |> Exp_common.run ~n_servers:1 ~scheduler
+             ~dispatcher:Dispatchers.round_robin ~warmup:scale.warmup
+        |> Metrics.avg_loss
+      in
+      let avg_loss = Exp_common.(mean (repeats scale loss)) in
+      { profile; kind; load; sched; avg_loss })
 
 let to_report ?(loads = default_loads) cells =
-  let col_groups =
-    List.concat_map
-      (fun profile ->
-        List.map
-          (fun kind ->
-            ( Workloads.profile_name profile ^ " " ^ Workloads.kind_name kind,
-              List.map (Printf.sprintf "%.1f") loads ))
-          Workloads.all_kinds)
-      Workloads.all_profiles
-  in
-  let rows =
-    List.map
-      (fun sched ->
-        let cells_for =
-          List.concat_map
-            (fun profile ->
-              List.concat_map
-                (fun kind ->
-                  List.map
-                    (fun load ->
-                      match
-                        List.find_opt
-                          (fun c ->
-                            c.profile = profile && c.kind = kind
-                            && c.load = load && c.sched = sched)
-                          cells
-                      with
-                      | Some c -> c.avg_loss
-                      | None -> Float.nan)
-                    loads)
-                Workloads.all_kinds)
-            Workloads.all_profiles
-        in
-        (Exp_common.sched_name sched, Array.of_list cells_for))
-      schedulers
-  in
-  {
-    Report.title = "Table 2: scheduling, average profit loss per query";
-    col_groups;
-    rows;
-  }
+  Exp_common.grid_report
+    ~title:"Table 2: scheduling, average profit loss per query" ~cols:loads
+    ~col_name:(Printf.sprintf "%.1f") ~rows:schedulers
+    ~row_name:Exp_common.sched_name
+    (List.map (fun c -> ((c.profile, c.kind, c.load, c.sched), c.avg_loss)) cells)
 
 let run ppf scale =
   let cells = compute scale in

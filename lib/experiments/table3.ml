@@ -17,74 +17,28 @@ type cell = {
   avg_loss : float;
 }
 
-let compute ?(profiles = Workloads.all_profiles) ?(kinds = Workloads.all_kinds)
-    ?(servers = default_servers) (scale : Exp_scale.t) =
-  (* Independent cells fan out across the ambient pool in spec order
-     (see Table2.compute). *)
-  List.concat_map
-    (fun profile ->
-      List.concat_map
-        (fun kind ->
-          List.concat_map
-            (fun m -> List.map (fun disp -> (profile, kind, m, disp)) dispatchers)
-            servers)
-        kinds)
-    profiles
-  |> Parallel.map_list (fun (profile, kind, m, disp) ->
-         let dispatcher, scheduler = Exp_common.dispatch_setup disp kind in
-         let make_trace_cfg ~seed =
-           Trace.config ~kind ~profile ~load ~servers:m
-             ~n_queries:scale.n_queries ~seed ()
-         in
-         let avg_loss =
-           Exp_common.avg_loss_over_repeats scale ~make_trace_cfg ~n_servers:m
-             ~scheduler ~dispatcher
-         in
-         { profile; kind; servers = m; disp; avg_loss })
+let compute ?profiles ?kinds ?(servers = default_servers) (scale : Exp_scale.t) =
+  Exp_common.grid ?profiles ?kinds ~cols:servers ~rows:dispatchers
+    (fun profile kind m disp ->
+      let dispatcher, scheduler = Exp_common.dispatch_setup disp kind in
+      let loss ~seed =
+        Trace.generate
+          (Trace.config ~kind ~profile ~load ~servers:m
+             ~n_queries:scale.n_queries ~seed ())
+        |> Exp_common.run ~n_servers:m ~scheduler ~dispatcher
+             ~warmup:scale.warmup
+        |> Metrics.avg_loss
+      in
+      let avg_loss = Exp_common.(mean (repeats scale loss)) in
+      { profile; kind; servers = m; disp; avg_loss })
 
 let to_report ?(servers = default_servers) cells =
-  let col_groups =
-    List.concat_map
-      (fun profile ->
-        List.map
-          (fun kind ->
-            ( Workloads.profile_name profile ^ " " ^ Workloads.kind_name kind,
-              List.map string_of_int servers ))
-          Workloads.all_kinds)
-      Workloads.all_profiles
-  in
-  let rows =
-    List.map
-      (fun disp ->
-        let cells_for =
-          List.concat_map
-            (fun profile ->
-              List.concat_map
-                (fun kind ->
-                  List.map
-                    (fun m ->
-                      match
-                        List.find_opt
-                          (fun c ->
-                            c.profile = profile && c.kind = kind
-                            && c.servers = m && c.disp = disp)
-                          cells
-                      with
-                      | Some c -> c.avg_loss
-                      | None -> Float.nan)
-                    servers)
-                Workloads.all_kinds)
-            Workloads.all_profiles
-        in
-        (Exp_common.disp_name disp, Array.of_list cells_for))
-      dispatchers
-  in
-  {
-    Report.title =
-      "Table 3: dispatching, average profit loss per query (server # columns)";
-    col_groups;
-    rows;
-  }
+  Exp_common.grid_report
+    ~title:
+      "Table 3: dispatching, average profit loss per query (server # columns)"
+    ~cols:servers ~col_name:string_of_int ~rows:dispatchers
+    ~row_name:Exp_common.disp_name
+    (List.map (fun c -> ((c.profile, c.kind, c.servers, c.disp), c.avg_loss)) cells)
 
 let run ppf scale =
   let cells = compute scale in

@@ -1,10 +1,6 @@
 (** Table 3 (Sec 7.3): dispatching comparison at load 0.9 across server
     counts. *)
 
-val default_servers : int list
-val load : float
-val dispatchers : Exp_common.disp_kind list
-
 type cell = {
   profile : Workloads.sla_profile;
   kind : Workloads.kind;

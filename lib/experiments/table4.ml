@@ -14,26 +14,21 @@ type cell = {
 
 let compute ?(kinds = Workloads.all_kinds) ?(servers = default_servers)
     (scale : Exp_scale.t) =
-  (* Cells fan out across the ambient pool; within a cell the repeats
-     fan out too when a pool is free (both levels degrade to serial
-     under nesting). Per-repeat (estimate, ground-truth) pairs come
-     back in repeat order and are folded serially, so both means stay
-     bit-identical to the serial run. *)
-  List.concat_map (fun kind -> List.map (fun m -> (kind, m)) servers) kinds
+  (* Cells fan out across the ambient pool, and within a cell the
+     repeats too when a pool is free (both levels degrade to serial
+     under nesting); each mean folds in repeat order. *)
+  Exp_common.product kinds servers
   |> Parallel.map_list (fun (kind, m) ->
          let rate = Exp_common.cbs_rate kind in
          let planner = Planner.cbs ~rate in
          let scheduler = Schedulers.cbs_sla_tree ~rate in
          let pairs =
-           Parallel.map_ordered
-             (fun repeat ->
-               let cfg =
-                 Trace.config ~kind ~profile:Workloads.Sla_a ~load ~servers:m
-                   ~n_queries:scale.n_queries
-                   ~seed:(Exp_scale.seed scale ~repeat)
-                   ()
+           Exp_common.repeats scale (fun ~seed ->
+               let queries =
+                 Trace.generate
+                   (Trace.config ~kind ~profile:Workloads.Sla_a ~load
+                      ~servers:m ~n_queries:scale.n_queries ~seed ())
                in
-               let queries = Trace.generate cfg in
                let _, e =
                  Capacity.run_with_estimation ~queries ~n_servers:m ~planner
                    ~scheduler ~warmup_id:scale.warmup
@@ -41,15 +36,13 @@ let compute ?(kinds = Workloads.all_kinds) ?(servers = default_servers)
                ( e.Capacity.est_margin_per_query,
                  Capacity.ground_truth ~queries ~n_servers:m ~planner
                    ~scheduler ~warmup_id:scale.warmup ))
-             (Array.init scale.repeats Fun.id)
          in
-         let gt = Stats.create () and est = Stats.create () in
-         Array.iter
-           (fun (e, g) ->
-             Stats.add est e;
-             Stats.add gt g)
-           pairs;
-         { kind; servers = m; ground_truth = Stats.mean gt; estimate = Stats.mean est })
+         {
+           kind;
+           servers = m;
+           ground_truth = Exp_common.mean (Array.map snd pairs);
+           estimate = Exp_common.mean (Array.map fst pairs);
+         })
 
 let to_report ?(servers = default_servers) cells =
   let col_groups = [ ("Server #", List.map string_of_int servers) ] in

@@ -2,9 +2,6 @@
     extra server, ground truth vs SLA-tree estimate (SLA-A,
     load 0.9). *)
 
-val default_servers : int list
-val load : float
-
 type cell = {
   kind : Workloads.kind;
   servers : int;

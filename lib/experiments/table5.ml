@@ -19,75 +19,29 @@ let error_of sigma2 =
   if sigma2 = 0.0 then Estimate_error.none
   else Estimate_error.gaussian ~sigma2 ()
 
-let compute ?(profiles = Workloads.all_profiles) ?(kinds = Workloads.all_kinds)
-    ?(sigmas = default_sigmas) (scale : Exp_scale.t) =
-  (* Independent cells fan out across the ambient pool in spec order
-     (see Table2.compute). *)
-  List.concat_map
-    (fun profile ->
-      List.concat_map
-        (fun kind ->
-          List.concat_map
-            (fun sigma2 ->
-              List.map (fun sched -> (profile, kind, sigma2, sched)) schedulers)
-            sigmas)
-        kinds)
-    profiles
-  |> Parallel.map_list (fun (profile, kind, sigma2, sched) ->
-         let make_trace_cfg ~seed =
-           Trace.config ~error:(error_of sigma2) ~kind ~profile ~load ~servers:1
-             ~n_queries:scale.n_queries ~seed ()
-         in
-         let avg_loss =
-           Exp_common.avg_loss_over_repeats scale ~make_trace_cfg ~n_servers:1
-             ~scheduler:(Exp_common.scheduler_of sched kind)
-             ~dispatcher:Dispatchers.round_robin
-         in
-         { profile; kind; sigma2; sched; avg_loss })
+let compute ?profiles ?kinds ?(sigmas = default_sigmas) (scale : Exp_scale.t) =
+  Exp_common.grid ?profiles ?kinds ~cols:sigmas ~rows:schedulers
+    (fun profile kind sigma2 sched ->
+      let scheduler = Exp_common.scheduler_of sched kind in
+      let loss ~seed =
+        Trace.generate
+          (Trace.config ~error:(error_of sigma2) ~kind ~profile ~load ~servers:1
+             ~n_queries:scale.n_queries ~seed ())
+        |> Exp_common.run ~n_servers:1 ~scheduler
+             ~dispatcher:Dispatchers.round_robin ~warmup:scale.warmup
+        |> Metrics.avg_loss
+      in
+      let avg_loss = Exp_common.(mean (repeats scale loss)) in
+      { profile; kind; sigma2; sched; avg_loss })
 
 let to_report ?(sigmas = default_sigmas) cells =
-  let col_groups =
-    List.concat_map
-      (fun profile ->
-        List.map
-          (fun kind ->
-            ( Workloads.profile_name profile ^ " " ^ Workloads.kind_name kind,
-              List.map (Printf.sprintf "%.1f") sigmas ))
-          Workloads.all_kinds)
-      Workloads.all_profiles
-  in
-  let rows =
-    List.map
-      (fun sched ->
-        let cells_for =
-          List.concat_map
-            (fun profile ->
-              List.concat_map
-                (fun kind ->
-                  List.map
-                    (fun sigma2 ->
-                      match
-                        List.find_opt
-                          (fun c ->
-                            c.profile = profile && c.kind = kind
-                            && c.sigma2 = sigma2 && c.sched = sched)
-                          cells
-                      with
-                      | Some c -> c.avg_loss
-                      | None -> Float.nan)
-                    sigmas)
-                Workloads.all_kinds)
-            Workloads.all_profiles
-        in
-        (Exp_common.sched_name sched, Array.of_list cells_for))
-      schedulers
-  in
-  {
-    Report.title =
-      "Table 5: scheduling robustness vs estimation error (load 0.9; columns are sigma^2)";
-    col_groups;
-    rows;
-  }
+  Exp_common.grid_report
+    ~title:
+      "Table 5: scheduling robustness vs estimation error (load 0.9; columns \
+       are sigma^2)"
+    ~cols:sigmas ~col_name:(Printf.sprintf "%.1f") ~rows:schedulers
+    ~row_name:Exp_common.sched_name
+    (List.map (fun c -> ((c.profile, c.kind, c.sigma2, c.sched), c.avg_loss)) cells)
 
 let run ppf scale =
   let cells = compute scale in

@@ -1,9 +1,5 @@
 (** Table 5 (Sec 7.5): scheduling robustness to estimation error. *)
 
-val default_sigmas : float list
-val load : float
-val schedulers : Exp_common.sched_kind list
-
 type cell = {
   profile : Workloads.sla_profile;
   kind : Workloads.kind;

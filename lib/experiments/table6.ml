@@ -17,75 +17,29 @@ type cell = {
   avg_loss : float;
 }
 
-let compute ?(profiles = Workloads.all_profiles) ?(kinds = Workloads.all_kinds)
-    ?(sigmas = default_sigmas) (scale : Exp_scale.t) =
-  (* Independent cells fan out across the ambient pool in spec order
-     (see Table2.compute). *)
-  List.concat_map
-    (fun profile ->
-      List.concat_map
-        (fun kind ->
-          List.concat_map
-            (fun sigma2 ->
-              List.map (fun disp -> (profile, kind, sigma2, disp)) dispatchers)
-            sigmas)
-        kinds)
-    profiles
-  |> Parallel.map_list (fun (profile, kind, sigma2, disp) ->
-         let dispatcher, scheduler = Exp_common.dispatch_setup disp kind in
-         let make_trace_cfg ~seed =
-           Trace.config ~error:(Table5.error_of sigma2) ~kind ~profile ~load
-             ~servers ~n_queries:scale.n_queries ~seed ()
-         in
-         let avg_loss =
-           Exp_common.avg_loss_over_repeats scale ~make_trace_cfg
-             ~n_servers:servers ~scheduler ~dispatcher
-         in
-         { profile; kind; sigma2; disp; avg_loss })
+let compute ?profiles ?kinds ?(sigmas = default_sigmas) (scale : Exp_scale.t) =
+  Exp_common.grid ?profiles ?kinds ~cols:sigmas ~rows:dispatchers
+    (fun profile kind sigma2 disp ->
+      let dispatcher, scheduler = Exp_common.dispatch_setup disp kind in
+      let loss ~seed =
+        Trace.generate
+          (Trace.config ~error:(Table5.error_of sigma2) ~kind ~profile ~load
+             ~servers ~n_queries:scale.n_queries ~seed ())
+        |> Exp_common.run ~n_servers:servers ~scheduler ~dispatcher
+             ~warmup:scale.warmup
+        |> Metrics.avg_loss
+      in
+      let avg_loss = Exp_common.(mean (repeats scale loss)) in
+      { profile; kind; sigma2; disp; avg_loss })
 
 let to_report ?(sigmas = default_sigmas) cells =
-  let col_groups =
-    List.concat_map
-      (fun profile ->
-        List.map
-          (fun kind ->
-            ( Workloads.profile_name profile ^ " " ^ Workloads.kind_name kind,
-              List.map (Printf.sprintf "%.1f") sigmas ))
-          Workloads.all_kinds)
-      Workloads.all_profiles
-  in
-  let rows =
-    List.map
-      (fun disp ->
-        let cells_for =
-          List.concat_map
-            (fun profile ->
-              List.concat_map
-                (fun kind ->
-                  List.map
-                    (fun sigma2 ->
-                      match
-                        List.find_opt
-                          (fun c ->
-                            c.profile = profile && c.kind = kind
-                            && c.sigma2 = sigma2 && c.disp = disp)
-                          cells
-                      with
-                      | Some c -> c.avg_loss
-                      | None -> Float.nan)
-                    sigmas)
-                Workloads.all_kinds)
-            Workloads.all_profiles
-        in
-        (Exp_common.disp_name disp, Array.of_list cells_for))
-      dispatchers
-  in
-  {
-    Report.title =
-      "Table 6: dispatching robustness vs estimation error (5 servers; columns are sigma^2)";
-    col_groups;
-    rows;
-  }
+  Exp_common.grid_report
+    ~title:
+      "Table 6: dispatching robustness vs estimation error (5 servers; \
+       columns are sigma^2)"
+    ~cols:sigmas ~col_name:(Printf.sprintf "%.1f") ~rows:dispatchers
+    ~row_name:Exp_common.disp_name
+    (List.map (fun c -> ((c.profile, c.kind, c.sigma2, c.disp), c.avg_loss)) cells)
 
 let run ppf scale =
   let cells = compute scale in

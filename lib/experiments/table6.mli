@@ -1,11 +1,6 @@
 (** Table 6 (Sec 7.5): dispatching robustness to estimation error
     (5 servers, load 0.9). *)
 
-val default_sigmas : float list
-val load : float
-val servers : int
-val dispatchers : Exp_common.disp_kind list
-
 type cell = {
   profile : Workloads.sla_profile;
   kind : Workloads.kind;

@@ -21,34 +21,22 @@ let compute ?(loads = default_loads) ?(servers = default_servers)
   let service_rate = 1.0 /. mu_ms in
   let bound = 2.0 *. mu_ms in
   (* Independent (servers, load) cells fan out across the ambient
-     pool; repeats within a cell come back in repeat order and are
-     folded serially (bit-identical to the serial run). *)
-  List.concat_map (fun m -> List.map (fun load -> (m, load)) loads) servers
+     pool. *)
+  Exp_common.product servers loads
   |> Parallel.map_list (fun (m, load) ->
-         let losses =
-           Parallel.map_ordered
-             (fun repeat ->
-               let cfg =
-                 Trace.config ~kind:Workloads.Exp ~profile:Workloads.Sla_a ~load
-                   ~servers:m ~n_queries:scale.n_queries
-                   ~seed:(Exp_scale.seed scale ~repeat)
-                   ()
-               in
-               let metrics =
-                 Exp_common.run_once ~trace_cfg:cfg ~n_servers:m
-                   ~scheduler:Schedulers.fcfs ~dispatcher:Dispatchers.lwl
-                   ~warmup_id:scale.warmup
-               in
-               Metrics.avg_loss metrics)
-             (Array.init scale.repeats Fun.id)
+         let loss ~seed =
+           Trace.generate
+             (Trace.config ~kind:Workloads.Exp ~profile:Workloads.Sla_a ~load
+                ~servers:m ~n_queries:scale.n_queries ~seed ())
+           |> Exp_common.run ~n_servers:m ~scheduler:Schedulers.fcfs
+                ~dispatcher:Dispatchers.lwl ~warmup:scale.warmup
+           |> Metrics.avg_loss
          in
-         let acc = Stats.create () in
-         Array.iter (Stats.add acc) losses;
          let arrival_rate = load *. Float.of_int m *. service_rate in
          {
            servers = m;
            load;
-           simulated = Stats.mean acc;
+           simulated = Exp_common.(mean (repeats scale loss));
            analytic =
              Queueing.mmm_response_tail ~servers:m ~arrival_rate ~service_rate
                ~t:bound;

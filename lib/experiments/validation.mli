@@ -8,8 +8,5 @@ type row = {
   analytic : float;
 }
 
-val default_loads : float list
-val default_servers : int list
-
 val compute : ?loads:float list -> ?servers:int list -> Exp_scale.t -> row list
 val run : Format.formatter -> Exp_scale.t -> unit

@@ -298,6 +298,35 @@ let test_ablation_predictor_structure () =
         (Float.is_finite c.Ablations.cbs_loss && Float.is_finite c.tree_loss))
     cells
 
+(* ------------------------------------------------------------------ *)
+(* Elastic policy specs: a knob the chosen policy ignores is refused *)
+
+let check_knob ~opt result =
+  match result with
+  | Ok _ -> Alcotest.failf "%s accepted by a policy that ignores it" opt
+  | Error e ->
+    check_bool (Printf.sprintf "error %S names %s" e opt) true
+      (String.starts_with ~prefix:opt e)
+
+let test_spec_forecast_needs_predictive () =
+  check_knob ~opt:"--forecast"
+    (Exp_elastic.policy_spec_of_string ~forecast:"hw:12" "sla-tree");
+  check_bool "predictive takes it" true
+    (Result.is_ok
+       (Exp_elastic.policy_spec_of_string ~forecast:"hw:12" "predictive"))
+
+let test_spec_horizon_needs_predictive () =
+  check_knob ~opt:"--horizon"
+    (Exp_elastic.policy_spec_of_string ~horizon:3 "oracle");
+  check_bool "predictive takes it" true
+    (Result.is_ok (Exp_elastic.policy_spec_of_string ~horizon:3 "predictive"))
+
+let test_spec_rho_needs_oracle () =
+  check_knob ~opt:"--oracle-rho"
+    (Exp_elastic.policy_spec_of_string ~rho:0.5 "queue");
+  check_bool "oracle takes it" true
+    (Result.is_ok (Exp_elastic.policy_spec_of_string ~rho:0.5 "oracle"))
+
 (* Runners should print without raising. *)
 let test_runners_print () =
   let buf = Buffer.create 4096 in
@@ -353,6 +382,15 @@ let () =
           Alcotest.test_case "admission structure" `Slow test_ablation_admission_structure;
           Alcotest.test_case "predictor structure" `Slow test_ablation_predictor_structure;
           Alcotest.test_case "fairness per class" `Slow test_ablation_fairness;
+        ] );
+      ( "elastic spec",
+        [
+          Alcotest.test_case "--forecast needs predictive" `Quick
+            test_spec_forecast_needs_predictive;
+          Alcotest.test_case "--horizon needs predictive" `Quick
+            test_spec_horizon_needs_predictive;
+          Alcotest.test_case "--oracle-rho needs oracle" `Quick
+            test_spec_rho_needs_oracle;
         ] );
       ( "figures",
         [

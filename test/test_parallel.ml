@@ -179,7 +179,7 @@ let prop_exception_deterministic =
 (* ------------------------------------------------------------------ *)
 (* Serial-vs-parallel equivalence of the experiment grids (tiny
    scale). [repeats = 2] exercises the within-cell repeat fan-out of
-   Exp_common.avg_loss_over_repeats and Table 4's pair fold. *)
+   Exp_common.repeats and Table 4's pair fold. *)
 
 let tiny : Exp_scale.t =
   { Exp_scale.n_queries = 600; warmup = 300; repeats = 2; base_seed = 4242 }
