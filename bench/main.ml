@@ -6,7 +6,8 @@
    then one pick of the shipped schedulers and one dispatch decision.
    Six sections time and check whole runs: sim_throughput, faults,
    elastic, forecast, swf and tenancy; a seventh, wire, times the
-   streaming decoder per message. Whole-run throughput, obs overhead,
+   streaming decoder per message, and an eighth, trace.generate, the
+   trace generator per query. Whole-run throughput, obs overhead,
    the parallel runner and the socket path are perfbench's.
 
    Scale follows SLATREE_SCALE (see Exp_scale): "smoke" | "default" |
@@ -55,6 +56,17 @@ let decision_tests =
       let buffer = buffer_of n in
       let arena = Sla_tree.create_arena () in
       Staged.stage (fun () -> Fig17.decision ~arena ~now buffer))
+
+(* The production pick over the same buffers at the same instant: one
+   FCFS+SLA-tree pick beside each [sched.decision:N]. The far-future
+   bounds leave every candidate's own gain at 0, so no candidate is
+   probed and the row times the O(N) candidate loop alone. *)
+let fcfs_tree_fig17_tests =
+  Test.make_indexed ~name:"sched.fcfs_tree.fig17" ~fmt:"%s:%d" ~args:sizes
+    (fun n ->
+      let buffer = buffer_of n in
+      let pick = Schedulers.pick Schedulers.fcfs_sla_tree in
+      Staged.stage (fun () -> ignore (pick ~now buffer)))
 
 (* One dispatch decision over M servers. The session is warmed to load
    0.9 by 20 queries per server through the CLI's default pair, then
@@ -213,6 +225,7 @@ let run_micro () =
         postpone_tests;
         naive_postpone_tests;
         decision_tests;
+        fcfs_tree_fig17_tests;
         cbs_tests;
         cbs_tree_tests;
         fcfs_tree_tests;
@@ -711,6 +724,53 @@ let run_tenancy scale =
       ("degraded", count degraded);
     ]
 
+(* trace.generate: the generation path every experiment and perfbench
+   workload starts from, per generated query of a 20 000-query SLA-B
+   trace: wall nanoseconds (median of five rounds) and minor words,
+   which repeat exactly from run to run. The check bounds the words:
+   queries that each carried a copy of their SLA paid 37 more. *)
+let run_trace_generate () =
+  let n = 20_000 in
+  Fmt.pr "=== trace.generate: %d SLA-B queries ===@." n;
+  Fmt.pr "%-8s %12s %12s@." "kind" "ns/query" "words/query";
+  let rows =
+    List.map
+      (fun kind ->
+        let cfg =
+          Trace.config ~kind ~profile:Workloads.Sla_b ~load:0.9 ~servers:1
+            ~n_queries:n ~seed:42 ()
+        in
+        ignore (Trace.generate cfg);
+        let w0 = Gc.minor_words () in
+        ignore (Sys.opaque_identity (Trace.generate cfg));
+        let words = (Gc.minor_words () -. w0) /. Float.of_int n in
+        let round () =
+          Gc.compact ();
+          let t0 = Obs.now_ns () in
+          ignore (Sys.opaque_identity (Trace.generate cfg));
+          Int64.to_float (Int64.sub (Obs.now_ns ()) t0) /. Float.of_int n
+        in
+        let ns = Stats.percentile (Array.init 5 (fun _ -> round ())) 50.0 in
+        let name = Workloads.kind_name kind in
+        Fmt.pr "%-8s %12.1f %12.1f@." name ns words;
+        (name, ns, words))
+      [ Workloads.Exp; Workloads.Pareto ]
+  in
+  Fmt.pr "@.";
+  check "trace.generate words per query <= 64"
+    (List.for_all (fun (_, _, words) -> words <= 64.0) rows);
+  Jsonx.Arr
+    (List.map
+       (fun (name, ns, words) ->
+         Jsonx.Obj
+           [
+             ("kind", Jsonx.Str name);
+             ("queries", count n);
+             ("ns_per_query", num ns);
+             ("minor_words_per_query", num words);
+           ])
+       rows)
+
 (* wire: the streaming decoder, per message. It is fed the binary
    Submit frames of a 20 000-query trace in reads of 128 B and of
    64 KiB, the daemon's read size, and drained after each read; each
@@ -787,6 +847,7 @@ let () =
   let swf = run_swf scale in
   let tenancy = run_tenancy scale in
   let wire = run_wire () in
+  let trace_generate = run_trace_generate () in
   let micro = run_micro () in
   let path = "BENCH_sim.json" in
   let json =
@@ -803,6 +864,7 @@ let () =
         ("swf", swf);
         ("tenancy", tenancy);
         ("wire", wire);
+        ("trace_generate", trace_generate);
       ]
   in
   Out_channel.with_open_text path (fun oc ->

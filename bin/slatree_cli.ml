@@ -545,8 +545,17 @@ let elastic_cmd =
   let servers =
     Arg.(value & opt int 4 & info [ "servers" ] ~docv:"M" ~doc:"Initial pool size")
   in
+  (* Parsed with the command line, so a bad spec exits 124 before the
+     scale line prints; the policy builds its own forecaster from the
+     string. *)
+  let forecast_conv =
+    let parse s =
+      Result.map_error (fun e -> `Msg e) (Result.map (fun _ -> s) (Forecast.of_spec s))
+    in
+    Arg.conv (parse, Fmt.string)
+  in
   let forecast =
-    Arg.(value & opt (some string) None & info [ "forecast" ] ~docv:"SPEC"
+    Arg.(value & opt (some forecast_conv) None & info [ "forecast" ] ~docv:"SPEC"
            ~doc:("Forecaster for --policy predictive: " ^ Forecast.spec_doc
                  ^ " (default hw:24, matching the 24 decisions per cycle)"))
   in

@@ -405,13 +405,14 @@ let expand_units a entries =
   let k = ref 0 in
   Array.iteri
     (fun pos e ->
-      let comps = Sla.components e.Schedule.query.Query.sla in
-      for c = 0 to Array.length comps - 1 do
-        a.u_key.(!k) <- Schedule.slack e ~bound:comps.(c).Sla.comp_bound;
-        a.u_uid.(!k) <- pos;
-        a.u_gain.(!k) <- comps.(c).Sla.comp_gain;
-        incr k
-      done)
+      let q = e.Schedule.query in
+      let next =
+        Sla.write_units q.Query.sla ~arrival:q.Query.arrival
+          ~completion:(Schedule.completion e) ~keys:a.u_key ~unit_gains:a.u_gain
+          ~at:!k
+      in
+      Array.fill a.u_uid !k (next - !k) pos;
+      k := next)
     entries;
   let p = ref 0 in
   for i = 0 to total - 1 do

@@ -86,10 +86,11 @@ let best_rush tree =
    as the oracle.
    A float passed to or returned from a call that is not inlined is
    boxed, so all of it is written out in this one body, and the default
-   build inlines the candidate's two [Sla.profit] calls: a pick
-   allocates only its answer, whatever the buffer's length. (Under
-   [--profile dev], whose [-opaque] stops inlining across modules, the
-   two calls also box their responses and results.) *)
+   build inlines the candidate's two [Sla.profit] calls and each
+   predecessor's [Sla.add_postpone_loss]: a pick allocates only its
+   answer, whatever the buffer's length. (Under [--profile dev], whose
+   [-opaque] stops inlining across modules, those calls also box their
+   float arguments and results.) *)
 let best_rush_planned ?probes ~now planned =
   let n = Array.length planned in
   if n = 0 then None
@@ -111,14 +112,9 @@ let best_rush_planned ?probes ~now planned =
           for j = 0 to i - 1 do
             let p = planned.(j) in
             let completion = !t +. p.Query.est_size in
-            let comps = Sla.components p.Query.sla in
-            for c = 0 to Array.length comps - 1 do
-              let s =
-                (p.Query.arrival +. comps.(c).Sla.comp_bound) -. completion
-              in
-              if s >= 0.0 && s < tau then
-                loss := !loss +. comps.(c).Sla.comp_gain
-            done;
+            loss :=
+              Sla.add_postpone_loss p.Query.sla ~arrival:p.Query.arrival
+                ~completion ~tau !loss;
             t := completion
           done
         end;

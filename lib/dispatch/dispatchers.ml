@@ -196,13 +196,9 @@ let insertion_profit planner sim sid =
         for k = pos to n - 1 do
           let p = planned.(k) in
           let completion = !t +. p.Query.est_size in
-          let comps = Sla.components p.Query.sla in
-          for c = 0 to Array.length comps - 1 do
-            let s =
-              (p.Query.arrival +. comps.(c).Sla.comp_bound) -. completion
-            in
-            if s >= 0.0 && s < tau then lost := !lost +. comps.(c).Sla.comp_gain
-          done;
+          lost :=
+            Sla.add_postpone_loss p.Query.sla ~arrival:p.Query.arrival
+              ~completion ~tau !lost;
           t := completion
         done;
         own -. !lost

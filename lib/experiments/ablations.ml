@@ -247,9 +247,9 @@ type fairness_cell = {
   n : int;
 }
 
-let classify_sla_b ~mu q =
-  if Sla.equal q.Query.sla (Sla_profiles.sla_b_employee ~mu) then "employee"
-  else "buyer"
+let classify_sla_b ~mu =
+  let employee = Sla_profiles.sla_b_employee ~mu in
+  fun q -> if Sla.equal q.Query.sla employee then "employee" else "buyer"
 
 let fairness_compute (scale : Exp_scale.t) =
   let kind = Workloads.Exp in

@@ -22,18 +22,14 @@ type point = {
 let make_buffer ~seed n =
   let rng = Prng.create seed in
   let mu = 20.0 in
+  let sla =
+    Sla.make
+      ~levels:[ { bound = 1e7; gain = 2.0 }; { bound = 2e7; gain = 1.0 } ]
+      ~penalty:0.0
+  in
   Array.init n (fun id ->
       let size = Prng.exponential rng ~mean:mu in
       let arrival = Prng.float rng *. 100.0 in
-      let sla =
-        Sla.make
-          ~levels:
-            [
-              { bound = 1e7; gain = 2.0 };
-              { bound = 2e7; gain = 1.0 };
-            ]
-          ~penalty:0.0
-      in
       Query.make ~id ~arrival ~size ~sla ())
 
 (* Every position's rush question, not [What_if.best_rush]: the far

@@ -37,11 +37,19 @@ let ewma ?(alpha = 0.4) () =
   check_weight "ewma" alpha;
   { model = Ewma { alpha }; n = 0; level = 0.0; trend = 0.0; warm_level = 0.0 }
 
+(* Two season-long float arrays per forecaster: the cap keeps a spec
+   from asking for gigabytes. A cycle of one-minute ticks over a week
+   is 10 080. *)
+let max_season = 100_000
+
 let holt_winters ?(alpha = 0.35) ?(beta = 0.1) ?(gamma = 0.3) ~season () =
   check_weight "holt_winters" alpha;
   check_weight "holt_winters" beta;
   check_weight "holt_winters" gamma;
   if season < 2 then invalid_arg "Forecast.holt_winters: season must be >= 2";
+  if season > max_season then
+    invalid_arg
+      (Printf.sprintf "Forecast.holt_winters: season must be <= %d" max_season);
   {
     model =
       Holt_winters
@@ -118,27 +126,44 @@ let predict t ~horizon =
 
 let spec_doc = "ewma | ewma:ALPHA | hw:SEASON | hw:SEASON:ALPHA:BETA:GAMMA"
 
+(* Each error names the part of the spec that broke its rule, and the
+   rule: a season must be an integer in [2, max_season], a weight a
+   number in (0, 1]. *)
 let of_spec s =
-  let fail () = Error (Printf.sprintf "bad forecaster spec %S (%s)" s spec_doc) in
-  let num x = float_of_string_opt x in
+  let ( let* ) = Result.bind in
+  let fail fmt =
+    Printf.ksprintf
+      (fun e -> Error (Printf.sprintf "bad forecaster spec %S: %s (grammar: %s)" s e spec_doc))
+      fmt
+  in
+  let weight name x =
+    match float_of_string_opt x with
+    | Some w when w > 0.0 && w <= 1.0 -> Ok w
+    | Some _ -> fail "%s %S must be in (0, 1]" name x
+    | None -> fail "%s %S is not a number" name x
+  in
+  let season p =
+    match int_of_string_opt p with
+    | Some n when n < 2 -> fail "season %S must be >= 2" p
+    | Some n when n > max_season -> fail "season %S exceeds the cap of %d" p max_season
+    | Some n -> Ok n
+    | None -> fail "season %S is not an integer" p
+  in
   match String.split_on_char ':' s with
   | [ "ewma" ] -> Ok (ewma ())
-  | [ "ewma"; a ] -> (
-    match num a with
-    | Some alpha when alpha > 0.0 && alpha <= 1.0 -> Ok (ewma ~alpha ())
-    | _ -> fail ())
-  | [ "hw"; p ] -> (
-    match int_of_string_opt p with
-    | Some season when season >= 2 -> Ok (holt_winters ~season ())
-    | _ -> fail ())
-  | [ "hw"; p; a; b; g ] -> (
-    match (int_of_string_opt p, num a, num b, num g) with
-    | Some season, Some alpha, Some beta, Some gamma
-      when season >= 2
-           && List.for_all (fun w -> w > 0.0 && w <= 1.0) [ alpha; beta; gamma ]
-      -> Ok (holt_winters ~alpha ~beta ~gamma ~season ())
-    | _ -> fail ())
-  | _ -> fail ()
+  | [ "ewma"; a ] ->
+    let* alpha = weight "alpha" a in
+    Ok (ewma ~alpha ())
+  | [ "hw"; p ] ->
+    let* season = season p in
+    Ok (holt_winters ~season ())
+  | [ "hw"; p; a; b; g ] ->
+    let* season = season p in
+    let* alpha = weight "alpha" a in
+    let* beta = weight "beta" b in
+    let* gamma = weight "gamma" g in
+    Ok (holt_winters ~alpha ~beta ~gamma ~season ())
+  | _ -> fail "not one of the forms"
 
 (* ------------------------------------------------------------------ *)
 (* The offline oracle. *)

@@ -32,10 +32,15 @@ type t
     period). Raises [Invalid_argument] unless [0 < alpha <= 1]. *)
 val ewma : ?alpha:float -> unit -> t
 
+(** The largest season {!holt_winters} and {!of_spec} accept: the model
+    keeps two season-long float arrays. *)
+val max_season : int
+
 (** [holt_winters ~season ()] — additive Holt–Winters with [season]
     ticks per cycle. Defaults: [alpha = 0.35], [beta = 0.1],
-    [gamma = 0.3]. Raises [Invalid_argument] unless [season >= 2] and
-    each smoothing weight is in (0, 1]. *)
+    [gamma = 0.3]. Raises [Invalid_argument] unless
+    [2 <= season <= max_season] and each smoothing weight is in
+    (0, 1]. *)
 val holt_winters :
   ?alpha:float -> ?beta:float -> ?gamma:float -> season:int -> unit -> t
 
@@ -60,7 +65,10 @@ val ready : t -> bool
 val predict : t -> horizon:int -> float
 
 (** Parse a forecaster spec: ["ewma"], ["ewma:ALPHA"], ["hw:SEASON"],
-    or ["hw:SEASON:ALPHA:BETA:GAMMA"]. *)
+    or ["hw:SEASON:ALPHA:BETA:GAMMA"]. A season is an integer in
+    [\[2, max_season\]] and a weight a number in (0, 1]; an error names
+    the part that breaks its rule (e.g. [season "1000000000" exceeds
+    the cap of 100000]). *)
 val of_spec : string -> (t, string) result
 
 (** Grammar accepted by {!of_spec}, for [--help] texts. *)

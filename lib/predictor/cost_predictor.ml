@@ -48,20 +48,11 @@ let generate_trace t ~profile ~load ~servers ~n_queries ~seed =
   in
   let mean_actual = Arrayx.sum_float actual /. Float.of_int n_queries in
   let mean_interarrival = mean_actual /. (load *. Float.of_int servers) in
-  (* SLA bounds scale with the workload's own mean, like Fig 16. *)
-  let mu = mean_actual in
+  (* SLA bounds scale with the workload's own mean, like Fig 16. The
+     identity is drawn independent of size, as for the Exp workload. *)
+  let assign_sla = Workloads.assign_sla Workloads.Exp profile ~mu:mean_actual in
   let time = ref 0.0 in
   Array.init n_queries (fun id ->
       time := !time +. Prng.exponential rng_arrival ~mean:mean_interarrival;
-      let sla =
-        match profile with
-        | Workloads.Sla_a -> Sla_profiles.sla_a ~mu
-        | Workloads.Sla_b ->
-          if
-            Prng.int rng_sla
-              (Sla_profiles.sla_b_customer_weight + Sla_profiles.sla_b_employee_weight)
-            < Sla_profiles.sla_b_customer_weight
-          then Sla_profiles.sla_b_customer ~mu
-          else Sla_profiles.sla_b_employee ~mu
-      in
+      let sla = assign_sla ~size:est.(id) rng_sla in
       Query.make ~id ~arrival:!time ~size:actual.(id) ~est_size:est.(id) ~sla ())

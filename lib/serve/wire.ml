@@ -184,10 +184,10 @@ let set_query b pos (q : Query.t) =
   let pos = set_i64 b pos q.retries in
   let pos = set_i64 b pos q.tenant in
   let n = Sla.num_levels q.sla in
+  let bounds = Sla.bounds q.sla and gains = Sla.gains q.sla in
   let pos = ref (set_i64 b pos n) in
   for i = 0 to n - 1 do
-    let l = Sla.level q.sla i in
-    pos := set_f b (set_f b !pos l.bound) l.gain
+    pos := set_f b (set_f b !pos bounds.(i)) gains.(i)
   done;
   set_f b !pos (Sla.penalty q.sla)
 
@@ -289,14 +289,14 @@ let rd_query r =
   let n_levels = rd_i64 r in
   if n_levels < 0 || n_levels > 4096 then raise (Bad "bad level count");
   need r ((16 * n_levels) + 8);
-  let levels =
-    Array.init n_levels (fun _ ->
-        let bound = rd_f r in
-        let gain = rd_f r in
-        { Sla.bound; gain })
-  in
+  let bounds = Array.create_float n_levels
+  and gains = Array.create_float (n_levels + 1) in
+  for i = 0 to n_levels - 1 do
+    bounds.(i) <- rd_f r;
+    gains.(i) <- rd_f r
+  done;
   let penalty = rd_f r in
-  match Sla.of_array ~levels ~penalty with
+  match Sla.of_array ~bounds ~gains ~penalty with
   | sla -> (
     try Query.make ~est_size ~retries ~tenant ~id ~arrival ~size ~sla ()
     with Invalid_argument e -> raise (Bad ("invalid query: " ^ e)))

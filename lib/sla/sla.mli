@@ -2,7 +2,8 @@
 
     An SLA maps a query's response time (completion minus arrival) to
     the provider's profit: a decreasing staircase of gains followed by a
-    penalty once the last deadline is missed. *)
+    penalty once the last deadline is missed. A value is immutable and
+    may be shared by any number of queries. *)
 
 (** One step: finishing within [bound] of arrival earns [gain]. *)
 type level = { bound : float; gain : float }
@@ -17,9 +18,12 @@ exception Invalid of string
     [penalty >= 0]. Raises {!Invalid} otherwise. *)
 val make : levels:level list -> penalty:float -> t
 
-(** {!make} over an array of levels, with the same validation. The SLA
-    keeps [levels] itself: the caller must not mutate it afterwards. *)
-val of_array : levels:level array -> penalty:float -> t
+(** {!make} over the staircase's float arrays, with the same validation
+    and the same messages: [bounds] holds the levels' bounds and [gains]
+    their gains, with one slot more, into which [of_array] writes
+    [-penalty]. The SLA keeps both arrays: the caller must not mutate
+    them afterwards. *)
+val of_array : bounds:float array -> gains:float array -> penalty:float -> t
 
 (** g/0 profit model (Fig 3b). *)
 val single_step : bound:float -> gain:float -> t
@@ -27,11 +31,22 @@ val single_step : bound:float -> gain:float -> t
 (** 1/0 profit model (Fig 3c). *)
 val one_zero : bound:float -> t
 
+(** The levels as records, best first: for reports, files and tests.
+    The hot readers use {!bounds} and {!gains}. *)
 val levels : t -> level list
+
 val num_levels : t -> int
 
-(** [level t i] is the [i]th level, best first ([0 <= i < num_levels t]). *)
+(** [level t i] is the [i]th level, best first ([0 <= i < num_levels t]),
+    built on each call. *)
 val level : t -> int -> level
+
+(** The levels' bounds, best first. Callers must not mutate it. *)
+val bounds : t -> float array
+
+(** The levels' gains, best first, then [-penalty]: one slot more than
+    {!bounds}. Callers must not mutate it. *)
+val gains : t -> float array
 
 val penalty : t -> float
 
@@ -56,16 +71,42 @@ val loss_vs_ideal : t -> response:float -> float
 type component = { comp_bound : float; comp_gain : float }
 
 (** [decompose t] rewrites the SLA as a constant offset ([-penalty])
-    plus a sum of non-negative g/0 components (Sec 4.2, Fig 8).
-    Components are ordered by increasing bound. *)
+    plus a sum of positive g/0 components (Sec 4.2, Fig 8). Components
+    are ordered by increasing bound; a level whose gain equals the next
+    step's makes none. The records are built on each call. *)
 val decompose : t -> component list * float
 
-(** The decomposition's components as an array, bounds ascending,
-    precomputed at {!make} time. Callers must not mutate it. *)
-val components : t -> component array
+(** The components' bounds, ascending, precomputed at {!make} time.
+    Callers must not mutate it. *)
+val comp_bounds : t -> float array
 
-(** [Array.length (components t)]. *)
+(** The components' gains, in {!comp_bounds}' order. Callers must not
+    mutate it. *)
+val comp_gains : t -> float array
+
+(** [Array.length (comp_bounds t)]. *)
 val num_components : t -> int
+
+(** [add_postpone_loss t ~arrival ~completion ~tau acc] adds to [acc],
+    one at a time in component order, the gain of every component whose
+    slack at [completion], [(arrival + bound) - completion], lies in
+    [\[0, tau)]: what postponing a query of [t] that arrived at
+    [arrival] and completes at [completion] by [tau] loses. *)
+val add_postpone_loss :
+  t -> arrival:float -> completion:float -> tau:float -> float -> float
+
+(** [write_units t ~arrival ~completion ~keys ~unit_gains ~at] writes one
+    slack unit per component from index [at]: its slack
+    [(arrival + bound) - completion] into [keys] and its gain into
+    [unit_gains]. Returns [at + num_components t]. *)
+val write_units :
+  t ->
+  arrival:float ->
+  completion:float ->
+  keys:float array ->
+  unit_gains:float array ->
+  at:int ->
+  int
 
 (** Inverse of {!decompose}; equals [profit] for every response time. *)
 val profit_of_decomposition : component list * float -> response:float -> float

@@ -91,13 +91,15 @@ let find reg ~tenant =
    tier — a tenant paying 1.5x earns (and forfeits) 1.5x the dollars,
    so the probes price its queries accordingly. *)
 let sla_for reg p ~cls ~est =
-  let base = Sla_synth.sla_of reg.synth reg.synth.Sla_synth.classes.(cls) ~est in
-  let levels =
-    List.map
-      (fun { Sla.bound; gain } -> { Sla.bound; gain = gain *. p.tier })
-      (Sla.levels base)
-  in
-  Sla.make ~levels ~penalty:(Sla.penalty base *. p.tier)
+  let c = reg.synth.Sla_synth.classes.(cls)
+  and stretches = reg.synth.Sla_synth.stretches in
+  let n = Array.length stretches in
+  let bounds = Array.create_float n and gains = Array.create_float (n + 1) in
+  for k = 0 to n - 1 do
+    bounds.(k) <- stretches.(k) *. est;
+    gains.(k) <- c.Sla_synth.gains.(k) *. p.tier
+  done;
+  Sla.of_array ~bounds ~gains ~penalty:(c.Sla_synth.penalty *. p.tier)
 
 (* ------------------------------------------------------------------ *)
 (* Tenant assignment *)

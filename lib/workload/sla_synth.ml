@@ -197,13 +197,13 @@ let pick_class cfg master ~index =
   go 0 0
 
 let sla_of cfg cls ~est =
-  let levels =
-    Array.to_list
-      (Array.mapi
-         (fun k stretch -> { Sla.bound = stretch *. est; gain = cls.gains.(k) })
-         cfg.stretches)
-  in
-  Sla.make ~levels ~penalty:cls.penalty
+  let n = Array.length cfg.stretches in
+  let bounds = Array.create_float n and gains = Array.create_float (n + 1) in
+  for k = 0 to n - 1 do
+    bounds.(k) <- cfg.stretches.(k) *. est;
+    gains.(k) <- cls.gains.(k)
+  done;
+  Sla.of_array ~bounds ~gains ~penalty:cls.penalty
 
 (* Per-stream synthesis state. [t0] rebases each pass to 0; [last]
    enforces monotone arrivals across clamps and tile boundaries;

@@ -66,11 +66,10 @@ let materialize cfg ~arrival_times =
   let arrivals = arrival_times ~mean_size rng_arrival in
   if Array.length arrivals <> cfg.n_queries then
     invalid_arg "Trace.materialize: arrival_times returned the wrong count";
+  let assign_sla = Workloads.assign_sla cfg.kind cfg.profile ~mu in
   Array.init cfg.n_queries (fun id ->
       let est_size = est_sizes.(id) in
-      let sla =
-        Workloads.assign_sla cfg.kind cfg.profile ~mu ~size:est_size rng_sla
-      in
+      let sla = assign_sla ~size:est_size rng_sla in
       Query.make ~id ~arrival:arrivals.(id) ~size:sizes.(id) ~est_size ~sla ())
 
 let generate cfg =

@@ -28,21 +28,29 @@ let nominal_mean_ms = function
 (* SLA assignment. SLA-A: everyone gets the 1/0 SLA. SLA-B: for Exp
    and Pareto the customer/employee identity is drawn 10:1 independent
    of execution time; for SSBM it is correlated — queries longer than
-   20 ms come from employees (Sec 7.1). *)
-let assign_sla kind profile ~mu ~size rng =
+   20 ms come from employees (Sec 7.1).
+
+   Staged: the profile's one or two SLAs are built once, when the kind,
+   profile and mu are applied, and every query assigned through the
+   result shares one of them. The per-query draws are unchanged. *)
+let assign_sla kind profile ~mu =
   match profile with
-  | Sla_a -> Sla_profiles.sla_a ~mu
+  | Sla_a ->
+    let sla = Sla_profiles.sla_a ~mu in
+    fun ~size:_ _ -> sla
   | Sla_b -> begin
+    let customer = Sla_profiles.sla_b_customer ~mu
+    and employee = Sla_profiles.sla_b_employee ~mu in
     match kind with
     | Exp | Pareto ->
       let total =
         Sla_profiles.sla_b_customer_weight + Sla_profiles.sla_b_employee_weight
       in
-      if Prng.int rng total < Sla_profiles.sla_b_customer_weight then
-        Sla_profiles.sla_b_customer ~mu
-      else Sla_profiles.sla_b_employee ~mu
+      fun ~size:_ rng ->
+        if Prng.int rng total < Sla_profiles.sla_b_customer_weight then customer
+        else employee
     | Ssbm_wl ->
-      if size > Sla_profiles.ssbm_employee_threshold_ms then
-        Sla_profiles.sla_b_employee ~mu
-      else Sla_profiles.sla_b_customer ~mu
+      fun ~size _ ->
+        if size > Sla_profiles.ssbm_employee_threshold_ms then employee
+        else customer
   end

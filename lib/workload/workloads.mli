@@ -20,6 +20,8 @@ val nominal_mean_ms : kind -> float
 
 (** Draw the SLA for a query of estimated size [size] (ms). Under SLA-B,
     Exp/Pareto draw customer:employee 10:1 independent of size; SSBM
-    correlates by the 20 ms threshold. *)
+    correlates by the 20 ms threshold. Staged: [assign_sla kind profile
+    ~mu] builds the profile's one (SLA-A) or two (SLA-B) SLAs once, and
+    every SLA it then returns is physically one of them. *)
 val assign_sla :
   kind -> sla_profile -> mu:float -> size:float -> Prng.t -> Sla.t

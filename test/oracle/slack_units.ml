@@ -33,11 +33,11 @@ let fill_of_schedule units k0 entries =
   let k = ref k0 in
   Array.iteri
     (fun pos entry ->
-      let comps = Sla.components entry.Schedule.query.Query.sla in
-      for c = 0 to Array.length comps - 1 do
-        let { Sla.comp_bound; comp_gain } = comps.(c) in
-        let slack = Schedule.slack entry ~bound:comp_bound in
-        units.(!k) <- { uid = pos; slack; gain = comp_gain };
+      let sla = entry.Schedule.query.Query.sla in
+      let bounds = Sla.comp_bounds sla and gains = Sla.comp_gains sla in
+      for c = 0 to Array.length bounds - 1 do
+        let slack = Schedule.slack entry ~bound:bounds.(c) in
+        units.(!k) <- { uid = pos; slack; gain = gains.(c) };
         incr k
       done)
     entries;

@@ -257,11 +257,10 @@ let probe_battery entries p =
       (* exact slack values of the first entry's components land on the
          Lt/Le edges *)
       let e = entries.(0) in
-      let comps = Sla.components e.Schedule.query.Query.sla in
       Array.to_list
         (Array.map
-           (fun c -> Float.abs (Schedule.slack e ~bound:c.Sla.comp_bound))
-           comps)
+           (fun bound -> Float.abs (Schedule.slack e ~bound))
+           (Sla.comp_bounds e.Schedule.query.Query.sla))
       @ [ 0.0; 1.0; 7.5; 133.25 ]
     in
     let mid = n / 2 in

@@ -134,6 +134,11 @@ let test_forecast_deterministic () =
 
 let raises f = match f () with exception Invalid_argument _ -> true | _ -> false
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let test_constructor_validation () =
   check_bool "ewma alpha 0" true (raises (fun () -> Forecast.ewma ~alpha:0.0 ()));
   check_bool "ewma alpha > 1" true (raises (fun () -> Forecast.ewma ~alpha:1.5 ()));
@@ -155,6 +160,41 @@ let test_of_spec () =
   check_bool "bad alpha" true (bad "ewma:2.0");
   check_bool "bad season" true (bad "hw:1");
   check_bool "trailing junk" true (bad "hw:24:0.1")
+
+(* A season past the cap is refused before anything is allocated, by
+   the constructor and by the spec parser, which names the part and the
+   cap. 100 001 is the first season past it. *)
+let test_season_cap () =
+  check_bool "hw season past the cap" true
+    (raises (fun () -> Forecast.holt_winters ~season:100_001 ()));
+  check_bool "hw season at the cap" false
+    (raises (fun () -> Forecast.holt_winters ~season:100_000 ()));
+  match Forecast.of_spec "hw:100001" with
+  | Ok _ -> Alcotest.fail "hw:100001 accepted"
+  | Error e ->
+    let has sub =
+      check_bool (Printf.sprintf "%S names %S" e sub) true
+        (contains e sub)
+    in
+    has "season \"100001\"";
+    has "cap of 100000"
+
+(* Each spec error names the part that breaks its rule. *)
+let test_of_spec_names_the_part () =
+  List.iter
+    (fun (spec, part) ->
+      match Forecast.of_spec spec with
+      | Ok _ -> Alcotest.failf "%S accepted" spec
+      | Error e ->
+        check_bool (Printf.sprintf "%S names %S" e part) true
+          (contains e part))
+    [
+      ("hw:abc", "season \"abc\" is not an integer");
+      ("hw:1", "season \"1\" must be >= 2");
+      ("ewma:2.0", "alpha \"2.0\" must be in (0, 1]");
+      ("hw:24:0.5:x:0.1", "beta \"x\" is not a number");
+      ("hw:24:0.5:0.2:0", "gamma \"0\" must be in (0, 1]");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Oracle *)
@@ -245,6 +285,9 @@ let () =
           Alcotest.test_case "constructor validation" `Quick
             test_constructor_validation;
           Alcotest.test_case "of_spec" `Quick test_of_spec;
+          Alcotest.test_case "season cap" `Quick test_season_cap;
+          Alcotest.test_case "of_spec names the part" `Quick
+            test_of_spec_names_the_part;
         ] );
       ( "oracle",
         [

@@ -298,6 +298,168 @@ let prop_expected_profit_bits =
            sla elapsed rate got want)
 
 (* ------------------------------------------------------------------ *)
+(* The flat staircase against a level-record walk *)
+
+(* The staircase as an array of level records and a penalty, read the
+   way [Sla] read it before it was stored flat: the reference the float
+   arrays must match bit for bit. *)
+let ref_profit levels penalty ~response =
+  let n = Array.length levels in
+  let i = ref 0 in
+  while !i < n && not (response <= levels.(!i).Sla.bound) do
+    incr i
+  done;
+  if !i < n then levels.(!i).Sla.gain else -.penalty
+
+let ref_components levels penalty =
+  let n = Array.length levels in
+  List.filter_map
+    (fun i ->
+      let next = if i = n - 1 then -.penalty else levels.(i + 1).Sla.gain in
+      let g = levels.(i).Sla.gain -. next in
+      if g > 0.0 then Some (levels.(i).Sla.bound, g) else None)
+    (List.init n Fun.id)
+
+let ref_expected levels penalty ~elapsed ~rate =
+  let acc = ref 0.0 and p_above_prev = ref 1.0 in
+  Array.iter
+    (fun { Sla.bound; gain } ->
+      let d = bound -. elapsed in
+      let p_above_cur = if d <= 0.0 then 1.0 else exp (-.rate *. d) in
+      acc := !acc +. (gain *. (!p_above_prev -. p_above_cur));
+      p_above_prev := p_above_cur)
+    levels;
+  !acc +. (-.penalty *. !p_above_prev)
+
+(* A valid staircase of one level (a third of the draws) or 2-6, with
+   penalty 0 (a third of the draws) or positive, and in a quarter of
+   the draws a last gain of exactly -penalty: a zero-gain step that
+   the components drop. *)
+let staircase rng =
+  let k = if Prng.int rng 3 = 0 then 1 else 2 + Prng.int rng 5 in
+  let penalty = if Prng.int rng 3 = 0 then 0.0 else 0.1 +. (Prng.float rng *. 5.0) in
+  let b = ref 0.0 and g = ref (0.5 +. (Prng.float rng *. 10.0)) in
+  (* k - 1 drops of at most (top + penalty) / k each keep the last gain
+     above -penalty. *)
+  let drop = (!g +. penalty) /. Float.of_int k in
+  let levels =
+    Array.init k (fun _ ->
+        b := !b +. 0.5 +. (Prng.float rng *. 30.0);
+        let l = { Sla.bound = !b; gain = !g } in
+        g := !g -. (drop *. (0.2 +. (0.8 *. Prng.float rng)));
+        l)
+  in
+  if Prng.int rng 4 = 0 then
+    levels.(k - 1) <- { (levels.(k - 1)) with gain = -.penalty };
+  (levels, penalty)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let prop_flat_matches_levels =
+  QCheck.Test.make ~name:"flat staircase == level-record walk, bit for bit"
+    ~count:1000 QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let levels, penalty = staircase rng in
+      let sla = Sla.make ~levels:(Array.to_list levels) ~penalty in
+      let fail fmt = QCheck.Test.fail_reportf ("%a: " ^^ fmt) Sla.pp sla in
+      let points =
+        Float.nan
+        :: List.concat_map
+             (fun { Sla.bound; _ } -> [ bound; Float.succ bound ])
+             (Array.to_list levels)
+      in
+      List.iter
+        (fun r ->
+          let got = Sla.profit sla ~response:r
+          and want = ref_profit levels penalty ~response:r in
+          if not (same_bits got want) then fail "profit at %h: %h, walk %h" r got want;
+          let rate = 0.01 *. (1000.0 ** Prng.float rng) in
+          let got = Sla.expected_profit_exp sla ~elapsed:r ~rate
+          and want = ref_expected levels penalty ~elapsed:r ~rate in
+          if not (same_bits got want) then
+            fail "expected profit at %h, rate %h: %h, walk %h" r rate got want)
+        points;
+      let comps = ref_components levels penalty in
+      let pairs a b = List.combine (Array.to_list a) (Array.to_list b) in
+      let same_comps got =
+        List.length got = List.length comps
+        && List.for_all2
+             (fun (b, g) (b', g') -> same_bits b b' && same_bits g g')
+             got comps
+      in
+      if not (same_comps (pairs (Sla.comp_bounds sla) (Sla.comp_gains sla))) then
+        fail "comp_bounds/comp_gains differ from the walk's components";
+      let dcomps, offset = Sla.decompose sla in
+      if
+        not
+          (same_comps (List.map (fun c -> (c.Sla.comp_bound, c.Sla.comp_gain)) dcomps))
+      then fail "decompose differs from the walk's components";
+      if not (same_bits offset (-.penalty)) then fail "offset %h" offset;
+      if not (same_bits (Sla.penalty sla) penalty) then
+        fail "penalty %h, want %h" (Sla.penalty sla) penalty;
+      true)
+
+(* [make] over a list of levels and [of_array] over the same floats
+   accept and refuse the same inputs, with the same message. Each draw
+   breaks a valid staircase in one way, or leaves it valid. *)
+let prop_of_array_refuses_as_make =
+  QCheck.Test.make ~name:"of_array refuses what make refuses, same message"
+    ~count:1000 QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let levels, penalty = staircase rng in
+      let k = Array.length levels in
+      let i = Prng.int rng k in
+      let set f = levels.(i) <- f levels.(i) in
+      let bad () =
+        match Prng.int rng 4 with
+        | 0 -> Float.nan
+        | 1 -> Float.infinity
+        | 2 -> Float.neg_infinity
+        | _ -> -.Prng.float rng
+      in
+      let levels, penalty =
+        match Prng.int rng 9 with
+        | 0 -> ([||], penalty)
+        | 1 -> (levels, bad ())
+        | 2 ->
+          set (fun l -> { l with Sla.bound = bad () });
+          (levels, penalty)
+        | 3 ->
+          set (fun l -> { l with Sla.gain = bad () });
+          (levels, penalty)
+        | 4 ->
+          set (fun l -> { l with Sla.bound = 0.0 });
+          (levels, penalty)
+        | 5 when k > 1 ->
+          levels.(i) <- { (levels.(i)) with bound = levels.((i + 1) mod k).bound };
+          (levels, penalty)
+        | 6 when k > 1 ->
+          levels.(i) <- { (levels.(i)) with gain = levels.((i + 1) mod k).gain };
+          (levels, penalty)
+        | 7 ->
+          levels.(k - 1) <- { (levels.(k - 1)) with gain = -.penalty -. 1.0 };
+          (levels, penalty)
+        | _ -> (levels, penalty)
+      in
+      let outcome f = match f () with sla -> Ok sla | exception Sla.Invalid m -> Error m in
+      let made = outcome (fun () -> Sla.make ~levels:(Array.to_list levels) ~penalty) in
+      let flat =
+        outcome (fun () ->
+            let n = Array.length levels in
+            let gains = Array.make (n + 1) 0.0 in
+            Array.iteri (fun j l -> gains.(j) <- l.Sla.gain) levels;
+            Sla.of_array ~bounds:(Array.map (fun l -> l.Sla.bound) levels) ~gains
+              ~penalty)
+      in
+      match (made, flat) with
+      | Error a, Error b -> a = b || QCheck.Test.fail_reportf "make %S, of_array %S" a b
+      | Ok a, Ok b -> Sla.equal a b
+      | Ok _, Error m -> QCheck.Test.fail_reportf "only of_array refuses: %S" m
+      | Error m, Ok _ -> QCheck.Test.fail_reportf "only make refuses: %S" m)
+
+(* ------------------------------------------------------------------ *)
 (* Profiles (Fig 16) *)
 
 let test_sla_a_shape () =
@@ -425,6 +587,8 @@ let () =
           qtest prop_expected_profit_bounded;
           qtest prop_expected_profit_bits;
         ] );
+      ( "flat",
+        [ qtest prop_flat_matches_levels; qtest prop_of_array_refuses_as_make ] );
       ( "profiles",
         [
           Alcotest.test_case "SLA-A" `Quick test_sla_a_shape;

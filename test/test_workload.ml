@@ -504,6 +504,58 @@ let prop_trace_sizes_positive =
       let qs = Trace.generate (base_cfg ~n:200 ~seed ()) in
       Array.for_all (fun q -> q.Query.size > 0.0 && q.Query.est_size > 0.0) qs)
 
+(* ------------------------------------------------------------------ *)
+(* One SLA value per contract: a generated trace's queries share their
+   profile's SLAs physically, one value per contract, not a copy each. *)
+
+let physical_slas queries =
+  Array.fold_left
+    (fun seen q ->
+      if List.exists (( == ) q.Query.sla) seen then seen else q.Query.sla :: seen)
+    [] queries
+
+let check_one_value_per_contract what ~contracts queries =
+  let values = physical_slas queries in
+  check_int (what ^ ": physical SLA values") (List.length contracts)
+    (List.length values);
+  List.iter
+    (fun c ->
+      check_bool (what ^ ": each contract is one of them") true
+        (List.exists (Sla.equal c) values))
+    contracts
+
+let sla_b ~mu = [ Sla_profiles.sla_b_customer ~mu; Sla_profiles.sla_b_employee ~mu ]
+
+let test_trace_shares_slas kind profile () =
+  let mu = Workloads.nominal_mean_ms kind in
+  let contracts =
+    match profile with
+    | Workloads.Sla_a -> [ Sla_profiles.sla_a ~mu ]
+    | Workloads.Sla_b -> sla_b ~mu
+  in
+  check_one_value_per_contract
+    (Workloads.kind_name kind ^ " " ^ Workloads.profile_name profile)
+    ~contracts
+    (Trace.generate (base_cfg ~kind ~profile ()))
+
+let test_bursty_shares_slas () =
+  check_one_value_per_contract "Bursty SLA-B" ~contracts:(sla_b ~mu:20.0)
+    (Bursty.generate (base_cfg ~profile:Workloads.Sla_b ()) (diurnal_phases ()))
+
+let test_predictor_trace_shares_slas () =
+  let predictor = Cost_predictor.train ~training_size:300 ~seed:5 () in
+  let queries =
+    Cost_predictor.generate_trace predictor ~profile:Workloads.Sla_b ~load:0.8
+      ~servers:1 ~n_queries:1000 ~seed:3
+  in
+  (* The bounds scale with the trace's own mean actual size, summed as
+     the generator sums it. *)
+  let mu =
+    Arrayx.sum_float (Array.map (fun q -> q.Query.size) queries) /. 1000.0
+  in
+  check_one_value_per_contract "Cost_predictor SLA-B" ~contracts:(sla_b ~mu)
+    queries
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let () =
@@ -530,6 +582,19 @@ let () =
           Alcotest.test_case "SLA-A" `Quick test_sla_a_assignment;
           Alcotest.test_case "SLA-B 10:1 mixture" `Slow test_sla_b_mixture_ratio;
           Alcotest.test_case "SSBM correlation" `Quick test_sla_b_ssbm_correlated;
+          Alcotest.test_case "Exp SLA-B trace: one SLA value per contract" `Quick
+            (test_trace_shares_slas Workloads.Exp Workloads.Sla_b);
+          Alcotest.test_case "Pareto SLA-B trace: one SLA value per contract"
+            `Quick
+            (test_trace_shares_slas Workloads.Pareto Workloads.Sla_b);
+          Alcotest.test_case "SSBM SLA-B trace: one SLA value per contract" `Quick
+            (test_trace_shares_slas Workloads.Ssbm_wl Workloads.Sla_b);
+          Alcotest.test_case "Exp SLA-A trace: one SLA value per contract" `Quick
+            (test_trace_shares_slas Workloads.Exp Workloads.Sla_a);
+          Alcotest.test_case "bursty: one SLA value per contract" `Quick
+            test_bursty_shares_slas;
+          Alcotest.test_case "cost predictor: one SLA value per contract" `Quick
+            test_predictor_trace_shares_slas;
         ] );
       ( "estimate-error",
         [
